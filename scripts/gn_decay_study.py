@@ -11,20 +11,13 @@ image fit are both under control.
 import argparse
 
 from fermicluster.config import RunConfig
-from fermicluster.grossneveu import (
-    LatticeSpec,
-    covariance,
-    covariance_decay_table,
-    decay_fit,
-)
-from fermicluster.pipeline import run_experiment
+from fermicluster.grossneveu import LatticeSpec, covariance
+from fermicluster.pipeline import covariance_report, run_experiment
 
 
 def free_rate(m_f: float, side: int = 16) -> float:
     """Free-propagator rate on a torus large enough for a clean fit."""
-    spec = LatticeSpec(d=2, L=side, N=1)
-    table = covariance_decay_table(covariance(spec, m_f))
-    return decay_fit([(r, m) for r, m in table if 0 < r <= side / 2]).kappa
+    return covariance_report(covariance(LatticeSpec(d=2, L=side, N=1), m_f))["fit"]["kappa"]
 
 
 def one_size(L: int, mode: str, g: float, m_f: float) -> dict:

@@ -1,8 +1,8 @@
 """Verification checklist shared by the test suite and the verify command.
 
 Each criterion function returns a CheckResult and is independent of the
-others, except that the parity scan inspects every log series produced in
-the process, so it should run last.
+others.  Criteria 1, 2 and 7 inspect the same engine and oracle runs; pass
+them in to share the work.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import random
 import time
 from dataclasses import dataclass
 
-from .berezin import SERIES_LOG
 from .clusters import ClusterOptions, assemble_b
 from .coeffsys import (
     CoefficientSystem,
@@ -22,15 +21,15 @@ from .config import RunConfig
 from .generators import psi
 from .grossneveu import (
     LatticeSpec,
-    build_v1,
+    Model,
     covariance,
-    covariance_decay_table,
-    decay_fit,
     model_norms,
     truncated_two_point,
     universe_for,
 )
 from .pipeline import (
+    covariance_report,
+    lattice_model,
     lattice_objects,
     oracle_pair_series,
     pair_series,
@@ -74,18 +73,18 @@ class CheckResult:
 def _oracle_runs():
     """Engine and oracle series on the 2x2 lattice for the pinned couplings.
 
-    Sources sit on the origin and the diagonally opposite site; restricting
-    the sources leaves every retained coefficient unchanged and keeps the
-    oracle tractable.
+    Sources sit on the origin and the diagonally opposite site, which keeps
+    the oracle tractable.
     """
     runs = []
     for g in ORACLE_COUPLINGS:
         cfg = RunConfig(g=g, m_f=1.0, mode="exact")
         spec, cov = lattice_objects(cfg)
+        model = lattice_model(cfg, spec, cov)
         y1, y2 = spec.sites[0], spec.sites[-1]
-        series, report = pair_series(cfg, spec, cov, y1, y2)
-        oracle = oracle_pair_series(cfg, spec, cov, y1, y2)
-        runs.append((cfg, spec, cov, (y1, y2), series, report, oracle))
+        series, report = pair_series(cfg, spec, model, y1, y2)
+        oracle = oracle_pair_series(cfg, spec, model, y1, y2)
+        runs.append((cfg, spec, model, (y1, y2), series, report, oracle))
     return runs
 
 
@@ -111,30 +110,19 @@ def criterion_2_log_norm_bound(runs=None) -> CheckResult:
     coupling with an open gate keeps the check non-vacuous.
     """
     runs = runs if runs is not None else _oracle_runs()
-    verdicts = []
-    violation = False
-    for cfg, spec, cov, sources, series, _, _ in runs:
-        f_norm = model_norms(spec, cov, cfg.g, kappa=cfg.kappa,
-                             source_sites=sources)["v1_norm"]
-        h_norm = logseries_norm(series.coefficients(), cfg.h2, cfg.kappa,
-                                spec.metric)
-        _, _, holds = log_norm_bound_check(f_norm, h_norm)
-        verdicts.append((cfg.g, holds))
-        if holds is False:
-            violation = True
-
     small = RunConfig(g=0.002, m_f=1.0, mode="exact")
     spec, cov = lattice_objects(small)
+    model = lattice_model(small, spec, cov)
     sources = (spec.sites[0], spec.sites[-1])
-    series, _ = pair_series(small, spec, cov, *sources)
-    f_norm = model_norms(spec, cov, small.g, kappa=small.kappa,
-                         source_sites=sources)["v1_norm"]
-    h_norm = logseries_norm(series.coefficients(), small.h2, small.kappa,
-                            spec.metric)
-    _, _, holds_small = log_norm_bound_check(f_norm, h_norm)
-    verdicts.append((small.g, holds_small))
+    series, _ = pair_series(small, spec, model, *sources)
+    verdicts = []
+    for cfg, spec, model, sources, series, *_ in [*runs, (small, spec, model, sources, series)]:
+        f_norm = model_norms(model, kappa=cfg.kappa, source_sites=sources)["v1_norm"]
+        h_norm = logseries_norm(series.coefficients(), cfg.h2, cfg.kappa, spec.metric)
+        verdicts.append((cfg.g, log_norm_bound_check(f_norm, h_norm)[2]))
 
-    passed = not violation and holds_small is True
+    # the open-gate run comes last and must hold; no gated run may fail
+    passed = all(h is not False for _, h in verdicts) and verdicts[-1][1] is True
     details = ("verdicts " +
                ", ".join(f"g={g}: {'n/a' if h is None else h}" for g, h in verdicts))
     return CheckResult(2, "log-series norm bound", passed, details)
@@ -233,14 +221,12 @@ def criterion_6_tree_counts() -> CheckResult:
     return CheckResult(6, "labelled tree counts", passed, details)
 
 
-def criterion_7_parity_scan() -> CheckResult:
-    if not SERIES_LOG:
-        cfg = RunConfig()
-        spec, cov = lattice_objects(cfg)
-        pair_series(cfg, spec, cov, spec.sites[0], spec.sites[-1])
-    odd_total = sum(len(series.odd_masks()) for series in SERIES_LOG)
+def criterion_7_parity_scan(runs=None) -> CheckResult:
+    runs = runs if runs is not None else _oracle_runs()
+    scanned = [s for *_, series, _, oracle in runs for s in (series, oracle)]
+    odd_total = sum(len(series.odd_masks()) for series in scanned)
     passed = odd_total == 0
-    details = f"{len(SERIES_LOG)} series scanned, {odd_total} odd-length terms"
+    details = f"{len(scanned)} series scanned, {odd_total} odd-length terms"
     return CheckResult(7, "even-length parity of all log series", passed, details)
 
 
@@ -248,6 +234,7 @@ def criterion_8_free_theory_reduction() -> CheckResult:
     cfg = RunConfig(L=4, g=0.05, m_f=1.0, mode="exact")
     spec = LatticeSpec(d=cfg.d, L=cfg.L, N=cfg.N)
     cov = covariance(spec, cfg.m_f)
+    free = Model.build(spec, cov, 0.0, source_g=cfg.g)
     options = ClusterOptions(mode="exact", n_max=cfg.n_max)
     worst = 0.0
     pairs = 0
@@ -256,8 +243,7 @@ def criterion_8_free_theory_reduction() -> CheckResult:
         for y2 in sites[i:]:
             sources = (y1,) if y1 == y2 else (y1, y2)
             universe = universe_for(spec, sources)
-            f = build_v1(spec, cov, cfg.g, source_sites=sources,
-                         quartic=False).scaled(-1)
+            f = free.v1.with_sources_at(sources).scaled(-1)
             series, _ = assemble_b(universe, f, options)
             for a, b in ((y1, y2), (y2, y1)):
                 for alpha in range(spec.spinor_dim):
@@ -273,12 +259,10 @@ def criterion_8_free_theory_reduction() -> CheckResult:
 
 
 def criterion_9_covariance_decay() -> CheckResult:
-    spec = LatticeSpec(d=2, L=16)
-    cov = covariance(spec, 1.0)
-    table = covariance_decay_table(cov)
-    fit = decay_fit([(r, m) for r, m in table if 0 < r <= spec.L / 2])
-    passed = fit.kappa > 0 and fit.r_squared >= 0.95
-    details = f"kappa_S={fit.kappa:.4f}, r2={fit.r_squared:.4f}"
+    fit = covariance_report(covariance(LatticeSpec(d=2, L=16), 1.0))["fit"]
+    passed = fit["usable"] and fit["kappa"] > 0 and fit["r_squared"] >= 0.95
+    details = (f"kappa_S={fit['kappa']:.4f}, r2={fit['r_squared']:.4f}"
+               if fit["usable"] else "fit unusable")
     return CheckResult(9, "covariance decay fit", passed, details)
 
 
@@ -316,27 +300,27 @@ def criterion_11_determinism() -> CheckResult:
 
 
 def run_checklist(level: str = "full") -> list[CheckResult]:
-    """Quick level: combinatorial and norm identities; full adds the engine
-    and model criteria.  The parity scan always runs last."""
-    results = []
+    """Quick level: combinatorial and norm identities plus the parity scan;
+    full adds the engine and model criteria."""
     if level == "quick":
-        results.append(criterion_3_norm_examples())
-        results.append(criterion_4_majorant())
-        results.append(criterion_5_tree_convolution_bound())
-        results.append(criterion_6_tree_counts())
-        results.append(criterion_7_parity_scan())
-        return results
+        return [
+            criterion_3_norm_examples(),
+            criterion_4_majorant(),
+            criterion_5_tree_convolution_bound(),
+            criterion_6_tree_counts(),
+            criterion_7_parity_scan(),
+        ]
     runs = _oracle_runs()
-    results.append(criterion_1_oracle_equivalence(runs))
-    results.append(criterion_2_log_norm_bound(runs))
-    results.append(criterion_3_norm_examples())
-    results.append(criterion_4_majorant())
-    results.append(criterion_5_tree_convolution_bound())
-    results.append(criterion_6_tree_counts())
-    results.append(criterion_8_free_theory_reduction())
-    results.append(criterion_9_covariance_decay())
-    results.append(criterion_10_interacting_decay())
-    results.append(criterion_11_determinism())
-    results.append(criterion_7_parity_scan())
-    results.sort(key=lambda r: r.criterion)
-    return results
+    return [
+        criterion_1_oracle_equivalence(runs),
+        criterion_2_log_norm_bound(runs),
+        criterion_3_norm_examples(),
+        criterion_4_majorant(),
+        criterion_5_tree_convolution_bound(),
+        criterion_6_tree_counts(),
+        criterion_7_parity_scan(runs),
+        criterion_8_free_theory_reduction(),
+        criterion_9_covariance_decay(),
+        criterion_10_interacting_decay(),
+        criterion_11_determinism(),
+    ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import ParityError
 from .generators import GeneratorIndex, GeneratorUniverse
@@ -118,11 +118,6 @@ class GrassmannElement:
         """Drop coefficients with magnitude at or below ``floor``."""
         out = GrassmannElement()
         out.terms = {m: c for m, c in self.terms.items() if abs(c) > floor}
-        return out
-
-    def filtered(self, keep: Callable[[int], bool]) -> "GrassmannElement":
-        out = GrassmannElement()
-        out.terms = {m: c for m, c in self.terms.items() if keep(m)}
         return out
 
     def __add__(self, other) -> "GrassmannElement":

@@ -60,39 +60,6 @@ def integrate_element(universe: GeneratorUniverse, element: GrassmannElement) ->
     return out
 
 
-def wick_expectation(universe: GeneratorUniverse, ordered: tuple[GeneratorIndex, ...]) -> int:
-    """Reference Wick evaluation of an ordered psi-generator product.
-
-    Recursive pairing sum with ``<psibar psi> = +1`` for matching modes and
-    the transposition sign tracked explicitly.  Exponential cost; used as
-    the independent oracle for :func:`integrate_monomial` in tests.
-    """
-    n = len(ordered)
-    if n % 2:
-        return 0
-    if n == 0:
-        return 1
-    first, rest = ordered[0], ordered[1:]
-    total = 0
-    for j, g in enumerate(rest):
-        if g.mode != first.mode or g.bar == first.bar:
-            continue
-        pair = 1 if first.bar else -1  # <psibar psi> = +1, <psi psibar> = -1
-        sign = -1 if j % 2 else 1
-        remaining = rest[:j] + rest[j + 1:]
-        total += sign * pair * wick_expectation(universe, remaining)
-    return total
-
-
-#: Every LogSeries built in this process, for suite-wide property scans
-#: (for example the even-length check over all produced series).
-SERIES_LOG: list["LogSeries"] = []
-
-
-def clear_series_log() -> None:
-    SERIES_LOG.clear()
-
-
 class LogSeries:
     """Logarithm of a normalized Gaussian integral as an eta polynomial."""
 
@@ -102,7 +69,6 @@ class LogSeries:
             raise ValueError("log series may only involve eta generators")
         self.universe = universe
         self.element = element
-        SERIES_LOG.append(self)
 
     @property
     def constant(self) -> complex:

@@ -16,8 +16,11 @@ import time
 from .acceptance import run_checklist
 from .config import RunConfig, load_config, with_overrides
 from .errors import CapacityError, ConfigError
-from .grossneveu import covariance_decay_table, decay_fit, model_norms
+from .grossneveu import model_norms
 from .pipeline import (
+    check_exact_capacity,
+    covariance_report,
+    lattice_model,
     lattice_objects,
     oracle_pair_series,
     pair_series,
@@ -54,19 +57,11 @@ def _load(args) -> RunConfig:
 
 def cmd_covariance(args) -> int:
     cfg = _load(args)
-    spec, cov = lattice_objects(cfg)
-    table = covariance_decay_table(cov)
-    usable = [(r, m) for r, m in table if 0 < r <= spec.L / 2]
-    try:
-        fit = {"usable": True, **decay_fit(usable).as_dict()}
-    except ValueError:
-        fit = {"usable": False}
+    _, cov = lattice_objects(cfg)
     payload = {
         "lattice": {"d": cfg.d, "L": cfg.L, "N": cfg.N},
         "m_f": cfg.m_f,
-        "log_det_inverse": cov.log_det,
-        "decay_table": [[r, m] for r, m in table],
-        "fit": fit,
+        **covariance_report(cov),
     }
     _emit(args, payload, {})
     return EXIT_OK
@@ -77,10 +72,10 @@ def cmd_expand(args) -> int:
     cfg = _load(args)
     started = time.perf_counter()
     spec, cov = lattice_objects(cfg)
-    from .pipeline import check_exact_capacity
     check_exact_capacity(cfg, spec)
+    model = lattice_model(cfg, spec, cov)
     y1, y2 = spec.sites[0], spec.sites[-1]
-    series, report = pair_series(cfg, spec, cov, y1, y2)
+    series, report = pair_series(cfg, spec, model, y1, y2)
 
     def label(gidx):
         bar = "bar" if gidx.bar else ""
@@ -99,7 +94,7 @@ def cmd_expand(args) -> int:
 
     oracle_block = {"ran": False, "worst_abs": None, "worst_rel": None}
     if cfg.mode == "exact":
-        oracle = oracle_pair_series(cfg, spec, cov, y1, y2)
+        oracle = oracle_pair_series(cfg, spec, model, y1, y2)
         worst_abs, worst_rel = series_deviation(series, oracle)
         oracle_block = {"ran": True, "worst_abs": worst_abs, "worst_rel": worst_rel}
 
@@ -116,8 +111,8 @@ def cmd_expand(args) -> int:
 
 def cmd_norms(args) -> int:
     cfg = _load(args)
-    spec, cov = lattice_objects(cfg)
-    norms = model_norms(spec, cov, cfg.g, kappa=cfg.kappa, h1=cfg.h1, h2=cfg.h2)
+    model = lattice_model(cfg, *lattice_objects(cfg))
+    norms = model_norms(model, kappa=cfg.kappa, h1=cfg.h1, h2=cfg.h2)
     payload = {
         "lattice": {"d": cfg.d, "L": cfg.L, "N": cfg.N},
         "model": {"g": cfg.g, "m_f": cfg.m_f},

@@ -21,7 +21,6 @@ tests check directly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,6 +33,9 @@ from .errors import CapacityError, ParityError
 from .generators import GeneratorUniverse, Site
 
 SiteSet = frozenset[Site]
+
+#: Largest polymer support closure the engine builds before giving up.
+MAX_CANDIDATES = 4096
 
 
 # ------------------------------------------------------------ graph helpers
@@ -69,53 +71,6 @@ def graph_is_connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
         frontier = nxt & ~seen
         seen |= frontier
     return seen == (1 << n) - 1
-
-
-def ursell_adjacency(adj: tuple[int, ...]) -> int:
-    """Hard-core Ursell value from adjacency bitmask rows.
-
-    Anchor recursion over vertex subsets: with A(S) = 1 iff S induces no
-    edge, the connected part satisfies
-    C(S) = A(S) - sum over proper S1 containing the anchor of C(S1) A(S-S1).
-    Equals the signed sum over connected spanning subgraphs.  Exponential in
-    the vertex count; the block form below is what the engine calls.
-    """
-    n = len(adj)
-    full = (1 << n) - 1
-
-    def edgeless(mask: int) -> bool:
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if adj[i] & mask:
-                return False
-            m ^= low
-        return True
-
-    memo: dict[int, int] = {}
-
-    def connected_part(mask: int) -> int:
-        if mask.bit_count() == 1:
-            return 1
-        if mask in memo:
-            return memo[mask]
-        anchor = mask & -mask
-        rest = mask ^ anchor
-        value = 1 if edgeless(mask) else 0
-        # proper submasks of `mask` containing the anchor
-        sub = rest
-        while True:
-            sub = (sub - 1) & rest
-            s1 = sub | anchor
-            if s1 != mask and edgeless(mask ^ s1):
-                value -= connected_part(s1)
-            if sub == 0:
-                break
-        memo[mask] = value
-        return value
-
-    return connected_part(full)
 
 
 @lru_cache(maxsize=100_000)
@@ -186,19 +141,6 @@ def _ursell_counts(adj: tuple[int, ...], anchor: int,
     return value
 
 
-def _ursell_blocks(adj: tuple[int, ...], mults: tuple[int, ...]) -> int:
-    """Ursell value on a multiset: blocks of identical vertices with the
-    given block adjacency and multiplicities.
-
-    Vertices inside a block are mutually adjacent (an overlap with an
-    identical copy), so selections in the edge-free indicator carry at most
-    one vertex per block.  A single block of multiplicity m comes out as
-    (-1)^(m-1) (m-1)!.
-    """
-    anchor = next(i for i in range(len(mults)) if mults[i])
-    return _ursell_counts(adj, anchor, mults)
-
-
 def ursell_factor(supports: Sequence[SiteSet]) -> int:
     """rho^T of a tuple of site sets; zero unless the incidence graph connects."""
     n = len(supports)
@@ -225,23 +167,9 @@ def ursell_factor(supports: Sequence[SiteSet]) -> int:
             if distinct[i] & distinct[j]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return _ursell_blocks(tuple(adj), tuple(mults))
-
-
-def connected_covers(target: SiteSet, candidates: Sequence[SiteSet],
-                     k: int) -> list[tuple[int, ...]]:
-    """Ordered k-tuples of candidate indices whose supports union to the
-    target with a connected incidence graph.  Brute force; test scale."""
-    out = []
-    for combo in itertools.product(range(len(candidates)), repeat=k):
-        supports = [candidates[i] for i in combo]
-        union: SiteSet = frozenset().union(*supports)
-        if union != target:
-            continue
-        n, edges = incidence_graph(supports)
-        if graph_is_connected(n, edges):
-            out.append(combo)
-    return out
+    # copies of one support are mutually adjacent, so edge-free selections
+    # take at most one vertex per block; block 0 anchors the recursion
+    return _ursell_counts(tuple(adj), 0, tuple(mults))
 
 
 # ---------------------------------------------------------------- options
@@ -263,7 +191,6 @@ class ClusterOptions:
     floor: float = 1e-15
     max_polymer_sites: int | None = None
     eta_degree_cap: int | None = None
-    max_candidates: int = 4096
 
 
 @dataclass
@@ -352,17 +279,13 @@ class ClusterEngine:
                             found.add(union)
                             nxt.append(union)
             frontier = nxt
-            if len(found) > self.options.max_candidates:
+            if len(found) > MAX_CANDIDATES:
                 raise CapacityError(
-                    f"polymer support closure exceeded "
-                    f"{self.options.max_candidates} candidates"
-                )
+                    f"polymer support closure exceeded {MAX_CANDIDATES} candidates")
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     def _capped(self, el: GrassmannElement) -> GrassmannElement:
         cap = self.options.eta_degree_cap
-        if cap is None:
-            return el
         psi_block = self.universe.psi_block_mask
         out = GrassmannElement.zero()
         for mask, coeff in el.terms.items():
@@ -501,9 +424,6 @@ class ClusterEngine:
         shrinking = all(norm <= 1.0 for _, _, norm in polymers)
         count = len(polymers)
 
-        def overlaps(a: SiteSet, b: SiteSet) -> bool:
-            return bool(a & b)
-
         def descend(start: int, supports: tuple[SiteSet, ...],
                     product: GrassmannElement, weight: float,
                     mults: dict[int, int]) -> None:
@@ -529,7 +449,7 @@ class ClusterEngine:
                 if len(comps) >= 2:
                     for comp in comps:
                         if not any(
-                            overlaps(comp, polymers[j][0])
+                            comp & polymers[j][0]
                             for j in range(start, count)
                         ):
                             return
@@ -581,47 +501,3 @@ def assemble_b(universe: GeneratorUniverse, system: CoefficientSystem,
     engine = ClusterEngine(universe, system, options)
     element, report = engine.assemble()
     return LogSeries(universe, element), report
-
-
-def tilde_a(system: CoefficientSystem, support: SiteSet, k_max: int = 3,
-            tuple_budget: int = 2_000_000) -> CoefficientSystem:
-    """Connected-cover concatenation kernel on one support.
-
-    Sums 1/k! times the entry-value product over ordered tuples of kernel
-    entries whose psi supports union to the target and whose incidence
-    graph is connected, written at the concatenated index tuples.  This is
-    the unsigned kernel the chained norm bound controls; the pairing sign
-    of its integrated form is applied when activities are built.
-    """
-    entries = []
-    for (zs, ws), value in system:
-        sup = frozenset(g.site for g in zs)
-        if sup and sup <= support:
-            entries.append((zs, ws, value, sup))
-    out = CoefficientSystem()
-    if not entries:
-        return out
-    total = 0
-    factorial = 1.0
-    for k in range(1, k_max + 1):
-        factorial *= k
-        total += len(entries) ** k
-        if total > tuple_budget:
-            raise CapacityError(
-                f"cover kernel needs more than {tuple_budget} tuples"
-            )
-        for combo in itertools.product(entries, repeat=k):
-            union: SiteSet = frozenset().union(*(sup for _, _, _, sup in combo))
-            if union != support:
-                continue
-            supports = [sup for _, _, _, sup in combo]
-            g_n, g_edges = incidence_graph(supports)
-            if not graph_is_connected(g_n, g_edges):
-                continue
-            zs = tuple(g for entry in combo for g in entry[0])
-            ws = tuple(g for entry in combo for g in entry[1])
-            value = 1.0 / factorial
-            for entry in combo:
-                value *= entry[2]
-            out.add(zs, ws, value)
-    return out

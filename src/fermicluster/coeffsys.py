@@ -11,7 +11,6 @@ measure the kernel as stored.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator
 
 from .algebra import GrassmannElement, canonicalize
@@ -20,26 +19,13 @@ from .generators import Family, GeneratorIndex, GeneratorUniverse, Site, eta, ps
 Key = tuple[tuple[GeneratorIndex, ...], tuple[GeneratorIndex, ...]]
 
 
-def _perm_sign(perm: Iterable[int]) -> int:
-    perm = list(perm)
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 class CoefficientSystem:
     """Complex kernel over ordered generator tuples."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: dict[Key, complex] | None = None):
+    def __init__(self):
         self.entries: dict[Key, complex] = {}
-        if entries:
-            for key, value in entries.items():
-                self.add(key[0], key[1], value)
 
     def add(self, psi_part: Iterable[GeneratorIndex], eta_part: Iterable[GeneratorIndex],
             value: complex) -> None:
@@ -82,16 +68,19 @@ class CoefficientSystem:
     def is_even(self) -> bool:
         return all((len(zs) + len(ws)) % 2 == 0 for zs, ws in self.entries)
 
-    def psi_sites(self) -> frozenset[Site]:
-        """Sites appearing in psi slots: the support relevant to integration."""
-        return frozenset(g.site for zs, _ in self.entries for g in zs)
+    def with_sources_at(self, sites: Iterable[Site] | None) -> "CoefficientSystem":
+        """The kernel with every source off ``sites`` set to zero.
 
-    def all_sites(self) -> frozenset[Site]:
-        """Sites appearing in any slot: the support relevant to weighted norms."""
-        return frozenset(g.site for zs, ws in self.entries for g in zs + ws)
-
-    def generators(self) -> frozenset[GeneratorIndex]:
-        return frozenset(g for zs, ws in self.entries for g in zs + ws)
+        Keeps the entries whose eta generators all sit on ``sites``, in
+        stored order; None keeps every source.
+        """
+        if sites is None:
+            return self
+        keep = frozenset(sites)
+        out = CoefficientSystem()
+        out.entries = {key: v for key, v in self.entries.items()
+                       if all(w.site in keep for w in key[1])}
+        return out
 
     def to_element(self, universe: GeneratorUniverse) -> GrassmannElement:
         out = GrassmannElement()
@@ -105,24 +94,6 @@ class CoefficientSystem:
                 acc.pop(mask, None)
             else:
                 acc[mask] = v
-        return out
-
-    def antisymmetrized(self) -> "CoefficientSystem":
-        """Equivalent kernel spread antisymmetrically over slot orderings."""
-        out = CoefficientSystem()
-        for (zs, ws), value in self.entries.items():
-            n, m = len(zs), len(ws)
-            norm = 1.0
-            for k in range(2, n + 1):
-                norm *= k
-            for k in range(2, m + 1):
-                norm *= k
-            for sigma in itertools.permutations(range(n)):
-                zsp = tuple(zs[i] for i in sigma)
-                ssign = _perm_sign(sigma)
-                for tau in itertools.permutations(range(m)):
-                    wsp = tuple(ws[i] for i in tau)
-                    out.add(zsp, wsp, ssign * _perm_sign(tau) * value / norm)
         return out
 
     def __repr__(self) -> str:

@@ -14,10 +14,9 @@ mask can be read off left to right by iterating over its set bits.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapacityError
 
@@ -59,9 +58,6 @@ class GeneratorIndex:
     def __lt__(self, other: "GeneratorIndex") -> bool:
         return self.sort_key < other.sort_key
 
-    def conjugate(self) -> "GeneratorIndex":
-        return GeneratorIndex(self.family, self.site, self.spinor, self.flavor, not self.bar)
-
     def __repr__(self) -> str:
         fam = "psi" if self.family == Family.PSI else "eta"
         barmark = "bar" if self.bar else ""
@@ -74,16 +70,6 @@ def psi(site: Site, spinor: int = 0, flavor: int = 0, bar: bool = False) -> Gene
 
 def eta(site: Site, spinor: int = 0, flavor: int = 0, bar: bool = False) -> GeneratorIndex:
     return GeneratorIndex(Family.ETA, tuple(site), spinor, flavor, bar)
-
-
-def support(indices: Iterable[GeneratorIndex]) -> frozenset[Site]:
-    """Set of sites touched by a collection of generators."""
-    return frozenset(g.site for g in indices)
-
-
-def psi_support(indices: Iterable[GeneratorIndex]) -> frozenset[Site]:
-    """Set of sites touched by psi-family generators only."""
-    return frozenset(g.site for g in indices if g.family == Family.PSI)
 
 
 class GeneratorUniverse:
@@ -128,14 +114,6 @@ class GeneratorUniverse:
         site, spinor, flavor = m
         return (tuple(site), int(spinor), int(flavor))
 
-    @classmethod
-    def from_indices(cls, indices: Iterable[GeneratorIndex]) -> "GeneratorUniverse":
-        psi_modes = set()
-        eta_modes = set()
-        for g in indices:
-            (psi_modes if g.family == Family.PSI else eta_modes).add(g.mode)
-        return cls(psi_modes, eta_modes)
-
     def __contains__(self, g: GeneratorIndex) -> bool:
         return g in self._position
 
@@ -147,9 +125,6 @@ class GeneratorUniverse:
 
     def bit(self, g: GeneratorIndex) -> int:
         return 1 << self.position(g)
-
-    def index_at(self, position: int) -> GeneratorIndex:
-        return self._generators[position]
 
     def generators(self) -> tuple[GeneratorIndex, ...]:
         return tuple(self._generators)
@@ -181,12 +156,6 @@ class GeneratorUniverse:
         """(bar_bit, unbar_bit) for psi mode number ``mode_index``."""
         p = 2 * mode_index
         return 1 << p, 1 << (p + 1)
-
-    def iter_psi_modes(self) -> Iterator[tuple[int, Mode]]:
-        return enumerate(self.psi_modes)
-
-    def all_sites(self) -> frozenset[Site]:
-        return frozenset(m[0] for m in itertools.chain(self.psi_modes, self.eta_modes))
 
     def __repr__(self) -> str:
         return (

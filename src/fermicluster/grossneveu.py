@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .berezin import LogSeries
 from .coeffsys import CoefficientSystem
-from .errors import CapacityError, ConfigError
+from .errors import ConfigError
 from .generators import Family, GeneratorUniverse, Site, eta, psi
 from .weights import TorusMetric, WeightSystem, coeff_norm
 
@@ -119,16 +119,21 @@ class Covariance:
     matrix: np.ndarray
     log_det: float
 
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """S as a (site, spinor, site, spinor) view of ``matrix``."""
+        n, sd = self.spec.n_sites, self.spec.spinor_dim
+        return self.matrix.reshape(n, sd, n, sd)
+
+    @cached_property
+    def site_index(self) -> dict[Site, int]:
+        return {s: i for i, s in enumerate(self.spec.sites)}
+
     def entry(self, x: Site, y: Site, alpha: int, beta: int) -> complex:
-        index = {s: i for i, s in enumerate(self.spec.sites)}
-        sd = self.spec.spinor_dim
-        return complex(self.matrix[index[x] * sd + alpha, index[y] * sd + beta])
+        return complex(self.blocks[self.site_index[x], alpha, self.site_index[y], beta])
 
     def block(self, x: Site, y: Site) -> np.ndarray:
-        index = {s: i for i, s in enumerate(self.spec.sites)}
-        sd = self.spec.spinor_dim
-        i, j = index[x] * sd, index[y] * sd
-        return self.matrix[i:i + sd, j:j + sd]
+        return self.blocks[self.site_index[x], :, self.site_index[y], :]
 
 
 def covariance(spec: LatticeSpec, m_f: float) -> Covariance:
@@ -188,15 +193,12 @@ def quartic_kernel(spec: LatticeSpec, cov: Covariance, g: float) -> CoefficientS
         return system
     sd = spec.spinor_dim
     sites = spec.sites
-    blocks = {
-        (x, y): cov.block(x, y) for x in sites for y in sites
-    }
     gg = g * g
     for x in sites:
         for y in sites:
-            sxy = blocks[(x, y)]
+            sxy = cov.block(x, y)
             for yp in sites:
-                sxyp = blocks[(x, yp)]
+                sxyp = cov.block(x, yp)
                 for alpha, beta, alphap, betap in itertools.product(range(sd), repeat=4):
                     value = -gg * sxy[alpha, beta] * sxyp[alphap, betap]
                     if value == 0:
@@ -217,26 +219,24 @@ def quartic_kernel(spec: LatticeSpec, cov: Covariance, g: float) -> CoefficientS
 
 
 def source_kernels(spec: LatticeSpec, cov: Covariance, g: float,
-                   source_sites: tuple[Site, ...] | None = None,
                    ) -> tuple[CoefficientSystem, CoefficientSystem]:
     """The two source couplings (psibar J, Jbar S psi) as stored kernels.
 
-    Entries are stored psi-factor-first; a Jbar eta standing left of psi in
-    the written coupling therefore enters with a flipped sign so that the
-    stored orientation reproduces the same element.
+    Sources sit on every site.  Entries are stored psi-factor-first; a Jbar
+    eta standing left of psi in the written coupling therefore enters with
+    a flipped sign so that the stored orientation reproduces the same
+    element.
     """
     local = CoefficientSystem()
     smeared = CoefficientSystem()
     if g == 0:
         return local, smeared
-    if source_sites is None:
-        source_sites = spec.sites
     sd = spec.spinor_dim
-    for x in source_sites:
+    for x in spec.sites:
         for alpha in range(sd):
             for a in range(spec.N):
                 local.add((psi(x, alpha, a, bar=True),), (eta(x, alpha, a),), g)
-    for x in source_sites:
+    for x in spec.sites:
         for y in spec.sites:
             block = cov.block(x, y)
             for alpha in range(sd):
@@ -254,30 +254,60 @@ def source_kernels(spec: LatticeSpec, cov: Covariance, g: float,
     return local, smeared
 
 
+@dataclass(frozen=True, eq=False)
+class Model:
+    """S and the full-source kernels of V1 for one (lattice, m_f, g).
+
+    Built once per run.  The quartic density carries coupling g and the
+    source couplings carry ``source_g``, which is g itself except for a
+    free theory probed with unit sources.  Restricting sources to a few
+    sites only zeroes the other etas, so a restricted interaction is ``v1``
+    filtered by ``CoefficientSystem.with_sources_at``, never a rebuild.
+    """
+
+    spec: LatticeSpec
+    cov: Covariance
+    g: float
+    quartic: CoefficientSystem
+    local: CoefficientSystem
+    smeared: CoefficientSystem
+    v1: CoefficientSystem
+
+    @classmethod
+    def build(cls, spec: LatticeSpec, cov: Covariance, g: float,
+              source_g: float | None = None) -> "Model":
+        quartic = quartic_kernel(spec, cov, g)
+        local, smeared = source_kernels(spec, cov, g if source_g is None else source_g)
+        v1 = local.scaled(-1) + smeared.scaled(-1) + quartic
+        return cls(spec, cov, g, quartic, local, smeared, v1)
+
+
 def build_v1(spec: LatticeSpec, cov: Covariance, g: float,
-             source_sites: tuple[Site, ...] | None = None,
-             quartic: bool = True) -> CoefficientSystem:
+             source_sites: tuple[Site, ...] | None = None) -> CoefficientSystem:
     """Full transformed interaction; feed its negation to the expansion."""
-    local, smeared = source_kernels(spec, cov, g, source_sites)
-    system = local.scaled(-1) + smeared.scaled(-1)
-    if quartic:
-        system = system + quartic_kernel(spec, cov, g)
-    return system
+    return Model.build(spec, cov, g).v1.with_sources_at(source_sites)
 
 
-def model_norms(spec: LatticeSpec, cov: Covariance, g: float,
-                kappa: float, h1: float = 4.0, h2: float = 1.0,
+def model_norms(model: Model, kappa: float, h1: float = 4.0, h2: float = 1.0,
                 source_sites: tuple[Site, ...] | None = None) -> dict:
-    """Weighted kernel norms of the interaction pieces and the run gate."""
-    if kappa >= cov.m_f:
+    """Weighted kernel norms of the interaction pieces and the run gate.
+
+    A free model (g = 0) has no interaction: probe sources are not part of
+    V1, so every norm is zero.
+    """
+    if kappa >= model.cov.m_f:
         raise ConfigError("report mass must stay below the fermion mass")
-    weights = WeightSystem(kappa=kappa, h1=h1, h2=h2, metric=spec.metric)
-    local, smeared = source_kernels(spec, cov, g, source_sites)
-    quartic = quartic_kernel(spec, cov, g)
-    v_norm = coeff_norm(quartic, weights)
-    local_norm = coeff_norm(local, weights)
-    smeared_norm = coeff_norm(smeared, weights)
-    v1_norm = coeff_norm(build_v1(spec, cov, g, source_sites), weights)
+    weights = WeightSystem(kappa=kappa, h1=h1, h2=h2, metric=model.spec.metric)
+
+    def norm(system: CoefficientSystem) -> float:
+        if model.g == 0:
+            return 0.0
+        return coeff_norm(system.with_sources_at(source_sites), weights)
+
+    v_norm = norm(model.quartic)
+    local_norm = norm(model.local)
+    smeared_norm = norm(model.smeared)
+    v1_norm = norm(model.v1)
     return {
         "v_norm": v_norm,
         "source_local_norm": local_norm,

@@ -1,12 +1,17 @@
 """Experiment orchestration: covariance, expansion, norms, correlations, fits.
 
-Correlation runs restrict the source modes to the probed pair of sites.
-Retained log-series coefficients are unchanged by that restriction (zeroing
-other sources never alters a kept monomial), while the eta sector stays
-small enough for exact work.  One run per representative target site gives
-the distance table; the probed-sector norm of the assembled series is a
-lower bound on the full-source norm, so a convergence-bound violation on
-it would falsify the full statement as well.
+Each run builds its interaction kernels once, as a :class:`Model` with
+sources on every site.  Correlation runs restrict the sources to the probed
+pair of sites by filtering that full-source V1: dropping the entries with
+an eta elsewhere is exactly setting those sources to zero, and it keeps
+the eta sector small enough for exact work.  Retained log-series
+coefficients do not depend on the restriction beyond rounding and the
+engine's branch floor: on 2x2 the oracle returns them bit for bit with a
+third source site added, while the engine moved them by up to 2e-14
+absolute.  One run per representative target site gives the distance
+table; the probed-sector norm of the assembled series is a lower bound on
+the full-source norm, so a convergence-bound violation on it would falsify
+the full statement as well.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .generators import Site
 from .grossneveu import (
     Covariance,
     LatticeSpec,
-    build_v1,
+    Model,
     correlation_rows,
     covariance,
     covariance_decay_table,
@@ -73,25 +78,26 @@ def probe_coupling(cfg: RunConfig) -> float:
     return cfg.g if cfg.g > 0 else 1.0
 
 
-def _pair_interaction(cfg: RunConfig, spec: LatticeSpec, cov: Covariance,
-                      y1: Site, y2: Site):
+def lattice_model(cfg: RunConfig, spec: LatticeSpec, cov: Covariance) -> Model:
+    """The run's interaction kernels, built once, sources at the probe coupling."""
+    return Model.build(spec, cov, cfg.g, source_g=probe_coupling(cfg))
+
+
+def _pair_interaction(spec: LatticeSpec, model: Model, y1: Site, y2: Site):
     sources = (y1,) if y1 == y2 else (y1, y2)
-    universe = universe_for(spec, sources)
-    f = build_v1(spec, cov, probe_coupling(cfg), source_sites=sources,
-                 quartic=cfg.g > 0).scaled(-1)
-    return universe, f
+    return universe_for(spec, sources), model.v1.with_sources_at(sources).scaled(-1)
 
 
-def pair_series(cfg: RunConfig, spec: LatticeSpec, cov: Covariance,
+def pair_series(cfg: RunConfig, spec: LatticeSpec, model: Model,
                 y1: Site, y2: Site) -> tuple[LogSeries, ExpansionReport]:
     """Assembled log series with sources restricted to two sites."""
-    universe, f = _pair_interaction(cfg, spec, cov, y1, y2)
+    universe, f = _pair_interaction(spec, model, y1, y2)
     return assemble_b(universe, f, engine_options(cfg))
 
 
-def oracle_pair_series(cfg: RunConfig, spec: LatticeSpec, cov: Covariance,
+def oracle_pair_series(cfg: RunConfig, spec: LatticeSpec, model: Model,
                        y1: Site, y2: Site) -> LogSeries:
-    universe, f = _pair_interaction(cfg, spec, cov, y1, y2)
+    universe, f = _pair_interaction(spec, model, y1, y2)
     return log_direct(universe, f.to_element(universe))
 
 
@@ -143,7 +149,7 @@ def merged_coefficients(series_list: list[LogSeries]) -> CoefficientSystem:
     return out
 
 
-def run_correlations(cfg: RunConfig, spec: LatticeSpec, cov: Covariance,
+def run_correlations(cfg: RunConfig, spec: LatticeSpec, model: Model,
                      with_oracle: bool) -> CorrelationResult:
     origin = spec.sites[0]
     probe = probe_coupling(cfg)
@@ -154,11 +160,11 @@ def run_correlations(cfg: RunConfig, spec: LatticeSpec, cov: Covariance,
     reports = []
     worst_abs = worst_rel = None
     for target in representative_targets(spec):
-        series, report = pair_series(cfg, spec, cov, origin, target)
+        series, report = pair_series(cfg, spec, model, origin, target)
         series_list.append(series)
         reports.append(report)
         if with_oracle:
-            oracle = oracle_pair_series(cfg, spec, cov, origin, target)
+            oracle = oracle_pair_series(cfg, spec, model, origin, target)
             da, dr = series_deviation(series, oracle)
             worst_abs = max(worst_abs or 0.0, da)
             worst_rel = max(worst_rel or 0.0, dr)
@@ -182,6 +188,22 @@ def run_correlations(cfg: RunConfig, spec: LatticeSpec, cov: Covariance,
     rows.sort(key=lambda r: (r["distance"], r["alpha"], r["beta"], r["flavor"]))
     return CorrelationResult(rows, samples, series_list, reports,
                              worst_abs, worst_rel)
+
+
+def covariance_report(cov: Covariance) -> dict:
+    """log det S^-1, the decay table of S and its fit over 0 < r <= L/2."""
+    table = covariance_decay_table(cov)
+    half = cov.spec.L / 2
+    try:
+        fit = {"usable": True,
+               **decay_fit([(r, m) for r, m in table if 0 < r <= half]).as_dict()}
+    except ValueError:
+        fit = {"usable": False}
+    return {
+        "log_det_inverse": cov.log_det,
+        "decay_table": [[r, m] for r, m in table],
+        "fit": fit,
+    }
 
 
 def correlation_fit(samples: list[tuple[Site, float]], L: int) -> dict:
@@ -211,19 +233,11 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, dict]:
     started = time.perf_counter()
     spec, cov = lattice_objects(cfg)
     check_exact_capacity(cfg, spec)
-
-    table = covariance_decay_table(cov)
-    half = spec.L / 2
-    try:
-        cov_fit = decay_fit([(r, m) for r, m in table if 0 < r <= half])
-        cov_fit_dict = {"usable": True, **cov_fit.as_dict()}
-    except ValueError:
-        cov_fit_dict = {"usable": False}
-
-    norms = model_norms(spec, cov, cfg.g, kappa=cfg.kappa, h1=cfg.h1, h2=cfg.h2)
+    model = lattice_model(cfg, spec, cov)
+    norms = model_norms(model, kappa=cfg.kappa, h1=cfg.h1, h2=cfg.h2)
 
     with_oracle = cfg.mode == "exact" and spec.n_sites <= EXACT_MODE_SITE_LIMIT
-    corr = run_correlations(cfg, spec, cov, with_oracle)
+    corr = run_correlations(cfg, spec, model, with_oracle)
 
     h_norm = logseries_norm(merged_coefficients(corr.series_list),
                             cfg.h2, cfg.kappa, spec.metric)
@@ -239,11 +253,7 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, dict]:
         "config_hash": config_hash(cfg),
         "lattice": {"d": cfg.d, "L": cfg.L, "N": cfg.N},
         "model": {"g": cfg.g, "m_f": cfg.m_f},
-        "covariance": {
-            "log_det_inverse": cov.log_det,
-            "decay_table": [[r, m] for r, m in table],
-            "fit": cov_fit_dict,
-        },
+        "covariance": covariance_report(cov),
         "norms": norms,
         "log_norm_bound": log_norm_bound,
         "expansion": expansion_summary(corr.reports),

@@ -83,11 +83,6 @@ class WeightSystem:
             * self.h2 ** n_eta
         )
 
-    def with_slots(self, h1: float | None = None, h2: float | None = None) -> "WeightSystem":
-        return WeightSystem(self.kappa, self.h1 if h1 is None else h1,
-                            self.h2 if h2 is None else h2, self.metric)
-
-
 def coeff_norm(a: CoefficientSystem, w: WeightSystem) -> float:
     """Pinned weighted sum over each degree class, constant class excluded.
 
@@ -196,13 +191,3 @@ def log_norm_bound_check(f_norm: float, h_norm: float,
         return f_norm, h_norm, None
     bound = f_norm / (1.0 - 16.0 * f_norm)
     return f_norm, h_norm, h_norm <= bound * (1 + slack)
-
-
-def chained_kernel_bound_check(f_norm: float, connected_norm: float,
-                               slack: float = 1e-9) -> tuple[float, float, bool | None]:
-    """Intermediate bound: connected-kernel norm at psi-weight 2 against
-    fNorm / (1 - 8 fNorm) with fNorm at psi-weight 4."""
-    if f_norm >= 1.0 / 8.0:
-        return f_norm, connected_norm, None
-    bound = f_norm / (1.0 - 8.0 * f_norm)
-    return f_norm, connected_norm, connected_norm <= bound * (1 + slack)

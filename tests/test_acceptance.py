@@ -4,9 +4,6 @@ Run with ``pytest -s tests/test_acceptance.py`` (the suite enables ``-s``
 globally) to see the PASS/FAIL line for every criterion.  Each criterion is
 also exercised by ``fermicluster verify --level full``; these tests pin the
 same tolerances so the suite and the CLI cannot drift apart.
-
-Criterion 7 scans every log-series constructed in this process, so its test
-runs last in file order to observe the series built by the other criteria.
 """
 
 import pytest
@@ -16,7 +13,7 @@ from fermicluster import acceptance
 
 @pytest.fixture(scope="module")
 def oracle_runs():
-    # Shared by criteria 1 and 2: three full engine-vs-oracle runs on the
+    # Shared by criteria 1, 2 and 7: three full engine-vs-oracle runs on the
     # smallest interacting lattice, one per pinned coupling.
     return acceptance._oracle_runs()
 
@@ -51,6 +48,10 @@ def test_criterion_6_tree_counts():
     _report(acceptance.criterion_6_tree_counts())
 
 
+def test_criterion_7_series_parity_scan(oracle_runs):
+    _report(acceptance.criterion_7_parity_scan(oracle_runs))
+
+
 def test_criterion_8_free_theory_reduction():
     _report(acceptance.criterion_8_free_theory_reduction())
 
@@ -66,6 +67,3 @@ def test_criterion_10_interacting_decay():
 def test_criterion_11_report_determinism():
     _report(acceptance.criterion_11_determinism())
 
-
-def test_criterion_7_series_parity_scan():
-    _report(acceptance.criterion_7_parity_scan())

@@ -13,7 +13,7 @@ from fermicluster.algebra import (
     multiply_masks,
 )
 from fermicluster.errors import CapacityError, ParityError
-from fermicluster.generators import Family, GeneratorIndex, GeneratorUniverse, eta, psi
+from fermicluster.generators import Family, GeneratorUniverse, psi
 
 
 def bubble_sign(seq):
@@ -93,7 +93,7 @@ def test_merge_parity_matches_inversion_count(a_pos, b_pos):
 @given(st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=8))
 def test_canonicalize_matches_bubble_sort(positions):
     u = GeneratorUniverse([((i,), 0, 0) for i in range(8)])
-    gens = [u.index_at(p) for p in positions]
+    gens = [u.generators()[p] for p in positions]
     mask, sign = canonicalize(u, gens)
     if len(set(positions)) != len(positions):
         assert sign == 0

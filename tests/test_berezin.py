@@ -11,11 +11,11 @@ from fermicluster.berezin import (
     integrate_element,
     integrate_monomial,
     log_direct,
-    wick_expectation,
 )
 from fermicluster.coeffsys import CoefficientSystem
 from fermicluster.errors import NormalizationError, ParityError
 from fermicluster.generators import GeneratorUniverse, eta, psi
+from oracles import wick_expectation
 
 
 def universe_n(n_psi, n_eta=0):

@@ -9,17 +9,15 @@ from fermicluster.berezin import log_direct
 from fermicluster.clusters import (
     ClusterEngine,
     ClusterOptions,
-    connected_covers,
     graph_is_connected,
     incidence_graph,
     assemble_b,
-    tilde_a,
-    ursell_adjacency,
     ursell_factor,
 )
 from fermicluster.coeffsys import CoefficientSystem
 from fermicluster.errors import ParityError
 from fermicluster.generators import GeneratorUniverse, eta, psi
+from oracles import ursell_adjacency
 
 f = frozenset
 
@@ -42,17 +40,6 @@ def test_graph_connectivity():
     assert graph_is_connected(3, [(0, 1), (1, 2)])
     assert not graph_is_connected(3, [(0, 1)])
     assert not graph_is_connected(2, [])
-
-
-def test_connected_covers_pairs():
-    target = f({(0,), (1,)})
-    cands = [f({(0,)}), f({(1,)}), f({(0,), (1,)})]
-    singles = connected_covers(target, cands, 1)
-    assert singles == [(2,)]
-    pairs = connected_covers(target, cands, 2)
-    # disjoint singletons never connect; anything with the big support works
-    assert (0, 1) not in pairs
-    assert (0, 2) in pairs and (2, 0) in pairs and (2, 2) in pairs
 
 
 # ------------------------------------------------------------------ Ursell
@@ -278,43 +265,3 @@ def test_report_dict_round_trip(three_site_universe):
     assert payload["polymer_count"] >= 1
     assert payload["cluster_count"] >= payload["polymer_count"]
     assert isinstance(payload["exact"], bool)
-
-
-# ------------------------------------------------------------- cover kernel
-
-
-def test_tilde_a_single_entry_support():
-    system = CoefficientSystem()
-    zb = psi((0,), bar=True)
-    z = psi((0,))
-    e = eta((0,))
-    system.add((zb, z), (), 0.5)
-    system.add((zb,), (e,), 0.25)
-    target = f({(0,)})
-    kernel = tilde_a(system, target, k_max=2)
-    entries = dict(kernel)
-    # k=1 keeps each entry; k=2 pairs both orders with the 1/2 factor
-    assert entries[((zb, z), ())] == pytest.approx(0.5)
-    assert entries[((zb,), (e,))] == pytest.approx(0.25)
-    assert entries[((zb, z, zb, z), ())] == pytest.approx(0.5 * 0.5 / 2)
-    assert entries[((zb, z, zb), (e,))] == pytest.approx(0.5 * 0.25 / 2)
-    assert entries[((zb, zb, z), (e,))] == pytest.approx(0.25 * 0.5 / 2)
-
-
-def test_tilde_a_requires_connected_cover():
-    system = CoefficientSystem()
-    system.add((psi((0,), bar=True), psi((0,))), (), 0.5)
-    system.add((psi((1,), bar=True), psi((1,))), (), 0.5)
-    system.add((psi((0,), bar=True), psi((1,))), (), 0.125)
-    target = f({(0,), (1,)})
-    kernel = tilde_a(system, target, k_max=2)
-    joined = (psi((0,), bar=True), psi((0,)), psi((1,), bar=True), psi((1,)))
-    assert dict(kernel).get((joined, ())) is None
-    bridge = (psi((0,), bar=True), psi((1,)), psi((0,), bar=True), psi((0,)))
-    assert dict(kernel)[(bridge, ())] == pytest.approx(0.125 * 0.5 / 2)
-
-
-def test_tilde_a_skips_pure_eta_entries():
-    system = CoefficientSystem()
-    system.add((), (eta((0,), bar=True), eta((0,))), 0.7)
-    assert len(tilde_a(system, f({(0,)}), k_max=2)) == 0

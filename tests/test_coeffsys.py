@@ -9,6 +9,7 @@ from fermicluster.coeffsys import (
     system_from_element,
 )
 from fermicluster.generators import GeneratorUniverse, eta, psi
+from oracles import antisymmetrized
 
 
 def two_site_universe():
@@ -53,11 +54,15 @@ def test_repeated_generator_entry_kept_but_null():
     assert sys.to_element(u).is_zero()
 
 
-def test_site_supports():
+def test_with_sources_at_keeps_entries_with_every_eta_on_kept_sites():
     sys = CoefficientSystem()
     sys.add((psi((0,), 0, 0),), (eta((1,), 0, 0),), 1.0)
-    assert sys.psi_sites() == {(0,)}
-    assert sys.all_sites() == {(0,), (1,)}
+    sys.add((psi((1,), 0, 0),), (eta((0,), 0, 0, bar=True), eta((1,), 0, 0)), 2.0)
+    sys.add((psi((0,), 0, 0, bar=True), psi((2,), 0, 0)), (), 3.0)
+    assert sys.with_sources_at(None) is sys
+    assert list(sys.with_sources_at([(1,)]).entries.values()) == [1.0, 3.0]
+    assert list(sys.with_sources_at([(0,), (1,)]).entries.values()) == [1.0, 2.0, 3.0]
+    assert list(sys.with_sources_at([]).entries.values()) == [3.0]
 
 
 @given(st.lists(st.tuples(st.permutations(range(4)), st.integers(-3, 3)), min_size=1, max_size=4))
@@ -68,7 +73,7 @@ def test_antisymmetrized_equivalent(entries):
     sys = CoefficientSystem()
     for perm, val in entries:
         sys.add(tuple(gens[i] for i in perm), (), float(val))
-    anti = sys.antisymmetrized()
+    anti = antisymmetrized(sys)
     assert anti.to_element(u).allclose(sys.to_element(u))
 
 

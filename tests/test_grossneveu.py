@@ -7,13 +7,11 @@ import pytest
 
 from fermicluster.berezin import log_direct
 from fermicluster.clusters import ClusterOptions, assemble_b
-from fermicluster.coeffsys import CoefficientSystem
 from fermicluster.errors import CapacityError, ConfigError
 from fermicluster.generators import psi
 from fermicluster.grossneveu import (
-    Covariance,
-    FitResult,
     LatticeSpec,
+    Model,
     build_v1,
     correlation_rows,
     covariance,
@@ -186,19 +184,20 @@ def test_kernel_coupling_homogeneity(small_cov):
 def test_model_norms_triangle_and_gate():
     spec = LatticeSpec(d=2, L=4)
     cov = covariance(spec, 1.0)
-    report = model_norms(spec, cov, 0.05, kappa=0.5)
+    report = model_norms(Model.build(spec, cov, 0.05), kappa=0.5)
     # direct evaluation of the weighted kernel norm at this coupling sits
     # far above the 1/16 smallness gate; the convergence bound is only
     # asserted for couplings small enough to pass the gate
     assert report["v1_norm"] > 1.0 / 16.0
     assert not report["gate_sixteenth"]
     assert report["v1_norm"] <= report["v1_triangle_bound"] * (1 + 1e-12)
-    zero = model_norms(spec, cov, 0.0, kappa=0.5)
-    assert zero["v1_norm"] == 0.0
-    assert model_norms(spec, cov, 0.001, kappa=0.5)["gate_sixteenth"]
+    # a free model probed with unit sources still has no interaction
+    zero = model_norms(Model.build(spec, cov, 0.0, source_g=1.0), kappa=0.5)
+    assert zero["v1_norm"] == 0.0 and zero["v1_triangle_bound"] == 0.0
+    assert model_norms(Model.build(spec, cov, 0.001), kappa=0.5)["gate_sixteenth"]
     spec2 = LatticeSpec(d=2, L=2)
     cov2 = covariance(spec2, 1.0)
-    assert model_norms(spec2, cov2, 0.002, kappa=0.5)["gate_sixteenth"]
+    assert model_norms(Model.build(spec2, cov2, 0.002), kappa=0.5)["gate_sixteenth"]
 
 
 def test_log_norm_inequality_at_open_gate():
@@ -212,7 +211,8 @@ def test_log_norm_inequality_at_open_gate():
     f = build_v1(spec, cov, g, source_sites=sources).scaled(-1)
     series, report = assemble_b(u, f, ClusterOptions(n_max=30))
     assert report.exact
-    f_norm = model_norms(spec, cov, g, kappa=0.5, source_sites=sources)["v1_norm"]
+    f_norm = model_norms(Model.build(spec, cov, g), kappa=0.5,
+                         source_sites=sources)["v1_norm"]
     h_norm = logseries_norm(series.coefficients(), 1.0, 0.5, spec.metric)
     assert f_norm < 1.0 / 16.0
     _, _, holds = log_norm_bound_check(f_norm, h_norm)
@@ -222,7 +222,7 @@ def test_log_norm_inequality_at_open_gate():
 def test_model_norms_rejects_kappa_at_mass(small_cov):
     spec, cov = small_cov
     with pytest.raises(ConfigError):
-        model_norms(spec, cov, 0.05, kappa=1.0)
+        model_norms(Model.build(spec, cov, 0.05), kappa=1.0)
 
 
 # ------------------------------------------------------------ correlations
@@ -232,7 +232,7 @@ def test_free_theory_two_point_equals_covariance(small_cov):
     spec, cov = small_cov
     g = 0.05
     u = universe_for(spec)
-    f = build_v1(spec, cov, g, quartic=False).scaled(-1)
+    f = Model.build(spec, cov, 0.0, source_g=g).v1.scaled(-1)
     series, report = assemble_b(u, f, ClusterOptions(n_max=30))
     assert report.exact
     for y1 in spec.sites:
@@ -289,7 +289,7 @@ def test_correlation_rows_schema(small_cov):
     spec, cov = small_cov
     g = 0.05
     u = universe_for(spec)
-    f = build_v1(spec, cov, g, quartic=False).scaled(-1)
+    f = Model.build(spec, cov, 0.0, source_g=g).v1.scaled(-1)
     series, _ = assemble_b(u, f, ClusterOptions(n_max=30))
     rows = correlation_rows(series, g, spec)
     assert len(rows) == len(spec.sites) * spec.spinor_dim ** 2 * spec.N

@@ -146,6 +146,20 @@ def test_zero_coupling_run_equals_covariance():
                 assert complex(row["re"], row["im"]) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("g", [0.05, 0.0])
+def test_run_builds_each_kernel_once(monkeypatch, g):
+    # pair runs filter the full-source kernels instead of rebuilding them
+    from fermicluster import grossneveu
+
+    calls = []
+    for name in ("quartic_kernel", "source_kernels"):
+        original = getattr(grossneveu, name)
+        monkeypatch.setattr(grossneveu, name,
+                            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    run_experiment(RunConfig(g=g, mode="truncated"))
+    assert sorted(calls) == ["quartic_kernel", "source_kernels"]
+
+
 def test_truncated_run_flags_inexactness():
     payload, _ = run_experiment(RunConfig(L=3, mode="truncated"))
     assert payload["expansion"]["mode"] == "truncated"

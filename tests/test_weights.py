@@ -16,7 +16,6 @@ from fermicluster.trees import enumerate_trees
 from fermicluster.weights import (
     TorusMetric,
     WeightSystem,
-    chained_kernel_bound_check,
     coeff_norm,
     lemma_tree_bound_check,
     log_norm_bound_check,
@@ -244,8 +243,6 @@ def test_tree_bound_holds_on_random_sparse_systems(seed):
 def test_bound_checks_trivial_and_gate():
     assert log_norm_bound_check(0.0, 0.0) == (0.0, 0.0, True)
     f, h, holds = log_norm_bound_check(0.25, 1.0)
-    assert holds is None
-    f, c, holds = chained_kernel_bound_check(0.5, 1.0)
     assert holds is None
     assert log_norm_bound_check(0.03, 0.05)[2] is True
     assert log_norm_bound_check(0.03, 0.3)[2] is False
