@@ -10,7 +10,7 @@ The package provides four layers:
   truncated correlation functions and decay fits.
 """
 
-from .algebra import GrassmannElement, canonicalize, exp_series, log1p_nilpotent, merge_parity
+from .algebra import GrassmannElement, canonicalize, exp_series, log1p_nilpotent
 from .errors import CapacityError, ConfigError, FermiClusterError, NormalizationError, ParityError
 from .generators import Family, GeneratorIndex, GeneratorUniverse, eta, psi
 
@@ -28,7 +28,6 @@ __all__ = [
     "exp_series",
     "eta",
     "log1p_nilpotent",
-    "merge_parity",
     "psi",
 ]
 

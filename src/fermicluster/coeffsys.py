@@ -57,9 +57,13 @@ class CoefficientSystem:
 
     def __add__(self, other: "CoefficientSystem") -> "CoefficientSystem":
         out = CoefficientSystem()
-        out.entries = dict(self.entries)
-        for (zs, ws), v in other.entries.items():
-            out.add(zs, ws, v)
+        acc = out.entries = dict(self.entries)
+        for key, value in other.entries.items():
+            v = acc.get(key, 0j) + value
+            if v == 0:
+                acc.pop(key, None)
+            else:
+                acc[key] = v
         return out
 
     def degrees(self) -> set[tuple[int, int]]:

@@ -15,7 +15,9 @@ from pathlib import Path
 from .errors import ConfigError
 
 _MODES = ("exact", "truncated")
-_METRICS = ("euclidean", "l1")
+# Torus distances are Euclidean throughout (norms, tree lengths, fits); the
+# key stays in the schema so that canonical configs and their hashes keep it.
+_METRICS = ("euclidean",)
 _LEVELS = ("quick", "full")
 
 

@@ -40,7 +40,8 @@ from .grossneveu import (
 )
 from .weights import log_norm_bound_check, logseries_norm
 
-EXACT_MODE_SITE_LIMIT = 4
+#: Most psi modes (sites x spinor components x flavors) exact mode takes on.
+EXACT_MODE_PSI_LIMIT = 8
 
 
 def lattice_objects(cfg: RunConfig) -> tuple[LatticeSpec, Covariance]:
@@ -61,11 +62,17 @@ def engine_options(cfg: RunConfig) -> ClusterOptions:
     )
 
 
+def exact_capacity_ok(spec: LatticeSpec) -> bool:
+    """Whether the exact engine and the oracle finish on this lattice."""
+    return spec.n_sites * spec.spinor_dim * spec.N <= EXACT_MODE_PSI_LIMIT
+
+
 def check_exact_capacity(cfg: RunConfig, spec: LatticeSpec) -> None:
-    if cfg.mode == "exact" and spec.n_sites > EXACT_MODE_SITE_LIMIT:
+    if cfg.mode == "exact" and not exact_capacity_ok(spec):
         raise CapacityError(
-            f"exact mode handles up to {EXACT_MODE_SITE_LIMIT} sites; "
-            f"got {spec.n_sites}; lower lattice.L or use run.mode = truncated")
+            f"exact mode handles up to {EXACT_MODE_PSI_LIMIT} psi modes; got "
+            f"{spec.n_sites} sites x {spec.spinor_dim} spinor x {spec.N} flavors; "
+            f"lower lattice.L or lattice.N, or use run.mode = truncated")
 
 
 def probe_coupling(cfg: RunConfig) -> float:
@@ -236,7 +243,7 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, dict]:
     model = lattice_model(cfg, spec, cov)
     norms = model_norms(model, kappa=cfg.kappa, h1=cfg.h1, h2=cfg.h2)
 
-    with_oracle = cfg.mode == "exact" and spec.n_sites <= EXACT_MODE_SITE_LIMIT
+    with_oracle = cfg.mode == "exact" and exact_capacity_ok(spec)
     corr = run_correlations(cfg, spec, model, with_oracle)
 
     h_norm = logseries_norm(merged_coefficients(corr.series_list),

@@ -2,13 +2,15 @@
 
 Each one computes the same quantity as a production routine by a slow,
 independent route: the Ursell factor from adjacency rows, Gaussian
-integrals by explicit Wick pairing, and kernels spread over every slot
-ordering.  Exponential cost; test scale only.
+integrals by explicit Wick pairing, kernels spread over every slot
+ordering, and Grassmann products by sorting generator lists.  Exponential
+cost; test scale only.
 """
 
 import itertools
 from typing import Iterable
 
+from fermicluster.algebra import GrassmannElement, canonicalize
 from fermicluster.coeffsys import CoefficientSystem
 from fermicluster.generators import GeneratorIndex, GeneratorUniverse
 
@@ -109,3 +111,19 @@ def antisymmetrized(system: CoefficientSystem) -> CoefficientSystem:
                 wsp = tuple(ws[i] for i in tau)
                 out.add(zsp, wsp, ssign * _perm_sign(tau) * value / norm)
     return out
+
+
+def reference_product(universe: GeneratorUniverse, a: GrassmannElement,
+                      b: GrassmannElement) -> dict[int, complex]:
+    """Terms of ``a * b``, each pair signed by sorting its generator list.
+
+    Pairs are summed in (left, right) order and exact zeros dropped at the
+    end, so the values equal the production product's bit for bit.
+    """
+    acc: dict[int, complex] = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            mask, sign = canonicalize(universe, universe.indices_of(ma) + universe.indices_of(mb))
+            if sign:
+                acc[mask] = acc.get(mask, 0j) + sign * ca * cb
+    return {m: c for m, c in acc.items() if c != 0}

@@ -1,19 +1,23 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermicluster import algebra
 from fermicluster.algebra import (
     GrassmannElement,
     canonicalize,
     exp_series,
     log1p_nilpotent,
-    merge_parity,
     multiply_masks,
+    prefix_parity,
 )
 from fermicluster.errors import CapacityError, ParityError
 from fermicluster.generators import Family, GeneratorUniverse, psi
+
+from oracles import reference_product
 
 
 def bubble_sign(seq):
@@ -77,17 +81,20 @@ def test_mask_roundtrip():
 # ------------------------------------------------------------------- parity
 
 
-@given(st.lists(st.integers(min_value=0, max_value=20), unique=True, max_size=10),
-       st.lists(st.integers(min_value=0, max_value=20), unique=True, max_size=10))
-def test_merge_parity_matches_inversion_count(a_pos, b_pos):
+@given(st.lists(st.integers(min_value=0, max_value=127), unique=True, max_size=12),
+       st.lists(st.integers(min_value=0, max_value=127), unique=True, max_size=12))
+def test_prefix_parity_matches_inversion_count(a_pos, b_pos):
+    a = mask_of_positions(a_pos)
+    p = prefix_parity(a)
+    for j in range(128):
+        assert (p >> j) & 1 == sum(1 for q in a_pos if q > j) % 2
     if set(a_pos) & set(b_pos):
         return
-    a = mask_of_positions(a_pos)
     b = mask_of_positions(b_pos)
     # Concatenate the two sorted blocks, then count inversions directly.
     seq = sorted(a_pos) + sorted(b_pos)
     expected = 0 if bubble_sign(seq) == 1 else 1
-    assert merge_parity(a, b) == expected
+    assert (b & p).bit_count() & 1 == expected
 
 
 @given(st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=8))
@@ -133,6 +140,79 @@ def test_product_associative(a, b, c):
 @settings(max_examples=60)
 def test_product_distributive(a, b, c):
     assert ((a + b) * c).allclose(a * c + b * c)
+
+
+def universe_with_sources(n_psi_modes: int, n_eta_modes: int) -> GeneratorUniverse:
+    return GeneratorUniverse([((i,), 0, 0) for i in range(n_psi_modes)],
+                             [((i,), 0, 0) for i in range(n_eta_modes)])
+
+
+SOURCED = universe_with_sources(6, 2)
+
+
+def terms_over(n_bits):
+    masks = st.lists(st.integers(min_value=0, max_value=n_bits - 1), max_size=6).map(mask_of_positions)
+    coeffs = st.one_of(st.integers(min_value=-2, max_value=2).map(float),
+                       st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False))
+    return st.dictionaries(masks, coeffs, max_size=40).map(GrassmannElement)
+
+
+@given(terms_over(SOURCED.n_bits), terms_over(SOURCED.n_bits))
+@settings(max_examples=60)
+def test_product_matches_generator_sorting_reference(a, b):
+    assert (a * b).terms == reference_product(SOURCED, a, b)
+
+
+def random_element(rng, n_bits, n_terms, lowest_bit=0):
+    terms = {}
+    for _ in range(n_terms):
+        mask = mask_of_positions(rng.sample(range(lowest_bit, n_bits), rng.randint(0, 3)))
+        # Small integers make exact cancellations, which drop and re-insert keys.
+        terms[mask] = (float(rng.randint(-2, 2)) if rng.random() < 0.75
+                       else complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    return GrassmannElement(terms)
+
+
+def both_routes(monkeypatch, a, b):
+    monkeypatch.setattr(algebra, "VECTOR_MIN_PAIRS", 1)
+    vector = a * b
+    monkeypatch.setattr(algebra, "VECTOR_MIN_PAIRS", 10 ** 12)
+    loop = a * b
+    return vector, loop
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 15])
+@pytest.mark.parametrize("lowest_bit,n_bits", [(0, 12), (52, 64), (58, 72), (116, 128)])
+def test_vector_and_loop_routes_agree_bit_for_bit(monkeypatch, lowest_bit, n_bits, block):
+    monkeypatch.setattr(algebra, "_BLOCK_PAIRS", block)
+    rng = random.Random(1000 * n_bits + block)
+    for _ in range(15):
+        a = random_element(rng, n_bits, rng.randint(1, 30), lowest_bit)
+        b = random_element(rng, n_bits, rng.randint(1, 30), lowest_bit)
+        vector, loop = both_routes(monkeypatch, a, b)
+        assert list(vector.terms.items()) == list(loop.terms.items())
+        assert repr(list(vector.terms.values())) == repr(list(loop.terms.values()))
+
+
+def test_cancelled_key_is_reinserted_last_on_both_routes(monkeypatch):
+    a = GrassmannElement({0b01: 1.0, 0b10: 1.0, 0: 1.0})
+    b = GrassmannElement({0b10: 1.0, 0b01: 1.0, 0b11: 1.0})
+    # 0b11 gets +1, then -1 (dropped), then +1 again after 0b10 and 0b01.
+    for product in both_routes(monkeypatch, a, b):
+        assert list(product.terms.items()) == [(0b10, 1.0), (0b01, 1.0), (0b11, 1.0)]
+
+
+def test_product_across_bit_64(monkeypatch):
+    # 32 psi modes fill bits 0..63; the 4 eta modes sit at bits 64..71.
+    universe = universe_with_sources(32, 4)
+    assert universe.n_bits == 72
+    rng = random.Random(64)
+    a = random_element(rng, universe.n_bits, 40, lowest_bit=56)
+    b = random_element(rng, universe.n_bits, 40, lowest_bit=56)
+    vector, loop = both_routes(monkeypatch, a, b)
+    assert max(vector.terms).bit_length() > 64
+    assert vector.terms == reference_product(universe, a, b)
+    assert list(vector.terms.items()) == list(loop.terms.items())
 
 
 def test_anticommutation():

@@ -27,6 +27,19 @@ def test_add_accumulates_and_cancels():
     assert len(sys) == 0
 
 
+def test_sum_merges_like_repeated_add():
+    a = onsite_density_quartic([(0,), (1,)], 2, 1, 0.25)
+    b = onsite_density_quartic([(1,), (2,)], 2, 1, -0.25)
+    b.add((psi((2,), 0, 0),), (eta((2,), 0, 0, bar=True),), 1.5)
+    want = CoefficientSystem()
+    for key, value in list(a) + list(b):
+        want.add(*key, value)
+    got = a + b
+    assert list(got.entries.items()) == list(want.entries.items())
+    # Site (1,) cancels exactly and drops out.
+    assert all(z.site != (1,) for zs, _ in got.entries for z in zs)
+
+
 def test_family_slots_validated():
     sys = CoefficientSystem()
     with pytest.raises(ValueError):

@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from fermicluster import cli
 from fermicluster.config import RunConfig, emit_config, parse_config, with_overrides
-from fermicluster.errors import ConfigError
+from fermicluster.errors import CapacityError, ConfigError
 from fermicluster.pipeline import (
     lattice_objects,
     representative_targets,
@@ -56,6 +57,7 @@ def test_config_comments_and_assignments():
     ("weights.kappa = 2.0", "kappa"),
     ("run.mode = sideways", "run.mode"),
     ("model.g = -0.1", "g >= 0"),
+    ("weights.metric = l1", "weights.metric"),
 ])
 def test_config_rejections(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -224,6 +226,19 @@ def test_cli_exit_code_capacity_error(tmp_path, capsys):
     big = tmp_path / "big.cfg"
     big.write_text("lattice.L = 5\n")
     assert cli.main(["expand", "--config", str(big), "--mode", "exact"]) == 3
+    assert "capacity error" in capsys.readouterr().err
+
+
+def test_exact_mode_refuses_more_than_eight_psi_modes(tmp_path, capsys):
+    # 2x2 sites x 2 spinor components x 2 flavors: 16 psi modes, 4 sites.
+    cfg = RunConfig(N=2)
+    with pytest.raises(CapacityError, match="psi modes"):
+        run_experiment(cfg)
+    path = tmp_path / "two_flavors.cfg"
+    path.write_text(emit_config(cfg))
+    started = time.perf_counter()
+    assert cli.main(["expand", "--config", str(path), "--mode", "exact"]) == 3
+    assert time.perf_counter() - started < 10.0
     assert "capacity error" in capsys.readouterr().err
 
 
