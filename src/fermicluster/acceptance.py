@@ -11,7 +11,6 @@ import random
 import time
 from dataclasses import dataclass
 
-from .clusters import ClusterOptions, assemble_b
 from .coeffsys import (
     CoefficientSystem,
     onsite_density_quartic,
@@ -25,7 +24,6 @@ from .grossneveu import (
     covariance,
     model_norms,
     truncated_two_point,
-    universe_for,
 )
 from .pipeline import (
     covariance_report,
@@ -235,16 +233,12 @@ def criterion_8_free_theory_reduction() -> CheckResult:
     spec = LatticeSpec(d=cfg.d, L=cfg.L, N=cfg.N)
     cov = covariance(spec, cfg.m_f)
     free = Model.build(spec, cov, 0.0, source_g=cfg.g)
-    options = ClusterOptions(mode="exact", n_max=cfg.n_max)
     worst = 0.0
     pairs = 0
     sites = spec.sites
     for i, y1 in enumerate(sites):
         for y2 in sites[i:]:
-            sources = (y1,) if y1 == y2 else (y1, y2)
-            universe = universe_for(spec, sources)
-            f = free.v1.with_sources_at(sources).scaled(-1)
-            series, _ = assemble_b(universe, f, options)
+            series, _ = pair_series(cfg, spec, free, y1, y2)
             for a, b in ((y1, y2), (y2, y1)):
                 for alpha in range(spec.spinor_dim):
                     for beta in range(spec.spinor_dim):

@@ -194,10 +194,10 @@ class GrassmannElement:
             out.terms = {m: v * c for m, v in self.terms.items()}
         return out
 
-    def pruned(self, floor: float) -> "GrassmannElement":
-        """Drop coefficients with magnitude at or below ``floor``."""
+    def without_zeros(self) -> "GrassmannElement":
+        """Copy without exactly-zero coefficients."""
         out = GrassmannElement()
-        out.terms = {m: c for m, c in self.terms.items() if abs(c) > floor}
+        out.terms = {m: c for m, c in self.terms.items() if c != 0}
         return out
 
     def __add__(self, other) -> "GrassmannElement":
@@ -282,39 +282,23 @@ class GrassmannElement:
         return True
 
 
-def exp_series(f: GrassmannElement, floor: float = 0.0) -> GrassmannElement:
-    """Exponential of an element whose non-constant part is nilpotent.
+def exp_series(f: GrassmannElement) -> GrassmannElement:
+    """Exponential of an even element.
 
-    Even input factorizes into commuting binomials: every single monomial
-    squares to zero, so exp(sum t_i) = prod (1 + t_i).  Odd or mixed input
-    falls back to the power series, which terminates by nilpotency.
+    Every even monomial commutes with every other and squares to zero, so
+    exp(c + sum t_i) = e^c prod (1 + t_i).  Odd input raises ParityError.
     """
+    if not f.is_even():
+        raise ParityError("exp_series needs an even element")
     scale = cmath.exp(f.constant) if f.constant.imag else math.exp(f.constant.real)
-    rest = f.without_constant()
-    if rest.is_zero():
-        return GrassmannElement.one(scale)
-    if rest.is_even():
-        out = GrassmannElement.one(1.0)
-        for m in sorted(rest.terms):
-            out = out * GrassmannElement({0: 1.0, m: rest.terms[m]})
-            if floor > 0.0:
-                out = out.pruned(floor)
-        return out.scaled(scale)
     out = GrassmannElement.one(1.0)
-    power = GrassmannElement.one(1.0)
-    k = 0
-    while True:
-        k += 1
-        power = power * rest
-        if floor > 0.0:
-            power = power.pruned(floor * k)
-        if power.is_zero():
-            break
-        out = out + power.scaled(1.0 / math.factorial(k))
+    for m in sorted(f.terms):
+        if m:
+            out = out * GrassmannElement({0: 1.0, m: f.terms[m]})
     return out.scaled(scale)
 
 
-def log1p_nilpotent(r: GrassmannElement, floor: float = 0.0) -> GrassmannElement:
+def log1p_nilpotent(r: GrassmannElement) -> GrassmannElement:
     """log(1 + r) for nilpotent r, via the alternating power series."""
     if not r.is_nilpotent():
         raise ParityError("log1p_nilpotent needs an element without constant term")
@@ -324,8 +308,6 @@ def log1p_nilpotent(r: GrassmannElement, floor: float = 0.0) -> GrassmannElement
     while True:
         k += 1
         power = power * r
-        if floor > 0.0:
-            power = power.pruned(floor)
         if power.is_zero():
             break
         out = out + power.scaled((-1.0) ** (k + 1) / k)

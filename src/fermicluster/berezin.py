@@ -2,28 +2,26 @@
 
 The reference measure has identity covariance with the pairing
 ``<psibar_k psi_k> = +1`` for every psi mode k; eta-family generators pass
-through integration untouched.  Two independent evaluation routes are
-provided:
+through integration untouched.
 
-* ``expand``: exponentiate the interaction, integrate monomial by monomial,
-  take the logarithm.  Simple and exact, but the intermediate element can
-  be exponentially large; only viable for small universes.
-* ``eliminate``: integrate out one psi mode at a time directly at the level
-  of the exponent.  Writing the exponent as
-  ``f = f0 + psibar_k u + v psi_k + psibar_k psi_k w``, one Gaussian mode
-  gives ``exp(f0) (1 + u v + w)``, which is folded back into exponent form.
-  This keeps everything logarithmic and is the production oracle.
+The log-partition series is computed by mode elimination: integrate out one
+psi mode at a time directly at the level of the exponent.  Writing the
+exponent as ``f = f0 + psibar_k u + v psi_k + psibar_k psi_k w``, one
+Gaussian mode gives ``exp(f0) (1 + u v + w)``, which is folded back into
+exponent form.  This keeps everything logarithmic and is the production
+oracle.  The literal route (exponentiate, integrate monomial by monomial,
+take the logarithm) is exponentially large and lives in ``tests/oracles.py``
+as the reference that elimination is checked against.
 
-Both routes return a :class:`LogSeries`, the logarithm of the normalized
-integral as a polynomial in the surviving eta generators.
+:func:`log_direct` returns a :class:`LogSeries`, the logarithm of the
+normalized integral as an even polynomial in the surviving eta generators.
 """
 
 from __future__ import annotations
 
 import cmath
-from typing import Literal
 
-from .algebra import GrassmannElement, canonicalize, exp_series, log1p_nilpotent
+from .algebra import GrassmannElement, canonicalize, log1p_nilpotent
 from .coeffsys import CoefficientSystem, system_from_element
 from .errors import NormalizationError, ParityError
 from .generators import GeneratorIndex, GeneratorUniverse
@@ -61,12 +59,14 @@ def integrate_element(universe: GeneratorUniverse, element: GrassmannElement) ->
 
 
 class LogSeries:
-    """Logarithm of a normalized Gaussian integral as an eta polynomial."""
+    """Logarithm of a normalized Gaussian integral as an even eta polynomial."""
 
     def __init__(self, universe: GeneratorUniverse, element: GrassmannElement):
         psi_bits = universe.psi_block_mask
         if any(m & psi_bits for m in element.terms):
             raise ValueError("log series may only involve eta generators")
+        if not element.is_even():
+            raise ParityError("log series may only hold even-degree terms")
         self.universe = universe
         self.element = element
 
@@ -123,8 +123,7 @@ def _split_mode(f: GrassmannElement, bar_bit: int, unbar_bit: int):
     return f0, u, v, w
 
 
-def effective_log_integral(universe: GeneratorUniverse, f: GrassmannElement,
-                           floor: float = 0.0) -> GrassmannElement:
+def effective_log_integral(universe: GeneratorUniverse, f: GrassmannElement) -> GrassmannElement:
     """log of the Gaussian integral of exp(f), eliminating one mode at a time.
 
     Requires an even exponent.  Each step integrates a single psi mode:
@@ -143,37 +142,10 @@ def effective_log_integral(universe: GeneratorUniverse, f: GrassmannElement,
         if s == 0:
             raise NormalizationError(f"vanishing normalization at psi mode {k}")
         rest = inner.without_constant().scaled(1 / s)
-        current = f0 + log1p_nilpotent(rest, floor=floor) + cmath.log(s)
-        if floor > 0.0:
-            current = current.pruned(floor)
+        current = f0 + log1p_nilpotent(rest) + cmath.log(s)
     return current
 
 
-def log_direct(universe: GeneratorUniverse, f: GrassmannElement,
-               method: Literal["auto", "eliminate", "expand"] = "auto",
-               floor: float = 0.0) -> LogSeries:
-    """log of the Gaussian integral of exp(f) as a :class:`LogSeries`.
-
-    ``eliminate`` is the scalable route and requires an even exponent;
-    ``expand`` exponentiates literally and works on any input small enough
-    to hold in memory.  ``auto`` picks elimination for even exponents.
-    """
-    if method == "auto":
-        method = "eliminate" if f.is_even() else "expand"
-    if method == "eliminate":
-        series = effective_log_integral(universe, f, floor=floor)
-    elif method == "expand":
-        big = exp_series(f, floor=floor)
-        integrated = integrate_element(universe, big)
-        s = integrated.constant
-        if s == 0:
-            raise NormalizationError("vanishing partition function")
-        rest = integrated.without_constant().scaled(1 / s)
-        series = log1p_nilpotent(rest, floor=floor) + cmath.log(s)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if f.is_even():
-        odd = [m for m in series.terms if m.bit_count() % 2]
-        if odd:
-            raise ParityError(f"even exponent produced {len(odd)} odd output terms")
-    return LogSeries(universe, series)
+def log_direct(universe: GeneratorUniverse, f: GrassmannElement) -> LogSeries:
+    """log of the Gaussian integral of an even exp(f) as a :class:`LogSeries`."""
+    return LogSeries(universe, effective_log_integral(universe, f))

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .algebra import GrassmannElement, exp_series, multiply_masks
 from .berezin import LogSeries, effective_log_integral, integrate_element
@@ -41,39 +40,24 @@ MAX_CANDIDATES = 4096
 # ------------------------------------------------------------ graph helpers
 
 
-def incidence_graph(supports: Sequence[SiteSet]) -> tuple[int, frozenset[tuple[int, int]]]:
-    """Vertices 0..l-1, an edge whenever two supports share a site."""
-    n = len(supports)
-    edges = frozenset(
-        (i, j) for i in range(n) for j in range(i + 1, n) if supports[i] & supports[j]
-    )
-    return n, edges
+def _components(parts: Sequence) -> list:
+    """Connected components of the overlap graph of ``parts`` (site sets or
+    site bitmasks): two parts meet when ``a & b`` is nonempty, and each
+    component is the ``|`` of its parts."""
+    comps = []
+    for part in parts:
+        merged = part
+        apart = []
+        for comp in comps:
+            if comp & merged:
+                merged = merged | comp
+            else:
+                apart.append(comp)
+        apart.append(merged)
+        comps = apart
+    return comps
 
 
-def graph_is_connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    if n <= 1:
-        return True
-    adj = [0] * n
-    for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        i = 0
-        f = frontier
-        while f:
-            if f & 1:
-                nxt |= adj[i]
-            f >>= 1
-            i += 1
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
-
-@lru_cache(maxsize=100_000)
 def _independent_sets(adj: tuple[int, ...]) -> tuple[int, ...]:
     """Nonempty independent vertex sets of a block graph, as bitmasks."""
     d = len(adj)
@@ -105,20 +89,22 @@ def _edge_free(adj: tuple[int, ...], counts: tuple[int, ...]) -> bool:
     return True
 
 
-@lru_cache(maxsize=1_000_000)
-def _ursell_counts(adj: tuple[int, ...], anchor: int,
-                   counts: tuple[int, ...]) -> int:
-    """Anchor recursion over count vectors.
+def _ursell_counts(adj: tuple[int, ...], counts: tuple[int, ...],
+                   independent: tuple[int, ...], memo: dict) -> int:
+    """Anchor recursion over count vectors, block 0 as the anchor.
 
     C(v) = A(v) - sum over proper sub-multisets s holding the anchor vertex
     of (choices) C(s) A(v - s); the remainder v - s only survives when it is
-    an independent selection with single copies, so the sum runs over
-    independent sets of the block graph.
+    an independent selection with single copies, so the sum runs over the
+    ``independent`` sets of the block graph.  ``memo`` is local to one
+    Ursell factor.
     """
     if sum(counts) == 1:
         return 1
+    if counts in memo:
+        return memo[counts]
     value = 1 if _edge_free(adj, counts) else 0
-    for rest_bits in _independent_sets(adj):
+    for rest_bits in independent:
         sub = list(counts)
         m = rest_bits
         ok = True
@@ -130,14 +116,14 @@ def _ursell_counts(adj: tuple[int, ...], anchor: int,
                 break
             sub[i] -= 1
             m ^= low
-        if not ok or sub[anchor] == 0:
+        if not ok or sub[0] == 0:
             continue
-        ways = math.comb(counts[anchor] - 1, sub[anchor] - 1)
-        for i in range(len(counts)):
-            if i != anchor:
-                ways *= math.comb(counts[i], sub[i])
+        ways = math.comb(counts[0] - 1, sub[0] - 1)
+        for i in range(1, len(counts)):
+            ways *= math.comb(counts[i], sub[i])
         if ways:
-            value -= ways * _ursell_counts(adj, anchor, tuple(sub))
+            value -= ways * _ursell_counts(adj, tuple(sub), independent, memo)
+    memo[counts] = value
     return value
 
 
@@ -156,8 +142,8 @@ def ursell_factor(supports: Sequence[SiteSet]) -> int:
             mults.append(1)
         else:
             mults[pos] += 1
-    if len(distinct) > 1 and any(not s for s in distinct):
-        return 0  # an empty support never meets anything
+    if len(_components(distinct)) > 1:
+        return 0  # no connected spanning subgraph; an empty support meets nothing
     if len(distinct) == 1 and not distinct[0] and mults[0] > 1:
         return 0
     d = len(distinct)
@@ -168,8 +154,9 @@ def ursell_factor(supports: Sequence[SiteSet]) -> int:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     # copies of one support are mutually adjacent, so edge-free selections
-    # take at most one vertex per block; block 0 anchors the recursion
-    return _ursell_counts(tuple(adj), 0, tuple(mults))
+    # take at most one vertex per block
+    adj = tuple(adj)
+    return _ursell_counts(adj, tuple(mults), _independent_sets(adj), {})
 
 
 # ---------------------------------------------------------------- options
@@ -353,7 +340,7 @@ class ClusterEngine:
             value = value - self.polymer_activity(sub) * self._exact_cover_part(
                 support - sub
             )
-        return value.pruned(0.0)
+        return value.without_zeros()
 
     def _activity_covers(self, support: SiteSet) -> GrassmannElement:
         opts = self.options
@@ -366,7 +353,7 @@ class ClusterEngine:
                 bits = 0
                 for s in sup:
                     bits |= 1 << site_bit[s]
-                items.append((mask, coeff, bits, sup))
+                items.append((mask, coeff, bits))
         if not items:
             return GrassmannElement.zero()
         suffix = [0] * (len(items) + 1)
@@ -378,9 +365,9 @@ class ClusterEngine:
         psi_block = self.universe.psi_block_mask
 
         def descend(idx: int, mask: int, coeff: complex, cover: int,
-                    supports: tuple[SiteSet, ...]) -> None:
+                    supports: tuple[int, ...]) -> None:
             for j in range(idx, len(items)):
-                jmask, jcoeff, jbits, jsup = items[j]
+                jmask, jcoeff, jbits = items[j]
                 if cover | suffix[j] != full:
                     break
                 new_mask, sign = multiply_masks(mask, jmask)
@@ -390,11 +377,9 @@ class ClusterEngine:
                     continue
                 new_coeff = coeff * jcoeff * sign
                 new_cover = cover | jbits
-                new_supports = supports + (jsup,)
-                if new_cover == full:
-                    g_n, g_edges = incidence_graph(new_supports)
-                    if graph_is_connected(g_n, g_edges):
-                        acc.terms[new_mask] = acc.terms.get(new_mask, 0j) + new_coeff
+                new_supports = supports + (jbits,)
+                if new_cover == full and len(_components(new_supports)) == 1:
+                    acc.terms[new_mask] = acc.terms.get(new_mask, 0j) + new_coeff
                 if opts.k_max is None or len(new_supports) < opts.k_max:
                     descend(j + 1, new_mask, new_coeff, new_cover, new_supports)
                 else:
@@ -419,7 +404,7 @@ class ClusterEngine:
         total = self.pure_eta.copy()
         if not polymers:
             report.exact = opts.mode == "exact" and not self._caps_hit
-            return total.pruned(0.0), report
+            return total.without_zeros(), report
 
         shrinking = all(norm <= 1.0 for _, _, norm in polymers)
         count = len(polymers)
@@ -479,20 +464,7 @@ class ClusterEngine:
         report.exact = (
             opts.mode == "exact" and not self._caps_hit and report.exact
         )
-        return total.pruned(0.0), report
-
-
-def _components(supports: Sequence[SiteSet]) -> list[SiteSet]:
-    """Connected components of the incidence graph, as merged site sets."""
-    comps: list[set[Site]] = []
-    for sup in supports:
-        hit = [c for c in comps if c & sup]
-        merged = set(sup)
-        for c in hit:
-            merged |= c
-            comps.remove(c)
-        comps.append(merged)
-    return [frozenset(c) for c in comps]
+        return total.without_zeros(), report
 
 
 def assemble_b(universe: GeneratorUniverse, system: CoefficientSystem,

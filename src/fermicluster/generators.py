@@ -14,9 +14,8 @@ mask can be read off left to right by iterating over its set bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError
 
@@ -32,12 +31,13 @@ class Family(IntEnum):
     ETA = 1
 
 
-@dataclass(frozen=True, order=False)
-class GeneratorIndex:
+class GeneratorIndex(NamedTuple):
     """A single anticommuting generator.
 
     ``bar`` is True for the conjugate partner; within a mode the barred
-    generator precedes the unbarred one in canonical order.
+    generator precedes the unbarred one in canonical order.  Canonical
+    order is the bit position a :class:`GeneratorUniverse` assigns, not the
+    tuple order of the fields.
     """
 
     family: Family
@@ -49,14 +49,6 @@ class GeneratorIndex:
     @property
     def mode(self) -> Mode:
         return (self.site, self.spinor, self.flavor)
-
-    @property
-    def sort_key(self):
-        # bar sorts descending: barred partner first.
-        return (int(self.family), self.site, self.spinor, self.flavor, 0 if self.bar else 1)
-
-    def __lt__(self, other: "GeneratorIndex") -> bool:
-        return self.sort_key < other.sort_key
 
     def __repr__(self) -> str:
         fam = "psi" if self.family == Family.PSI else "eta"
@@ -113,9 +105,6 @@ class GeneratorUniverse:
     def _as_mode(m: Mode) -> Mode:
         site, spinor, flavor = m
         return (tuple(site), int(spinor), int(flavor))
-
-    def __contains__(self, g: GeneratorIndex) -> bool:
-        return g in self._position
 
     def position(self, g: GeneratorIndex) -> int:
         try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class LatticeSpec:
         return TorusMetric(self.extents)
 
 
-@lru_cache(maxsize=8)
 def gamma_matrices(d: int) -> tuple[np.ndarray, ...]:
     """Hermitian gamma matrices with {g_mu, g_nu} = 2 delta I, size 2^(d//2).
 
@@ -379,6 +378,9 @@ def correlation_rows(series: LogSeries, g: float, spec: LatticeSpec,
 
 # -------------------------------------------------------------------- fits
 
+#: Magnitudes at or below this count as zero in the decay fits.
+FIT_FLOOR = 1e-14
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -396,14 +398,14 @@ class FitResult:
         }
 
 
-def decay_fit(samples: list[tuple[float, float]], floor: float = 1e-14) -> FitResult:
+def decay_fit(samples: list[tuple[float, float]]) -> FitResult:
     """Least squares of log magnitude against distance.
 
     Zero magnitudes are dropped; needs three usable points.  kappa is the
     negated slope, c the exponentiated intercept, and the decaying flag asks
     for a clearly positive rate.
     """
-    usable = [(r, m) for r, m in samples if m > floor]
+    usable = [(r, m) for r, m in samples if m > FIT_FLOOR]
     if len(usable) < 3:
         raise ValueError("need at least three positive samples to fit decay")
     xs = np.array([r for r, _ in usable], dtype=float)
@@ -433,8 +435,7 @@ def _image_distances(site: Site, L: int) -> list[float]:
     return sorted(out)
 
 
-def torus_decay_fit(samples: list[tuple[Site, float]], L: int,
-                    floor: float = 1e-14) -> FitResult:
+def torus_decay_fit(samples: list[tuple[Site, float]], L: int) -> FitResult:
     """Exponential decay rate on a periodic box, wrap images summed.
 
     On small tori the naive distance fit absorbs the wrap multiplicity
@@ -446,7 +447,7 @@ def torus_decay_fit(samples: list[tuple[Site, float]], L: int,
     """
     from scipy.optimize import minimize_scalar
 
-    usable = [(site, m) for site, m in samples if m > floor]
+    usable = [(site, m) for site, m in samples if m > FIT_FLOOR]
     if len(usable) < 3:
         raise ValueError("need at least three positive samples to fit decay")
     logs = np.array([math.log(m) for _, m in usable])

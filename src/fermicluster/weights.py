@@ -28,7 +28,6 @@ class TorusMetric:
     """Distance on a periodic box, minimal image in every coordinate."""
 
     extents: tuple[int, ...]
-    kind: str = "euclidean"
 
     def displacement(self, x: Site, y: Site) -> tuple[int, ...]:
         out = []
@@ -38,10 +37,7 @@ class TorusMetric:
         return tuple(out)
 
     def distance(self, x: Site, y: Site) -> float:
-        delta = self.displacement(x, y)
-        if self.kind == "l1":
-            return float(sum(delta))
-        return math.sqrt(sum(d * d for d in delta))
+        return math.sqrt(sum(d * d for d in self.displacement(x, y)))
 
 
 def tree_length(metric: TorusMetric, sites: Iterable[Site]) -> float:

@@ -2,16 +2,20 @@
 
 Each one computes the same quantity as a production routine by a slow,
 independent route: the Ursell factor from adjacency rows, Gaussian
-integrals by explicit Wick pairing, kernels spread over every slot
-ordering, and Grassmann products by sorting generator lists.  Exponential
-cost; test scale only.
+integrals by explicit Wick pairing, the log-partition series by literal
+expansion, kernels spread over every slot ordering, and Grassmann products
+by sorting generator lists.  Exponential cost; test scale only.
 """
 
+import cmath
 import itertools
+import math
 from typing import Iterable
 
-from fermicluster.algebra import GrassmannElement, canonicalize
+from fermicluster.algebra import GrassmannElement, canonicalize, log1p_nilpotent
+from fermicluster.berezin import LogSeries, integrate_element
 from fermicluster.coeffsys import CoefficientSystem
+from fermicluster.errors import NormalizationError
 from fermicluster.generators import GeneratorIndex, GeneratorUniverse
 
 
@@ -82,6 +86,39 @@ def wick_expectation(universe: GeneratorUniverse, ordered: tuple[GeneratorIndex,
         remaining = rest[:j] + rest[j + 1:]
         total += sign * pair * wick_expectation(universe, remaining)
     return total
+
+
+def exp_power_series(f: GrassmannElement) -> GrassmannElement:
+    """exp(f) by its power series, for input of any parity.
+
+    The series terminates because the non-constant part is nilpotent.
+    """
+    rest = f.without_constant()
+    out = GrassmannElement.one(1.0)
+    power = GrassmannElement.one(1.0)
+    k = 0
+    while True:
+        k += 1
+        power = power * rest
+        if power.is_zero():
+            break
+        out = out + power.scaled(1.0 / math.factorial(k))
+    return out.scaled(cmath.exp(f.constant))
+
+
+def log_expand(universe: GeneratorUniverse, f: GrassmannElement) -> LogSeries:
+    """log of the Gaussian integral of exp(f) by literal expansion.
+
+    Exponentiates by the power series, integrates monomial by monomial and
+    takes the logarithm: the reference that mode elimination
+    (``berezin.log_direct``) is checked against.
+    """
+    integrated = integrate_element(universe, exp_power_series(f))
+    s = integrated.constant
+    if s == 0:
+        raise NormalizationError("vanishing partition function")
+    rest = integrated.without_constant().scaled(1 / s)
+    return LogSeries(universe, log1p_nilpotent(rest) + cmath.log(s))
 
 
 def _perm_sign(perm: Iterable[int]) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from fermicluster.algebra import GrassmannElement
 from fermicluster.berezin import (
+    LogSeries,
     effective_log_integral,
     integrate_element,
     integrate_monomial,
@@ -15,7 +16,9 @@ from fermicluster.berezin import (
 from fermicluster.coeffsys import CoefficientSystem
 from fermicluster.errors import NormalizationError, ParityError
 from fermicluster.generators import GeneratorUniverse, eta, psi
-from oracles import wick_expectation
+from oracles import log_expand, wick_expectation
+
+ROUTES = [pytest.param(log_direct, id="eliminate"), pytest.param(log_expand, id="expand")]
 
 
 def universe_n(n_psi, n_eta=0):
@@ -67,13 +70,13 @@ def test_integrate_drops_unbalanced():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("method", ["eliminate", "expand"])
-def test_gaussian_bilinear_gives_log_det(n, method):
+@pytest.mark.parametrize("route", ROUTES)
+def test_gaussian_bilinear_gives_log_det(n, route):
     rng = np.random.default_rng(17 + n)
     m = rng.normal(size=(n, n)) * 0.6 + 1j * rng.normal(size=(n, n)) * 0.3
     u = universe_n(n)
     f = bilinear_exponent(u, m)
-    series = log_direct(u, f, method=method)
+    series = route(u, f)
     expected = cmath.log(np.linalg.det(np.eye(n) + m))
     assert series.constant == pytest.approx(expected, rel=1e-10, abs=1e-12)
     assert series.element.without_constant().is_zero()
@@ -84,7 +87,7 @@ def test_hopping_pair_by_hand():
     u = universe_n(2)
     m = np.array([[0.0, 0.7], [0.3, 0.0]])
     f = bilinear_exponent(u, m)
-    series = log_direct(u, f, method="expand")
+    series = log_expand(u, f)
     assert series.constant == pytest.approx(math.log(1 - 0.7 * 0.3))
 
 
@@ -104,7 +107,7 @@ def test_source_identity(n):
         # stored orientation is psi-then-eta, so etabar_i Q psi_j flips sign
         sys.add((psi((j,), 0, 0),), (eta((i,), 0, 0, bar=True),), -q[i, j])
     f = sys.to_element(u)
-    series = log_direct(u, f, method="eliminate")
+    series = log_direct(u, f)
     target = -q @ np.linalg.inv(np.eye(n) + m) @ p
     assert series.constant == pytest.approx(cmath.log(np.linalg.det(np.eye(n) + m)), rel=1e-10)
     for i, j in itertools.product(range(n), repeat=2):
@@ -135,8 +138,8 @@ def test_eliminate_matches_expand_on_random_even_input(seed):
     rng = np.random.default_rng(100 + seed)
     u = universe_n(3, n_eta=2)
     f = random_even_exponent(u, rng)
-    a = log_direct(u, f, method="eliminate")
-    b = log_direct(u, f, method="expand")
+    a = log_direct(u, f)
+    b = log_expand(u, f)
     assert a.element.allclose(b.element, rel=1e-9, abs_tol=1e-11)
     assert a.odd_masks() == []
 
@@ -169,4 +172,13 @@ def test_vanishing_normalization_raises():
     u = universe_n(1)
     pair = u.mask_of([psi((0,), 0, 0, bar=True), psi((0,), 0, 0)])
     with pytest.raises(NormalizationError):
-        log_direct(u, GrassmannElement({pair: -1.0}), method="eliminate")
+        log_direct(u, GrassmannElement({pair: -1.0}))
+
+
+def test_log_series_rejects_odd_term():
+    u = universe_n(1, n_eta=2)
+    lone = u.bit(eta((0,), 0, 0))
+    pair = u.mask_of([eta((0,), 0, 0, bar=True), eta((1,), 0, 0)])
+    LogSeries(u, GrassmannElement({0: 0.5, pair: 1.0}))
+    with pytest.raises(ParityError):
+        LogSeries(u, GrassmannElement({0: 0.5, pair: 1.0, lone: 0.25}))

@@ -9,8 +9,7 @@ from fermicluster.berezin import log_direct
 from fermicluster.clusters import (
     ClusterEngine,
     ClusterOptions,
-    graph_is_connected,
-    incidence_graph,
+    _components,
     assemble_b,
     ursell_factor,
 )
@@ -29,17 +28,36 @@ def _max_abs(element) -> float:
 # ------------------------------------------------------------------ graphs
 
 
+def _sites(sites):
+    return f((s,) for s in sites)
+
+
+def _bits(sites):
+    return sum(1 << s for s in sites)
+
+
 def test_incidence_graph_edges():
-    n, edges = incidence_graph([f({(0,)}), f({(0,), (1,)}), f({(2,)})])
-    assert n == 3
-    assert edges == frozenset({(0, 1)})
+    # parts meet when they share a site; each component is the union of its parts
+    cases = [
+        ([{0}, {0, 1}, {2}], [{0, 1}, {2}]),
+        ([{0, 1}, {1}, {5}], [{0, 1}, {5}]),
+        ([{0}, {2}, {1, 2}, {0, 1}], [{0, 1, 2}]),
+    ]
+    for parts, components in cases:
+        for part in (_sites, _bits):
+            assert _components([part(p) for p in parts]) == [part(c) for c in components]
 
 
 def test_graph_connectivity():
-    assert graph_is_connected(1, [])
-    assert graph_is_connected(3, [(0, 1), (1, 2)])
-    assert not graph_is_connected(3, [(0, 1)])
-    assert not graph_is_connected(2, [])
+    cases = [
+        ([{0}], 1),
+        ([{0, 1}, {1, 2}, {2, 3}], 1),
+        ([{0, 1}, {1}, {5}], 2),
+        ([{0}, {1}], 2),
+    ]
+    for parts, count in cases:
+        for part in (_sites, _bits):
+            assert len(_components([part(p) for p in parts])) == count
 
 
 # ------------------------------------------------------------------ Ursell

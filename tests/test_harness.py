@@ -266,3 +266,26 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "tree_counts" in proc.stdout
+
+
+# --------------------------------------------------------------- benchmark
+
+
+def test_bench_tracer_finds_every_traced_callable(monkeypatch):
+    """The benchmark's layer tracer rebinds callables by name; renaming or
+    deleting one of them must fail here, not only in a traced bench run."""
+    from pathlib import Path
+
+    from fermicluster import berezin, clusters
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        assert hasattr(berezin.log_direct, "__wrapped__")
+    finally:
+        tracer.remove()
+    assert not hasattr(berezin.log_direct, "__wrapped__")
+    assert not hasattr(clusters.ursell_factor, "__wrapped__")

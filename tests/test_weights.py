@@ -35,7 +35,6 @@ def test_torus_wraps():
     assert m.distance((0, 0), (7, 0)) == 1.0
     assert m.distance((1, 1), (1, 5)) == 4.0
     assert m.distance((0, 0), (3, 4)) == 5.0
-    assert TorusMetric((8, 8), kind="l1").distance((0, 0), (3, 4)) == 7.0
 
 
 def test_tree_length_small_sets():
