@@ -1,7 +1,7 @@
 """Verification checklist shared by the test suite and the verify command.
 
 Each criterion function returns a CheckResult and is independent of the
-others.  Criteria 1, 2 and 7 inspect the same engine and oracle runs; pass
+others.  Criteria 1 and 2 inspect the same engine and oracle runs; pass
 them in to share the work.
 """
 
@@ -11,13 +11,18 @@ import random
 import time
 from dataclasses import dataclass
 
+from .algebra import GrassmannElement
+from .berezin import LogSeries, effective_log_integral
+from .clusters import ClusterEngine
 from .coeffsys import (
     CoefficientSystem,
     onsite_density_quartic,
     source_coupling_bilinear,
+    system_from_element,
 )
 from .config import RunConfig
-from .generators import psi
+from .errors import ParityError
+from .generators import GeneratorUniverse, eta, psi
 from .grossneveu import (
     LatticeSpec,
     Model,
@@ -219,13 +224,27 @@ def criterion_6_tree_counts() -> CheckResult:
     return CheckResult(6, "labelled tree counts", passed, details)
 
 
-def criterion_7_parity_scan(runs=None) -> CheckResult:
-    runs = runs if runs is not None else _oracle_runs()
-    scanned = [s for *_, series, _, oracle in runs for s in (series, oracle)]
-    odd_total = sum(len(series.odd_masks()) for series in scanned)
-    passed = odd_total == 0
-    details = f"{len(scanned)} series scanned, {odd_total} odd-length terms"
-    return CheckResult(7, "even-length parity of all log series", passed, details)
+def criterion_7_parity_guards() -> CheckResult:
+    """Each route into a log series refuses odd input before any work."""
+    universe = GeneratorUniverse([((0,), 0, 0)], [((0,), 0, 0)])
+    lone_psi = GrassmannElement({universe.bit(psi((0,))): 1.0})
+    lone_eta = GrassmannElement({universe.bit(eta((0,))): 1.0})
+    guards = {
+        "LogSeries": lambda: LogSeries(universe, lone_eta),
+        "ClusterEngine": lambda: ClusterEngine(universe, system_from_element(universe, lone_psi)),
+        "effective_log_integral": lambda: effective_log_integral(universe, lone_psi),
+    }
+    silent = []
+    for name, build in guards.items():
+        try:
+            build()
+        except ParityError:
+            continue
+        silent.append(name)
+    passed = not silent
+    details = (f"{', '.join(guards)} raise ParityError on odd input" if passed
+               else f"no ParityError from {', '.join(silent)}")
+    return CheckResult(7, "odd input is refused", passed, details)
 
 
 def criterion_8_free_theory_reduction() -> CheckResult:
@@ -294,7 +313,7 @@ def criterion_11_determinism() -> CheckResult:
 
 
 def run_checklist(level: str = "full") -> list[CheckResult]:
-    """Quick level: combinatorial and norm identities plus the parity scan;
+    """Quick level: combinatorial and norm identities plus the parity guards;
     full adds the engine and model criteria."""
     if level == "quick":
         return [
@@ -302,7 +321,7 @@ def run_checklist(level: str = "full") -> list[CheckResult]:
             criterion_4_majorant(),
             criterion_5_tree_convolution_bound(),
             criterion_6_tree_counts(),
-            criterion_7_parity_scan(),
+            criterion_7_parity_guards(),
         ]
     runs = _oracle_runs()
     return [
@@ -312,7 +331,7 @@ def run_checklist(level: str = "full") -> list[CheckResult]:
         criterion_4_majorant(),
         criterion_5_tree_convolution_bound(),
         criterion_6_tree_counts(),
-        criterion_7_parity_scan(runs),
+        criterion_7_parity_guards(),
         criterion_8_free_theory_reduction(),
         criterion_9_covariance_decay(),
         criterion_10_interacting_decay(),

@@ -78,10 +78,6 @@ class LogSeries:
         """One kernel entry per canonical monomial, constant included."""
         return system_from_element(self.universe, self.element)
 
-    def odd_masks(self) -> list[int]:
-        """Monomials of odd length; an even input must produce none."""
-        return [m for m in self.element.terms if m.bit_count() % 2]
-
     def antisym_eval(self, *gens: GeneratorIndex) -> complex:
         """Coefficient kernel extended antisymmetrically to any slot order."""
         mask, sign = canonicalize(self.universe, gens)

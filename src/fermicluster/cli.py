@@ -51,7 +51,9 @@ def _emit(args, payload: dict, timing: dict, extra_files: dict | None = None) ->
 
 
 def _load(args) -> RunConfig:
+    """The run's config; its run.out is the report path when --out is absent."""
     cfg = load_config(args.config) if args.config else RunConfig()
+    args.out = args.out or cfg.out
     return with_overrides(cfg, mode=getattr(args, "mode", None))
 
 

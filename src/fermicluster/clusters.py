@@ -1,9 +1,12 @@
 """Connected-cover cluster expansion of a Gaussian Grassmann integral.
 
 The engine computes log of the normalized integral of exp(f) as a polymer
-gas: group the interaction by psi-site support, attach to every candidate
-support Z an activity K0(Z) (an even element in the surviving eta
-generators), and resum
+gas.  The reference measure factorizes over sites, so the restricted
+integral Z(X) of exp(f|X), with f|X the monomials whose psi sites lie in X,
+is a sum over families of disjoint polymers in X of products of
+activities K0 (even elements in the surviving eta generators).  K0 lives
+on connected unions of interaction supports, the candidates, and the
+polymer sum resums to
 
     log Xi = sum_n 1/n! sum_{Z_1..Z_n} rho^T(Z_1,..,Z_n) K0(Z_1) ... K0(Z_n)
 
@@ -12,17 +15,16 @@ introduced anywhere; all cancellations happen through the signed bitmask
 algebra.  Everything here requires an even interaction, so activities
 commute and no interchange signs arise at the polymer level.
 
-Two activity routes are implemented.  The subset-difference route obtains
-K0 exactly from integrals of exp(f) restricted to site subsets; the cover
-route sums products of interaction monomials over connected covers and is
-the one that supports degree and depth truncation.  They agree, which the
-tests check directly.
+Two activity routes are implemented.  Exact mode peels K0 off the
+restricted integrals by one anchor recursion; truncated mode sums products
+of interaction monomials over connected covers, which supports degree and
+depth caps.  They agree, which the tests check directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Literal, Sequence
 
 from .algebra import GrassmannElement, exp_series, multiply_masks
@@ -166,7 +168,7 @@ def ursell_factor(supports: Sequence[SiteSet]) -> int:
 class ClusterOptions:
     """Caps and floors for the expansion.
 
-    mode "exact" computes activities by subset differences and runs the
+    mode "exact" computes activities from restricted integrals and runs the
     polymer sum to the magnitude floor; "truncated" computes activities from
     connected covers under the listed caps.  floor is the 1-norm below which
     a product branch is dropped (its size is reported as the tail).
@@ -190,14 +192,7 @@ class ExpansionReport:
     exact: bool = True
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "polymer_count": self.polymer_count,
-            "cluster_count": self.cluster_count,
-            "n_reached": self.n_reached,
-            "tail": self.tail,
-            "exact": self.exact,
-        }
+        return asdict(self)
 
 
 def _element_1norm(el: GrassmannElement) -> float:
@@ -221,36 +216,25 @@ class ClusterEngine:
             element = self._capped(element)
 
         psi_block = universe.psi_block_mask
-        self.pure_eta = GrassmannElement.zero()
-        items: list[tuple[int, complex]] = []
-        for mask, coeff in element.terms.items():
-            if mask & psi_block:
-                items.append((mask, coeff))
-            else:
-                self.pure_eta.terms[mask] = coeff
-
-        # group psi-supported monomials by site support
-        self.support_elements: dict[SiteSet, GrassmannElement] = {}
-        self._items: list[tuple[int, complex, SiteSet]] = []
-        for mask, coeff in sorted(items, key=lambda t: t[0]):
-            support = frozenset(
-                g.site for g in universe.indices_of(mask & psi_block)
-            )
-            self._items.append((mask, coeff, support))
-            grp = self.support_elements.setdefault(support, GrassmannElement.zero())
-            grp.terms[mask] = grp.terms.get(mask, 0.0) + coeff
+        self.pure_eta = GrassmannElement(
+            {mask: coeff for mask, coeff in element.terms.items() if not mask & psi_block})
+        # the psi-supported monomials in mask order, each with its site support
+        self._items: list[tuple[int, complex, SiteSet]] = [
+            (mask, coeff, frozenset(g.site for g in universe.indices_of(mask & psi_block)))
+            for mask, coeff in sorted(element.terms.items()) if mask & psi_block
+        ]
 
         self.candidates = self._candidate_supports()
         self._activity_cache: dict[SiteSet, GrassmannElement] = {}
         self._exp_cache: dict[SiteSet, GrassmannElement] = {}
-        self._diff_cache: dict[SiteSet, GrassmannElement] = {}
         self._caps_hit = False
 
     # -- support closure ---------------------------------------------------
 
     def _candidate_supports(self) -> list[SiteSet]:
         cap = self.options.max_polymer_sites
-        seeds = [s for s in self.support_elements if not cap or len(s) <= cap]
+        seeds = [s for s in dict.fromkeys(sup for *_, sup in self._items)
+                 if not cap or len(s) <= cap]
         found: set[SiteSet] = set(seeds)
         frontier = list(found)
         while frontier:
@@ -285,61 +269,41 @@ class ClusterEngine:
     def polymer_activity(self, support: SiteSet) -> GrassmannElement:
         """K0 on one support: the part of the integral joint over exactly
         that site set that no product of smaller disjoint pieces explains."""
-        if support in self._activity_cache:
-            return self._activity_cache[support]
-        if self.options.mode == "exact":
-            value = self._activity_exact(support)
-        else:
-            value = self._activity_covers(support)
-        self._activity_cache[support] = value
-        return value
+        if support not in self._activity_cache:
+            route = (self._activity_exact if self.options.mode == "exact"
+                     else self._activity_covers)
+            self._activity_cache[support] = route(support)
+        return self._activity_cache[support]
 
     def _restricted_exp(self, region: SiteSet) -> GrassmannElement:
-        """Integral of exp(f restricted to supports within the region)."""
-        if region in self._exp_cache:
-            return self._exp_cache[region]
-        f_region = GrassmannElement.zero()
-        for support, el in self.support_elements.items():
-            if support <= region:
-                f_region = f_region + el
-        if not f_region.terms:
-            value = GrassmannElement.one(1.0)
-        else:
-            log_el = effective_log_integral(self.universe, f_region)
-            value = exp_series(log_el)
-        self._exp_cache[region] = value
-        return value
-
-    def _exact_cover_part(self, region: SiteSet) -> GrassmannElement:
-        """Subset-alternating difference: keeps only disjoint polymer
-        collections whose union is the whole region."""
-        if region in self._diff_cache:
-            return self._diff_cache[region]
-        sites = sorted(region)
-        n = len(sites)
-        total = GrassmannElement.zero()
-        for bits in range(1 << n):
-            subset = frozenset(sites[i] for i in range(n) if bits >> i & 1)
-            term = self._restricted_exp(subset)
-            if (n - bits.bit_count()) % 2:
-                total = total - term
-            else:
-                total = total + term
-        self._diff_cache[region] = total
-        return total
+        """Z(region): integral of exp(f restricted to supports within the region)."""
+        if region not in self._exp_cache:
+            f_region = GrassmannElement(
+                {mask: coeff for mask, coeff, sup in self._items if sup <= region})
+            self._exp_cache[region] = (
+                exp_series(effective_log_integral(self.universe, f_region))
+                if f_region.terms else GrassmannElement.one(1.0))
+        return self._exp_cache[region]
 
     def _activity_exact(self, support: SiteSet) -> GrassmannElement:
+        """K0 by the anchor recursion on restricted integrals.
+
+        Z(X) is the sum over families of disjoint polymers inside X of the
+        product of their activities.  Sorting the families by the polymer
+        that holds the anchor a = min(X), if any, gives
+
+            K0(X) = Z(X) - Z(X - {a}) - sum_{a in Y < X} K0(Y) Z(X - Y).
+
+        Only candidate Y enter: the measure factorizes over sites, so a
+        support that no connected union of interaction supports covers has
+        K0 = 0, and the capped closure holds every such union up to the cap.
+        """
         anchor = min(support)
-        value = self._exact_cover_part(support).copy()
-        rest = sorted(support - {anchor})
-        for bits in range(1 << len(rest)):
-            part = frozenset(rest[i] for i in range(len(rest)) if bits >> i & 1)
-            sub = part | {anchor}
-            if sub == support:
-                continue
-            value = value - self.polymer_activity(sub) * self._exact_cover_part(
-                support - sub
-            )
+        value = self._restricted_exp(support) - self._restricted_exp(support - {anchor})
+        for sub in self.candidates:
+            if anchor in sub and sub < support:
+                value = value - self.polymer_activity(sub) * self._restricted_exp(
+                    support - sub)
         return value.without_zeros()
 
     def _activity_covers(self, support: SiteSet) -> GrassmannElement:
@@ -347,13 +311,8 @@ class ClusterEngine:
         sites = sorted(support)
         site_bit = {s: i for i, s in enumerate(sites)}
         full = (1 << len(sites)) - 1
-        items = []
-        for mask, coeff, sup in self._items:
-            if sup <= support:
-                bits = 0
-                for s in sup:
-                    bits |= 1 << site_bit[s]
-                items.append((mask, coeff, bits))
+        items = [(mask, coeff, sum(1 << site_bit[s] for s in sup))
+                 for mask, coeff, sup in self._items if sup <= support]
         if not items:
             return GrassmannElement.zero()
         suffix = [0] * (len(items) + 1)

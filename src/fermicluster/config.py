@@ -18,7 +18,6 @@ _MODES = ("exact", "truncated")
 # Torus distances are Euclidean throughout (norms, tree lengths, fits); the
 # key stays in the schema so that canonical configs and their hashes keep it.
 _METRICS = ("euclidean",)
-_LEVELS = ("quick", "full")
 
 
 @dataclass(frozen=True)

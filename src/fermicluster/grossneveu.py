@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -390,12 +390,7 @@ class FitResult:
     decaying: bool
 
     def as_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "kappa": self.kappa,
-            "r_squared": self.r_squared,
-            "decaying": self.decaying,
-        }
+        return asdict(self)
 
 
 def decay_fit(samples: list[tuple[float, float]]) -> FitResult:

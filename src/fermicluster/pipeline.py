@@ -35,7 +35,6 @@ from .grossneveu import (
     decay_fit,
     model_norms,
     torus_decay_fit,
-    truncated_two_point,
     universe_for,
 )
 from .weights import log_norm_bound_check, logseries_norm
@@ -62,13 +61,9 @@ def engine_options(cfg: RunConfig) -> ClusterOptions:
     )
 
 
-def exact_capacity_ok(spec: LatticeSpec) -> bool:
-    """Whether the exact engine and the oracle finish on this lattice."""
-    return spec.n_sites * spec.spinor_dim * spec.N <= EXACT_MODE_PSI_LIMIT
-
-
 def check_exact_capacity(cfg: RunConfig, spec: LatticeSpec) -> None:
-    if cfg.mode == "exact" and not exact_capacity_ok(spec):
+    """Refuse exact mode where the exact engine and the oracle cannot finish."""
+    if cfg.mode == "exact" and spec.n_sites * spec.spinor_dim * spec.N > EXACT_MODE_PSI_LIMIT:
         raise CapacityError(
             f"exact mode handles up to {EXACT_MODE_PSI_LIMIT} psi modes; got "
             f"{spec.n_sites} sites x {spec.spinor_dim} spinor x {spec.N} flavors; "
@@ -175,19 +170,13 @@ def run_correlations(cfg: RunConfig, spec: LatticeSpec, model: Model,
             da, dr = series_deviation(series, oracle)
             worst_abs = max(worst_abs or 0.0, da)
             worst_rel = max(worst_rel or 0.0, dr)
-        envelope = max(
-            (
-                abs(truncated_two_point(series, probe, origin, target,
-                                        alpha, beta, flavor, flavor))
-                for alpha in range(spec.spinor_dim)
-                for beta in range(spec.spinor_dim)
-                for flavor in range(spec.N)
-            ),
-            default=0.0,
-        )
+        pair_rows = correlation_rows(series, probe, spec)
+        r = spec.metric.distance(origin, target)
+        envelope = max((row["abs"] for row in pair_rows if row["distance"] == r),
+                       default=0.0)
         if envelope > 0.0:
             samples.append((target, envelope))
-        for row in correlation_rows(series, probe, spec):
+        for row in pair_rows:
             key = (row["distance"], row["alpha"], row["beta"], row["flavor"])
             if key not in seen_rows:
                 seen_rows.add(key)
@@ -243,7 +232,7 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, dict]:
     model = lattice_model(cfg, spec, cov)
     norms = model_norms(model, kappa=cfg.kappa, h1=cfg.h1, h2=cfg.h2)
 
-    with_oracle = cfg.mode == "exact" and exact_capacity_ok(spec)
+    with_oracle = cfg.mode == "exact"
     corr = run_correlations(cfg, spec, model, with_oracle)
 
     h_norm = logseries_norm(merged_coefficients(corr.series_list),

@@ -13,7 +13,7 @@ from fermicluster import acceptance
 
 @pytest.fixture(scope="module")
 def oracle_runs():
-    # Shared by criteria 1, 2 and 7: three full engine-vs-oracle runs on the
+    # Shared by criteria 1 and 2: three full engine-vs-oracle runs on the
     # smallest interacting lattice, one per pinned coupling.
     return acceptance._oracle_runs()
 
@@ -48,8 +48,24 @@ def test_criterion_6_tree_counts():
     _report(acceptance.criterion_6_tree_counts())
 
 
-def test_criterion_7_series_parity_scan(oracle_runs):
-    _report(acceptance.criterion_7_parity_scan(oracle_runs))
+def test_criterion_7_series_parity_scan():
+    _report(acceptance.criterion_7_parity_guards())
+
+
+def test_criterion_7_fails_when_a_guard_is_silent(monkeypatch):
+    monkeypatch.setattr(acceptance, "LogSeries", lambda universe, element: None)
+    result = acceptance.criterion_7_parity_guards()
+    assert not result.passed and "LogSeries" in result.details
+
+
+def test_quick_level_runs_no_oracle(monkeypatch):
+    def refuse():
+        raise AssertionError("the quick level ran the oracle")
+
+    monkeypatch.setattr(acceptance, "_oracle_runs", refuse)
+    results = acceptance.run_checklist("quick")
+    assert [r.criterion for r in results] == [3, 4, 5, 6, 7]
+    assert all(r.passed for r in results), [r.line() for r in results]
 
 
 def test_criterion_8_free_theory_reduction():

@@ -282,7 +282,7 @@ def test_flavor_channels_diagonal_and_equal():
     cross = truncated_two_point(series, g, y1, y2, 0, 0, 0, 1)
     assert same0 == pytest.approx(same1, rel=1e-10)
     assert cross == 0
-    assert series.odd_masks() == []
+    assert series.element.is_even()
 
 
 def test_correlation_rows_schema(small_cov):

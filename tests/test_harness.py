@@ -215,6 +215,20 @@ def test_cli_repeat_run_appends(tmp_path, capsys):
     assert (tmp_path / "cov-1.json").exists()
 
 
+@pytest.mark.parametrize("command", ["covariance", "expand", "norms", "correlate"])
+def test_cli_config_out_is_the_default_report_path(command, tmp_path, capsys):
+    from_config = tmp_path / "from_config.json"
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"run.out = {from_config}\n")
+    assert cli.main([command, "--config", str(cfg_file)]) == 0
+    assert from_config.exists()
+    flag = tmp_path / "flag.json"
+    assert cli.main([command, "--config", str(cfg_file), "--out", str(flag)]) == 0
+    capsys.readouterr()
+    assert flag.exists()
+    assert not (tmp_path / "from_config-1.json").exists()
+
+
 def test_cli_exit_code_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("lattice.d = 1\n")
