@@ -58,7 +58,6 @@ from .weights import (
 
 ORACLE_COUPLINGS = (0.02, 0.05, 0.1)
 ORACLE_REL_TOL = 1e-8
-ORACLE_ABS_FLOOR = 1e-12
 
 
 @dataclass
@@ -96,7 +95,7 @@ def criterion_1_oracle_equivalence(runs=None) -> CheckResult:
     worst = 0.0
     exact_all = True
     for cfg, _, _, _, series, report, oracle in runs:
-        _, rel = series_deviation(series, oracle, ORACLE_ABS_FLOOR)
+        _, rel = series_deviation(series, oracle)
         worst = max(worst, rel)
         exact_all = exact_all and report.exact
     passed = worst <= ORACLE_REL_TOL and exact_all

@@ -150,16 +150,8 @@ class GrassmannElement:
                     self.terms[m] = c
 
     @classmethod
-    def zero(cls) -> "GrassmannElement":
-        return cls()
-
-    @classmethod
     def one(cls, c: complex = 1.0) -> "GrassmannElement":
         return cls({0: c})
-
-    @classmethod
-    def monomial(cls, mask: int, c: complex = 1.0) -> "GrassmannElement":
-        return cls({mask: c})
 
     @property
     def constant(self) -> complex:
@@ -175,12 +167,6 @@ class GrassmannElement:
 
     def is_even(self) -> bool:
         return all(m.bit_count() % 2 == 0 for m in self.terms)
-
-    def is_nilpotent(self) -> bool:
-        return 0 not in self.terms
-
-    def max_degree(self) -> int:
-        return max((m.bit_count() for m in self.terms), default=0)
 
     def copy(self) -> "GrassmannElement":
         out = GrassmannElement()
@@ -269,17 +255,8 @@ class GrassmannElement:
         return len(self.terms)
 
     def __repr__(self) -> str:
-        n = len(self.terms)
-        return f"GrassmannElement({n} terms, max degree {self.max_degree()})"
-
-    def allclose(self, other: "GrassmannElement", rel: float = 1e-12, abs_tol: float = 1e-15) -> bool:
-        masks = set(self.terms) | set(other.terms)
-        for m in masks:
-            a = self.terms.get(m, 0j)
-            b = other.terms.get(m, 0j)
-            if abs(a - b) > abs_tol + rel * max(abs(a), abs(b)):
-                return False
-        return True
+        degree = max((m.bit_count() for m in self.terms), default=0)
+        return f"GrassmannElement({len(self.terms)} terms, max degree {degree})"
 
 
 def exp_series(f: GrassmannElement) -> GrassmannElement:
@@ -300,9 +277,9 @@ def exp_series(f: GrassmannElement) -> GrassmannElement:
 
 def log1p_nilpotent(r: GrassmannElement) -> GrassmannElement:
     """log(1 + r) for nilpotent r, via the alternating power series."""
-    if not r.is_nilpotent():
+    if 0 in r.terms:
         raise ParityError("log1p_nilpotent needs an element without constant term")
-    out = GrassmannElement.zero()
+    out = GrassmannElement()
     power = GrassmannElement.one(1.0)
     k = 0
     while True:

@@ -258,7 +258,7 @@ class ClusterEngine:
     def _capped(self, el: GrassmannElement) -> GrassmannElement:
         cap = self.options.eta_degree_cap
         psi_block = self.universe.psi_block_mask
-        out = GrassmannElement.zero()
+        out = GrassmannElement()
         for mask, coeff in el.terms.items():
             if (mask & ~psi_block).bit_count() <= cap:
                 out.terms[mask] = coeff
@@ -314,12 +314,12 @@ class ClusterEngine:
         items = [(mask, coeff, sum(1 << site_bit[s] for s in sup))
                  for mask, coeff, sup in self._items if sup <= support]
         if not items:
-            return GrassmannElement.zero()
+            return GrassmannElement()
         suffix = [0] * (len(items) + 1)
         for i in range(len(items) - 1, -1, -1):
             suffix[i] = suffix[i + 1] | items[i][2]
 
-        acc = GrassmannElement.zero()
+        acc = GrassmannElement()
         cap = opts.eta_degree_cap
         psi_block = self.universe.psi_block_mask
 

@@ -15,7 +15,7 @@ mask can be read off left to right by iterating over its set bits.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import CapacityError
 
@@ -117,16 +117,6 @@ class GeneratorUniverse:
 
     def generators(self) -> tuple[GeneratorIndex, ...]:
         return tuple(self._generators)
-
-    def mask_of(self, indices: Sequence[GeneratorIndex]) -> int:
-        """Bitmask of a set of distinct generators (order-insensitive)."""
-        mask = 0
-        for g in indices:
-            b = self.bit(g)
-            if mask & b:
-                raise ValueError(f"repeated generator {g!r}")
-            mask |= b
-        return mask
 
     def indices_of(self, mask: int) -> tuple[GeneratorIndex, ...]:
         """Generators of a mask in canonical (ascending-bit) order."""

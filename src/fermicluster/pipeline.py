@@ -103,8 +103,7 @@ def oracle_pair_series(cfg: RunConfig, spec: LatticeSpec, model: Model,
     return log_direct(universe, f.to_element(universe))
 
 
-def series_deviation(a: LogSeries, b: LogSeries,
-                     abs_floor: float = 1e-12) -> tuple[float, float]:
+def series_deviation(a: LogSeries, b: LogSeries) -> tuple[float, float]:
     """Worst absolute and worst relative coefficient difference."""
     worst_abs = 0.0
     worst_rel = 0.0
@@ -114,7 +113,7 @@ def series_deviation(a: LogSeries, b: LogSeries,
         diff = abs(va - vb)
         worst_abs = max(worst_abs, diff)
         # differences below the absolute floor never count as relative error
-        if diff > abs_floor:
+        if diff > 1e-12:
             worst_rel = max(worst_rel, diff / max(abs(va), abs(vb)))
     return worst_abs, worst_rel
 

@@ -45,13 +45,9 @@ def render_report(payload: dict, timing: dict | None = None) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def parse_report(text: str) -> dict:
-    return json.loads(text)
-
-
 def deterministic_part(text: str) -> str:
     """The report minus its timing block, for run-to-run comparison."""
-    document = parse_report(text)
+    document = json.loads(text)
     document.pop("timing", None)
     return json.dumps(document, sort_keys=True, indent=2)
 

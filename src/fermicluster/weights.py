@@ -21,6 +21,7 @@ from .generators import Site
 from .trees import TreeEdges, tree_degrees
 
 MAX_TREESUM_TUPLES = 2_000_000
+BOUND_SLACK = 1e-9  # relative round-off allowed on the bound checks' right side
 
 
 @dataclass(frozen=True)
@@ -164,19 +165,17 @@ def treesum_coeff(a: CoefficientSystem, tree: TreeEdges, n: int) -> CoefficientS
 
 
 def lemma_tree_bound_check(a: CoefficientSystem, tree: TreeEdges, n: int, h: float,
-                           kappa: float, metric: TorusMetric,
-                           slack: float = 1e-9) -> tuple[float, float, bool]:
+                           kappa: float, metric: TorusMetric) -> tuple[float, float, bool]:
     """Check |a_T| at psi-weight 1 against prod(d_i!) |a|^n at psi-weight 2."""
     lhs = coeff_norm(treesum_coeff(a, tree, n), WeightSystem(kappa, 1.0, h, metric))
     base = coeff_norm(a, WeightSystem(kappa, 2.0, h, metric))
     rhs = base ** n
     for d in tree_degrees(tree, n):
         rhs *= math.factorial(d)
-    return lhs, rhs, lhs <= rhs * (1 + slack)
+    return lhs, rhs, lhs <= rhs * (1 + BOUND_SLACK)
 
 
-def log_norm_bound_check(f_norm: float, h_norm: float,
-                         slack: float = 1e-9) -> tuple[float, float, bool | None]:
+def log_norm_bound_check(f_norm: float, h_norm: float) -> tuple[float, float, bool | None]:
     """Main convergence inequality: hNorm <= fNorm / (1 - 16 fNorm).
 
     fNorm is the interaction norm at psi-weight 4; hNorm the log-series
@@ -186,4 +185,4 @@ def log_norm_bound_check(f_norm: float, h_norm: float,
     if f_norm >= 1.0 / 16.0:
         return f_norm, h_norm, None
     bound = f_norm / (1.0 - 16.0 * f_norm)
-    return f_norm, h_norm, h_norm <= bound * (1 + slack)
+    return f_norm, h_norm, h_norm <= bound * (1 + BOUND_SLACK)

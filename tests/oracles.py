@@ -4,13 +4,14 @@ Each one computes the same quantity as a production routine by a slow,
 independent route: the Ursell factor from adjacency rows, Gaussian
 integrals by explicit Wick pairing, the log-partition series by literal
 expansion, kernels spread over every slot ordering, and Grassmann products
-by sorting generator lists.  Exponential cost; test scale only.
+by sorting generator lists.  Exponential cost; test scale only.  Two
+small helpers compare elements and spell masks by generator.
 """
 
 import cmath
 import itertools
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from fermicluster.algebra import GrassmannElement, canonicalize, log1p_nilpotent
 from fermicluster.berezin import LogSeries, integrate_element
@@ -164,3 +165,25 @@ def reference_product(universe: GeneratorUniverse, a: GrassmannElement,
             if sign:
                 acc[mask] = acc.get(mask, 0j) + sign * ca * cb
     return {m: c for m, c in acc.items() if c != 0}
+
+
+def allclose(a: GrassmannElement, b: GrassmannElement,
+             rel: float = 1e-12, abs_tol: float = 1e-15) -> bool:
+    """Every coefficient of ``a`` and ``b`` agrees within ``abs_tol + rel * max``."""
+    for m in set(a.terms) | set(b.terms):
+        x = a.terms.get(m, 0j)
+        y = b.terms.get(m, 0j)
+        if abs(x - y) > abs_tol + rel * max(abs(x), abs(y)):
+            return False
+    return True
+
+
+def mask_of(universe: GeneratorUniverse, indices: Sequence[GeneratorIndex]) -> int:
+    """Bitmask of a set of distinct generators (order-insensitive)."""
+    mask = 0
+    for g in indices:
+        b = universe.bit(g)
+        if mask & b:
+            raise ValueError(f"repeated generator {g!r}")
+        mask |= b
+    return mask

@@ -214,7 +214,7 @@ def test_polymer_identity_on_every_region(three_site_universe, seed, mode):
                  if sup <= region})
             literal = integrate_element(u, exp_power_series(restricted))
             inside = [s for s in engine.candidates if s <= region]
-            families = GrassmannElement.zero()
+            families = GrassmannElement()
             for n in range(len(inside) + 1):
                 for family in itertools.combinations(inside, n):
                     if sum(map(len, family)) != len(f().union(*family)):

@@ -1,10 +1,13 @@
 """Lattice model tests: operator, covariance, kernels, correlations, fits."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fermicluster import grossneveu
 from fermicluster.berezin import log_direct
 from fermicluster.clusters import ClusterOptions, assemble_b
 from fermicluster.errors import CapacityError, ConfigError
@@ -22,9 +25,13 @@ from fermicluster.grossneveu import (
     model_norms,
     quartic_kernel,
     source_kernels,
+    torus_decay_fit,
     truncated_two_point,
     universe_for,
 )
+from fermicluster.weights import WeightSystem, coeff_norm
+
+GOLDEN = Path(__file__).parent / "golden" / "gn_2x2_g0.05.json"
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +226,16 @@ def test_log_norm_inequality_at_open_gate():
     assert holds is True
 
 
+@pytest.mark.parametrize("L", [2, 3])
+def test_v1_norm_is_the_norm_of_v1(L):
+    spec = LatticeSpec(d=2, L=L)
+    model = Model.build(spec, covariance(spec, 3.0), 0.05)
+    weights = WeightSystem(kappa=0.5, h1=4.0, h2=1.0, metric=spec.metric)
+    for sources in (None, (spec.sites[0], spec.sites[-1])):
+        norms = model_norms(model, kappa=0.5, source_sites=sources)
+        assert norms["v1_norm"] == coeff_norm(model.v1.with_sources_at(sources), weights)
+
+
 def test_model_norms_rejects_kappa_at_mass(small_cov):
     spec, cov = small_cov
     with pytest.raises(ConfigError):
@@ -331,3 +348,49 @@ def test_decay_fit_needs_three_points():
         decay_fit([(0.0, 1.0), (1.0, 0.5)])
     with pytest.raises(ValueError):
         decay_fit([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+
+
+def test_torus_fit_reproduces_golden_fit():
+    payload = json.loads(GOLDEN.read_text())["payload"]
+    samples = [(tuple(site), m) for site, m in payload["correlation_samples"]]
+    fit = torus_decay_fit(samples, payload["lattice"]["L"])
+    assert {"usable": True, **fit.as_dict()} == payload["correlation_fit"]
+
+
+def test_bounded_minimum_matches_scipy_step_for_step(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    port = grossneveu._bounded_minimum
+
+    def reference(f):
+        return optimize.minimize_scalar(f, bounds=grossneveu.RATE_BOUNDS, method="bounded",
+                                        options={"xatol": grossneveu.RATE_XATOL}).x
+
+    def traced(minimize, f):
+        xs = []
+        best = minimize(lambda x: xs.append(x) or f(x))
+        return best, xs
+
+    runs = []
+
+    def both(f):
+        runs.append((traced(port, f), traced(reference, f)))
+        return runs[-1][0][0]
+
+    monkeypatch.setattr(grossneveu, "_bounded_minimum", both)
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        L = int(rng.integers(2, 6))
+        sites = [(x, y) for x in range(L) for y in range(L)]
+        picked = rng.choice(len(sites), size=int(rng.integers(3, len(sites) + 1)), replace=False)
+        kappa = rng.uniform(0.1, 4.0)
+        samples = [(sites[i], math.exp(-kappa * math.hypot(*sites[i]) + rng.normal(scale=0.3)))
+                   for i in picked]
+        torus_decay_fit(samples, L)
+    # monotone objectives: the minimum sits on the lower, then the upper bound
+    both(lambda k: k)
+    both(lambda k: -k)
+    assert len(runs) == 302
+    for (ours, our_steps), (ref, ref_steps) in runs:
+        assert ours == ref
+        assert our_steps == ref_steps
+    assert runs[-2][0][0] < 1e-5 and runs[-1][0][0] > 20.0 - 1e-5

@@ -1,12 +1,15 @@
 """Config parsing, report artifacts, pipeline orchestration, CLI dispatch."""
 
+import ast
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import fermicluster
 from fermicluster import cli
 from fermicluster.config import RunConfig, emit_config, parse_config, with_overrides
 from fermicluster.errors import CapacityError, ConfigError
@@ -19,7 +22,6 @@ from fermicluster.reports import (
     correlation_csv,
     deterministic_part,
     fresh_path,
-    parse_report,
     render_report,
 )
 
@@ -81,7 +83,7 @@ def test_report_round_trip_and_timing_isolation():
     text_b = render_report(payload, {"wall_time_s": 99.0})
     assert text_a != text_b
     assert deterministic_part(text_a) == deterministic_part(text_b)
-    doc = parse_report(text_a)
+    doc = json.loads(text_a)
     assert doc["schema_version"] == 1
     assert doc["payload"]["value"] == {"re": 1.5, "im": -0.25}
 
@@ -191,7 +193,7 @@ def test_cli_expand_writes_report(tmp_path, capsys):
     out = tmp_path / "series.json"
     assert cli.main(["expand", "--out", str(out)]) == 0
     capsys.readouterr()
-    doc = parse_report(out.read_text())
+    doc = json.loads(out.read_text())
     assert doc["payload"]["oracle"]["ran"] is True
     assert doc["payload"]["expansion"]["exact"] is True
     assert doc["payload"]["coefficients"]
@@ -303,3 +305,22 @@ def test_bench_tracer_finds_every_traced_callable(monkeypatch):
         tracer.remove()
     assert not hasattr(berezin.log_direct, "__wrapped__")
     assert not hasattr(clusters.ursell_factor, "__wrapped__")
+
+
+# --------------------------------------------------------------- packaging
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = []
+    for path in sorted(Path(fermicluster.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not outside, outside
