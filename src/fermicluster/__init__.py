@@ -4,7 +4,7 @@ The package provides four layers:
 
 * an exact finite anticommuting algebra with sign-tracked bitmask monomials,
 * Gaussian (Berezin) integration and direct log-partition-function evaluation,
-* a connected-cover cluster engine with labelled-tree and weighted-norm
+* a polymer cluster engine with labelled-tree and weighted-norm
   convergence diagnostics,
 * a lattice Gross-Neveu style application with a Wilson-type propagator,
   truncated correlation functions and decay fits.

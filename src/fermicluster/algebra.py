@@ -55,13 +55,6 @@ def prefix_parity(a: int) -> int:
     return x
 
 
-def multiply_masks(a: int, b: int) -> tuple[int, int]:
-    """Product of two canonical monomials: (mask, sign); sign 0 on collision."""
-    if a & b:
-        return 0, 0
-    return a | b, -1 if (b & prefix_parity(a)).bit_count() & 1 else 1
-
-
 def canonicalize(universe: GeneratorUniverse, indices: Iterable[GeneratorIndex]) -> tuple[int, int]:
     """Mask and permutation sign of an ordered generator product.
 

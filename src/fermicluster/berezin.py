@@ -125,13 +125,19 @@ def effective_log_integral(universe: GeneratorUniverse, f: GrassmannElement) -> 
     Requires an even exponent.  Each step integrates a single psi mode:
     ``int dmu_k exp(f) = exp(f0) (1 + u v + w)``, and the bracket is folded
     back into the exponent through its logarithm, so the working object
-    stays a log-series throughout.
+    stays a log-series throughout.  A mode that no term holds integrates to
+    1 and is skipped; elimination never adds a mode to a term.
     """
     if not f.is_even():
         raise ParityError("mode elimination needs an even exponent")
+    held = 0
+    for m in f.terms:
+        held |= m
     current = f
     for k in range(len(universe.psi_modes)):
         bar_bit, unbar_bit = universe.psi_mode_bits(k)
+        if not held & (bar_bit | unbar_bit):
+            continue
         f0, u, v, w = _split_mode(current, bar_bit, unbar_bit)
         inner = u * v + w
         s = 1 + inner.constant

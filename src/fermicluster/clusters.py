@@ -1,4 +1,4 @@
-"""Connected-cover cluster expansion of a Gaussian Grassmann integral.
+"""Polymer cluster expansion of a Gaussian Grassmann integral.
 
 The engine computes log of the normalized integral of exp(f) as a polymer
 gas.  The reference measure factorizes over sites, so the restricted
@@ -15,20 +15,21 @@ introduced anywhere; all cancellations happen through the signed bitmask
 algebra.  Everything here requires an even interaction, so activities
 commute and no interchange signs arise at the polymer level.
 
-Two activity routes are implemented.  Exact mode peels K0 off the
-restricted integrals by one anchor recursion; truncated mode sums products
-of interaction monomials over connected covers, which supports degree and
-depth caps.  They agree, which the tests check directly.
+Activities come from one route: an anchor recursion peels K0 off the
+restricted integrals.  A run is truncated when it caps the polymer size or
+the eta degree, and exact when it caps neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
-from .algebra import GrassmannElement, exp_series, multiply_masks
-from .berezin import LogSeries, effective_log_integral, integrate_element
+from .algebra import GrassmannElement, exp_series
+from .berezin import LogSeries, effective_log_integral
+# not called here; bench/tracing.py's EXPECTED_COPIES lists this binding
+from .berezin import integrate_element  # noqa: F401
 from .coeffsys import CoefficientSystem
 from .errors import CapacityError, ParityError
 from .generators import GeneratorUniverse, Site
@@ -168,15 +169,13 @@ def ursell_factor(supports: Sequence[SiteSet]) -> int:
 class ClusterOptions:
     """Caps and floors for the expansion.
 
-    mode "exact" computes activities from restricted integrals and runs the
-    polymer sum to the magnitude floor; "truncated" computes activities from
-    connected covers under the listed caps.  floor is the 1-norm below which
-    a product branch is dropped (its size is reported as the tail).
+    max_polymer_sites drops every support of more sites and eta_degree_cap
+    every term of higher eta degree; a run that sets either is truncated,
+    one that sets neither is exact.  floor is the 1-norm below which a
+    product branch is dropped (its size is reported as the tail).
     """
 
-    mode: Literal["exact", "truncated"] = "exact"
     n_max: int = 24
-    k_max: int | None = None
     floor: float = 1e-15
     max_polymer_sites: int | None = None
     eta_degree_cap: int | None = None
@@ -211,9 +210,7 @@ class ClusterEngine:
             raise ParityError("cluster expansion requires an even interaction")
         self.universe = universe
         self.options = options or ClusterOptions()
-        element = system.to_element(universe)
-        if self.options.eta_degree_cap is not None:
-            element = self._capped(element)
+        element = self._capped(system.to_element(universe))
 
         psi_block = universe.psi_block_mask
         self.pure_eta = GrassmannElement(
@@ -227,7 +224,6 @@ class ClusterEngine:
         self.candidates = self._candidate_supports()
         self._activity_cache: dict[SiteSet, GrassmannElement] = {}
         self._exp_cache: dict[SiteSet, GrassmannElement] = {}
-        self._caps_hit = False
 
     # -- support closure ---------------------------------------------------
 
@@ -244,7 +240,6 @@ class ClusterEngine:
                     if cand & seed and not cand >= seed:
                         union = cand | seed
                         if cap and len(union) > cap:
-                            self._caps_hit = True
                             continue
                         if union not in found:
                             found.add(union)
@@ -256,24 +251,19 @@ class ClusterEngine:
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     def _capped(self, el: GrassmannElement) -> GrassmannElement:
+        """``el`` without the terms of eta degree above the cap, if one is set.
+
+        Exact on the kept terms: eta degrees only add under products, and
+        integrating psi modes never removes an eta bit.
+        """
         cap = self.options.eta_degree_cap
-        psi_block = self.universe.psi_block_mask
-        out = GrassmannElement()
-        for mask, coeff in el.terms.items():
-            if (mask & ~psi_block).bit_count() <= cap:
-                out.terms[mask] = coeff
-        return out
+        if cap is None:
+            return el
+        eta_bits = ~self.universe.psi_block_mask
+        return GrassmannElement(
+            {mask: c for mask, c in el.terms.items() if (mask & eta_bits).bit_count() <= cap})
 
     # -- activities --------------------------------------------------------
-
-    def polymer_activity(self, support: SiteSet) -> GrassmannElement:
-        """K0 on one support: the part of the integral joint over exactly
-        that site set that no product of smaller disjoint pieces explains."""
-        if support not in self._activity_cache:
-            route = (self._activity_exact if self.options.mode == "exact"
-                     else self._activity_covers)
-            self._activity_cache[support] = route(support)
-        return self._activity_cache[support]
 
     def _restricted_exp(self, region: SiteSet) -> GrassmannElement:
         """Z(region): integral of exp(f restricted to supports within the region)."""
@@ -281,12 +271,12 @@ class ClusterEngine:
             f_region = GrassmannElement(
                 {mask: coeff for mask, coeff, sup in self._items if sup <= region})
             self._exp_cache[region] = (
-                exp_series(effective_log_integral(self.universe, f_region))
+                self._capped(exp_series(effective_log_integral(self.universe, f_region)))
                 if f_region.terms else GrassmannElement.one(1.0))
         return self._exp_cache[region]
 
-    def _activity_exact(self, support: SiteSet) -> GrassmannElement:
-        """K0 by the anchor recursion on restricted integrals.
+    def polymer_activity(self, support: SiteSet) -> GrassmannElement:
+        """K0 on one support, by the anchor recursion on restricted integrals.
 
         Z(X) is the sum over families of disjoint polymers inside X of the
         product of their activities.  Sorting the families by the polymer
@@ -298,60 +288,23 @@ class ClusterEngine:
         support that no connected union of interaction supports covers has
         K0 = 0, and the capped closure holds every such union up to the cap.
         """
+        if support in self._activity_cache:
+            return self._activity_cache[support]
         anchor = min(support)
         value = self._restricted_exp(support) - self._restricted_exp(support - {anchor})
         for sub in self.candidates:
             if anchor in sub and sub < support:
                 value = value - self.polymer_activity(sub) * self._restricted_exp(
                     support - sub)
-        return value.without_zeros()
-
-    def _activity_covers(self, support: SiteSet) -> GrassmannElement:
-        opts = self.options
-        sites = sorted(support)
-        site_bit = {s: i for i, s in enumerate(sites)}
-        full = (1 << len(sites)) - 1
-        items = [(mask, coeff, sum(1 << site_bit[s] for s in sup))
-                 for mask, coeff, sup in self._items if sup <= support]
-        if not items:
-            return GrassmannElement()
-        suffix = [0] * (len(items) + 1)
-        for i in range(len(items) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] | items[i][2]
-
-        acc = GrassmannElement()
-        cap = opts.eta_degree_cap
-        psi_block = self.universe.psi_block_mask
-
-        def descend(idx: int, mask: int, coeff: complex, cover: int,
-                    supports: tuple[int, ...]) -> None:
-            for j in range(idx, len(items)):
-                jmask, jcoeff, jbits = items[j]
-                if cover | suffix[j] != full:
-                    break
-                new_mask, sign = multiply_masks(mask, jmask)
-                if sign == 0:
-                    continue
-                if cap is not None and (new_mask & ~psi_block).bit_count() > cap:
-                    continue
-                new_coeff = coeff * jcoeff * sign
-                new_cover = cover | jbits
-                new_supports = supports + (jbits,)
-                if new_cover == full and len(_components(new_supports)) == 1:
-                    acc.terms[new_mask] = acc.terms.get(new_mask, 0j) + new_coeff
-                if opts.k_max is None or len(new_supports) < opts.k_max:
-                    descend(j + 1, new_mask, new_coeff, new_cover, new_supports)
-                else:
-                    self._caps_hit = True
-
-        descend(0, 0, 1.0, 0, ())
-        return integrate_element(self.universe, acc)
+        k0 = self._activity_cache[support] = self._capped(value).without_zeros()
+        return k0
 
     # -- assembly ------------------------------------------------------------
 
     def assemble(self) -> tuple[GrassmannElement, ExpansionReport]:
         opts = self.options
-        report = ExpansionReport(mode=opts.mode)
+        capped = opts.max_polymer_sites is not None or opts.eta_degree_cap is not None
+        report = ExpansionReport(mode="truncated" if capped else "exact")
         polymers: list[tuple[SiteSet, GrassmannElement, float]] = []
         for support in self.candidates:
             k0 = self.polymer_activity(support)
@@ -362,7 +315,7 @@ class ClusterEngine:
 
         total = self.pure_eta.copy()
         if not polymers:
-            report.exact = opts.mode == "exact" and not self._caps_hit
+            report.exact = not capped
             return total.without_zeros(), report
 
         shrinking = all(norm <= 1.0 for _, _, norm in polymers)
@@ -399,9 +352,7 @@ class ClusterEngine:
                             return
             for j in range(start, count):
                 support, k0, _norm = polymers[j]
-                new_product = product * k0
-                if self.options.eta_degree_cap is not None:
-                    new_product = self._capped(new_product)
+                new_product = self._capped(product * k0)
                 norm1 = _element_1norm(new_product)
                 if norm1 == 0.0:
                     continue
@@ -420,9 +371,7 @@ class ClusterEngine:
                 )
 
         descend(0, (), GrassmannElement.one(1.0), 1.0, {})
-        report.exact = (
-            opts.mode == "exact" and not self._caps_hit and report.exact
-        )
+        report.exact = not capped and report.exact
         return total.without_zeros(), report
 
 

@@ -34,7 +34,6 @@ class RunConfig:
     kappa: float = 0.5
     metric: str = "euclidean"
     n_max: int = 30
-    k_max: int = 8
     max_diameter: int = 2
     floor: float = 1e-9
     eta_cap: int = 2
@@ -58,7 +57,7 @@ class RunConfig:
             raise ConfigError("weights.h1 and weights.h2 must be positive")
         if self.metric not in _METRICS:
             raise ConfigError(f"weights.metric must be one of {_METRICS}")
-        for name in ("n_max", "k_max", "max_diameter", "eta_cap"):
+        for name in ("n_max", "max_diameter", "eta_cap"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"expansion.{name} must be >= 1")
         if not 0 < self.floor < 1:
@@ -78,7 +77,6 @@ _SCHEMA: dict[str, tuple[str, type]] = {
     "weights.kappa": ("kappa", float),
     "weights.metric": ("metric", str),
     "expansion.n_max": ("n_max", int),
-    "expansion.k_max": ("k_max", int),
     "expansion.max_diameter": ("max_diameter", int),
     "expansion.floor": ("floor", float),
     "expansion.eta_cap": ("eta_cap", int),

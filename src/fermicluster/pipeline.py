@@ -50,11 +50,9 @@ def lattice_objects(cfg: RunConfig) -> tuple[LatticeSpec, Covariance]:
 
 def engine_options(cfg: RunConfig) -> ClusterOptions:
     if cfg.mode == "exact":
-        return ClusterOptions(mode="exact", n_max=cfg.n_max)
+        return ClusterOptions(n_max=cfg.n_max)
     return ClusterOptions(
-        mode="truncated",
         n_max=cfg.n_max,
-        k_max=cfg.k_max,
         floor=cfg.floor,
         max_polymer_sites=cfg.max_diameter,
         eta_degree_cap=cfg.eta_cap,

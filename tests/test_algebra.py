@@ -11,7 +11,6 @@ from fermicluster.algebra import (
     canonicalize,
     exp_series,
     log1p_nilpotent,
-    multiply_masks,
     prefix_parity,
 )
 from fermicluster.errors import CapacityError, ParityError
@@ -106,13 +105,6 @@ def test_canonicalize_matches_bubble_sort(positions):
     else:
         assert mask == mask_of_positions(positions)
         assert sign == bubble_sign(positions)
-
-
-def test_multiply_masks_collision():
-    assert multiply_masks(0b11, 0b10) == (0, 0)
-    assert multiply_masks(0b01, 0b10) == (0b11, 1)
-    # bit 1 then bit 0 needs one transposition
-    assert multiply_masks(0b10, 0b01) == (0b11, -1)
 
 
 # ------------------------------------------------------------------ algebra

@@ -144,6 +144,23 @@ def test_eliminate_matches_expand_on_random_even_input(seed):
     assert a.element.is_even()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_elimination_skips_modes_no_term_holds(seed):
+    """Modes 1 and 3 appear in no term, and mode 4 through one generator
+    only: a mode is skipped only when neither of its generators appears."""
+    rng = np.random.default_rng(200 + seed)
+    u = universe_n(5, n_eta=2)
+    untouched = sum(bit for k in (1, 3) for bit in u.psi_mode_bits(k))
+    untouched |= u.psi_mode_bits(4)[seed % 2]
+    f = GrassmannElement()
+    while len(f) < 8:
+        mask = int(rng.integers(1, 1 << u.n_bits)) & ~untouched
+        if mask and mask.bit_count() % 2 == 0:
+            f = f + GrassmannElement({mask: 0.4 * float(rng.normal())})
+    got = effective_log_integral(u, f)
+    assert allclose(got, log_expand(u, f).element, rel=1e-9, abs_tol=1e-11)
+
+
 def test_pure_eta_part_passes_through():
     u = universe_n(2, n_eta=2)
     eta_pair = mask_of(u, [eta((0,), 0, 0, bar=True), eta((0,), 0, 0)])

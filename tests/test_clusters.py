@@ -27,6 +27,13 @@ def _max_abs(element) -> float:
     return max((abs(c) for c in element.terms.values()), default=0.0)
 
 
+def _eta_capped(u, element, cap):
+    """``element`` without the terms of eta degree above ``cap`` (None: all kept)."""
+    eta_bits = ~u.psi_block_mask
+    return GrassmannElement({m: c for m, c in element.terms.items()
+                             if cap is None or (m & eta_bits).bit_count() <= cap})
+
+
 # ------------------------------------------------------------------ graphs
 
 
@@ -136,7 +143,7 @@ def test_disjoint_polymers_add_logs():
 # ------------------------------------------------------------ random systems
 
 
-def _random_even_system(rng, sites, eta_sites, scale=0.2):
+def _random_even_system(rng, sites, eta_sites, scale=0.2, n_source=4):
     system = CoefficientSystem()
     psis = [psi(s, bar=b) for s in sites for b in (True, False)]
     etas = [eta(s, bar=b) for s in eta_sites for b in (True, False)]
@@ -146,7 +153,7 @@ def _random_even_system(rng, sites, eta_sites, scale=0.2):
     for _ in range(4):
         a, b, c, d = rng.sample(psis, 4)
         system.add((a, b, c, d), (), scale * (rng.random() - 0.5))
-    for _ in range(4):
+    for _ in range(n_source):
         a = rng.choice(psis)
         e = rng.choice(etas)
         system.add((a,), (e,), scale * (rng.random() - 0.5))
@@ -182,27 +189,34 @@ def test_assembly_matches_direct_log(three_site_universe, seed):
     assert series.element.is_even()
 
 
-def test_activity_routes_agree(three_site_universe):
+@pytest.mark.parametrize("seed", [0, 9, 27])
+def test_capped_activity_is_restricted_activity(three_site_universe, seed):
+    """An eta degree cap keeps exactly the low-degree terms of every K0."""
     sites, eta_sites, u = three_site_universe
-    rng = random.Random(3)
-    system = _random_even_system(rng, sites, eta_sites)
-    exact_engine = ClusterEngine(u, system, ClusterOptions(mode="exact"))
-    cover_engine = ClusterEngine(u, system, ClusterOptions(mode="truncated"))
-    assert exact_engine.candidates == cover_engine.candidates
-    assert len(exact_engine.candidates) >= 3
-    for support in exact_engine.candidates:
-        diff = exact_engine.polymer_activity(support) - cover_engine.polymer_activity(support)
-        assert _max_abs(diff) < 1e-12
+    # twice the default psi-eta terms: these seeds reach eta degree 4
+    system = _random_even_system(random.Random(seed), sites, eta_sites, n_source=8)
+    full = ClusterEngine(u, system)
+    capped = ClusterEngine(u, system, ClusterOptions(eta_degree_cap=2))
+    assert capped.candidates == full.candidates
+    assert len(full.candidates) >= 3
+    dropped = 0
+    for support in full.candidates:
+        k0 = full.polymer_activity(support)
+        kept = _eta_capped(u, k0, 2)
+        dropped += len(k0) - len(kept)
+        assert _max_abs(capped.polymer_activity(support) - kept) < 1e-12
+    assert dropped  # the cap bites
 
 
-@pytest.mark.parametrize("mode", ["exact", "truncated"])
+@pytest.mark.parametrize("eta_cap", [None, 2], ids=["exact", "truncated"])
 @pytest.mark.parametrize("seed", [7, 21])
-def test_polymer_identity_on_every_region(three_site_universe, seed, mode):
+def test_polymer_identity_on_every_region(three_site_universe, seed, eta_cap):
     """Z(X), the integral of exp(f|X) by the literal route, equals the sum
-    over families of disjoint candidates in X of their activities' product."""
+    over families of disjoint candidates in X of their activities' product;
+    under an eta degree cap, both sides agree on the kept terms."""
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(seed), sites, eta_sites)
-    engine = ClusterEngine(u, system, ClusterOptions(mode=mode))
+    engine = ClusterEngine(u, system, ClusterOptions(eta_degree_cap=eta_cap))
     element = system.to_element(u)
     psi_block = u.psi_block_mask
     supports = {mask: f(g.site for g in u.indices_of(mask & psi_block))
@@ -223,7 +237,8 @@ def test_polymer_identity_on_every_region(three_site_universe, seed, mode):
                     for s in family:
                         product = product * engine.polymer_activity(s)
                     families = families + product
-            assert _max_abs(families - literal) < 1e-12, (region, mode)
+            diff = _eta_capped(u, families - literal, eta_cap)
+            assert _max_abs(diff) < 1e-12, (region, eta_cap)
 
 
 def test_disjoint_systems_factorize():
@@ -270,22 +285,23 @@ def test_single_quadratic_activity_is_plain_coefficient():
 def test_truncated_mode_never_reports_exact(three_site_universe):
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(2), sites, eta_sites)
-    _, report = assemble_b(u, system, ClusterOptions(mode="truncated", k_max=3))
-    assert not report.exact
+    for options in (ClusterOptions(max_polymer_sites=3), ClusterOptions(eta_degree_cap=4)):
+        _, report = assemble_b(u, system, options)
+        assert report.mode == "truncated"
+        assert not report.exact
 
 
 def test_eta_cap_exact_on_retained_sector(three_site_universe):
     sites, eta_sites, u = three_site_universe
-    system = _random_even_system(random.Random(31), sites, eta_sites)
+    system = _random_even_system(random.Random(31), sites, eta_sites, n_source=8)
     full, _ = assemble_b(u, system, ClusterOptions(n_max=40, floor=1e-16))
     capped, _ = assemble_b(
         u,
         system,
-        ClusterOptions(
-            mode="truncated", n_max=40, floor=1e-16, eta_degree_cap=2
-        ),
+        ClusterOptions(n_max=40, floor=1e-16, eta_degree_cap=2),
     )
     psi_block = u.psi_block_mask
+    assert max((m & ~psi_block).bit_count() for m in full.element.terms) > 2
     for mask, coeff in full.element.terms.items():
         eta_degree = (mask & ~psi_block).bit_count()
         got = capped.element.terms.get(mask, 0j)

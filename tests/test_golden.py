@@ -3,7 +3,8 @@
 The snapshot under tests/golden/ is the full deterministic report payload.
 Any behavioural drift in the covariance, the expansion engine, the norms, or
 the report layout shows up here as a named mismatch path.  Regenerate the
-snapshot with scripts/refresh_golden.py only for intentional changes.
+snapshot with scripts/refresh_golden.py only for intentional changes.  The
+truncated 3x3 run is held to the benchmark's stored reference the same way.
 
 Float leaves are compared at relative 1e-9 (absolute floor 1e-12) so the
 check tolerates last-ulp jitter across BLAS builds but nothing larger.
@@ -17,6 +18,11 @@ from fermicluster.pipeline import run_experiment
 from fermicluster.reports import deterministic_part, render_report
 
 GOLDEN = Path(__file__).parent / "golden" / "gn_2x2_g0.05.json"
+TRUNCATED_REFERENCE = (Path(__file__).parent.parent / "bench" / "reference"
+                       / "truncated-3x3.json")
+#: Result fields the benchmark's correctness gate compares.
+RESULT_FIELDS = ("covariance", "norms", "log_norm_bound", "correlations",
+                 "correlation_samples", "correlation_fit")
 
 REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
@@ -55,3 +61,13 @@ def test_golden_report_matches():
     problems: list[str] = []
     _mismatches(golden, current, "report", problems)
     assert not problems, "golden report drift:\n" + "\n".join(problems[:20])
+
+
+def test_truncated_3x3_matches_bench_reference():
+    reference = json.loads(TRUNCATED_REFERENCE.read_text())["payload"]
+    payload, timing = run_experiment(RunConfig(L=3, m_f=3.0, g=0.05, mode="truncated"))
+    current = json.loads(render_report(payload, timing))["payload"]
+    problems: list[str] = []
+    for field in RESULT_FIELDS:
+        _mismatches(reference[field], current[field], field, problems)
+    assert not problems, "truncated 3x3 drift:\n" + "\n".join(problems[:20])

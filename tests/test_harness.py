@@ -60,6 +60,7 @@ def test_config_comments_and_assignments():
     ("run.mode = sideways", "run.mode"),
     ("model.g = -0.1", "g >= 0"),
     ("weights.metric = l1", "weights.metric"),
+    ("expansion.k_max = 8", "unknown key"),
 ])
 def test_config_rejections(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
