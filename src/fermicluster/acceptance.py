@@ -7,6 +7,7 @@ them in to share the work.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -40,13 +41,7 @@ from .pipeline import (
     series_deviation,
 )
 from .reports import render_report
-from .trees import (
-    cayley_count,
-    count_trees_with_degrees,
-    degree_sequences,
-    enumerate_trees,
-    majorant_partial_sum,
-)
+from .trees import cayley_count, enumerate_trees, majorant_partial_sum, tree_degrees
 from .weights import (
     TorusMetric,
     WeightSystem,
@@ -212,12 +207,15 @@ def criterion_5_tree_convolution_bound() -> CheckResult:
 def criterion_6_tree_counts() -> CheckResult:
     failures = []
     for n in range(2, 8):
-        count = len(enumerate_trees(n))
-        if count != cayley_count(n):
-            failures.append(f"n={n}: enumerated {count} != {cayley_count(n)}")
-        by_degrees = sum(count_trees_with_degrees(seq) for seq in degree_sequences(n))
-        if by_degrees != cayley_count(n):
-            failures.append(f"n={n}: degree-sequence total {by_degrees}")
+        trees = enumerate_trees(n)
+        if len(trees) != cayley_count(n):
+            failures.append(f"n={n}: enumerated {len(trees)} != {cayley_count(n)}")
+        # the count behind criterion 4's majorant terms
+        weighted = sum(math.prod(math.factorial(d) for d in tree_degrees(tree, n))
+                       for tree in trees)
+        closed = math.factorial(n - 2) * math.comb(3 * n - 3, n - 2)
+        if weighted != closed:
+            failures.append(f"n={n}: sum of prod d_i! {weighted} != {closed}")
     passed = not failures
     details = "; ".join(failures) if failures else "n=2..7 labelled tree counts exact"
     return CheckResult(6, "labelled tree counts", passed, details)
@@ -314,23 +312,20 @@ def criterion_11_determinism() -> CheckResult:
 def run_checklist(level: str = "full") -> list[CheckResult]:
     """Quick level: combinatorial and norm identities plus the parity guards;
     full adds the engine and model criteria."""
-    if level == "quick":
-        return [
-            criterion_3_norm_examples(),
-            criterion_4_majorant(),
-            criterion_5_tree_convolution_bound(),
-            criterion_6_tree_counts(),
-            criterion_7_parity_guards(),
-        ]
-    runs = _oracle_runs()
-    return [
-        criterion_1_oracle_equivalence(runs),
-        criterion_2_log_norm_bound(runs),
+    quick = [
         criterion_3_norm_examples(),
         criterion_4_majorant(),
         criterion_5_tree_convolution_bound(),
         criterion_6_tree_counts(),
         criterion_7_parity_guards(),
+    ]
+    if level == "quick":
+        return quick
+    runs = _oracle_runs()
+    return [
+        criterion_1_oracle_equivalence(runs),
+        criterion_2_log_norm_bound(runs),
+        *quick,
         criterion_8_free_theory_reduction(),
         criterion_9_covariance_decay(),
         criterion_10_interacting_decay(),

@@ -314,16 +314,11 @@ class ClusterEngine:
         report.polymer_count = len(polymers)
 
         total = self.pure_eta.copy()
-        if not polymers:
-            report.exact = not capped
-            return total.without_zeros(), report
-
         shrinking = all(norm <= 1.0 for _, _, norm in polymers)
         count = len(polymers)
 
         def descend(start: int, supports: tuple[SiteSet, ...],
-                    product: GrassmannElement, weight: float,
-                    mults: dict[int, int]) -> None:
+                    product: GrassmannElement, weight: float, run: int) -> None:
             depth = len(supports)
             report.n_reached = max(report.n_reached, depth)
             if depth:
@@ -360,17 +355,12 @@ class ClusterEngine:
                     report.tail = max(report.tail, norm1)
                     if shrinking:
                         continue
-                new_mults = dict(mults)
-                new_mults[j] = new_mults.get(j, 0) + 1
-                descend(
-                    j,
-                    supports + (support,),
-                    new_product,
-                    weight / new_mults[j],
-                    new_mults,
-                )
+                # indices never decrease, so polymer j's multiplicity is
+                # the length of the trailing run of j
+                copies = run + 1 if j == start else 1
+                descend(j, supports + (support,), new_product, weight / copies, copies)
 
-        descend(0, (), GrassmannElement.one(1.0), 1.0, {})
+        descend(0, (), GrassmannElement.one(1.0), 1.0, 0)
         report.exact = not capped and report.exact
         return total.without_zeros(), report
 

@@ -9,6 +9,7 @@ gives an identical config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,6 +42,9 @@ class RunConfig:
     out: str = ""
 
     def __post_init__(self):
+        for key, (attr, cast) in _SCHEMA.items():
+            if cast is float and not math.isfinite(getattr(self, attr)):
+                raise ConfigError(f"{key} must be finite")
         if self.d < 2:
             raise ConfigError("lattice.d must satisfy d >= 2")
         if self.L < 2:

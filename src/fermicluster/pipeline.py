@@ -17,13 +17,13 @@ the full statement as well.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .berezin import LogSeries, log_direct
 from .clusters import ClusterOptions, ExpansionReport, assemble_b
 from .coeffsys import CoefficientSystem
 from .config import RunConfig
-from .errors import CapacityError
+from .errors import CapacityError, ConfigError
 from .generators import Site
 from .grossneveu import (
     Covariance,
@@ -60,8 +60,17 @@ def engine_options(cfg: RunConfig) -> ClusterOptions:
 
 
 def check_exact_capacity(cfg: RunConfig, spec: LatticeSpec) -> None:
-    """Refuse exact mode where the exact engine and the oracle cannot finish."""
-    if cfg.mode == "exact" and spec.n_sites * spec.spinor_dim * spec.N > EXACT_MODE_PSI_LIMIT:
+    """Refuse exact mode where the exact engine and the oracle cannot finish,
+    or where the config sets a truncation key that exact mode would ignore."""
+    if cfg.mode != "exact":
+        return
+    for field in fields(RunConfig):
+        if (field.name in ("max_diameter", "eta_cap", "floor")
+                and getattr(cfg, field.name) != field.default):
+            raise ConfigError(
+                f"expansion.{field.name} applies only to run.mode = truncated; "
+                f"drop it from the config or run truncated")
+    if spec.n_sites * spec.spinor_dim * spec.N > EXACT_MODE_PSI_LIMIT:
         raise CapacityError(
             f"exact mode handles up to {EXACT_MODE_PSI_LIMIT} psi modes; got "
             f"{spec.n_sites} sites x {spec.spinor_dim} spinor x {spec.N} flavors; "

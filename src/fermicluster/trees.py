@@ -1,16 +1,14 @@
-"""Labelled-tree enumeration and the degree-sequence majorant.
+"""Labelled-tree enumeration and the tree-sum majorant.
 
 Trees on vertices 0..n-1 are represented as frozensets of sorted edge
 pairs.  Enumeration goes through Prufer sequences, so the Cayley count
-n^(n-2) holds by construction; degree-sequence counting gives the same
-total through the multinomial identity and is checked in the tests.
+n^(n-2) holds by construction.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterable, Iterator
 
 from .errors import CapacityError
 
@@ -65,74 +63,19 @@ def tree_degrees(edges: TreeEdges, n: int) -> tuple[int, ...]:
     return tuple(deg)
 
 
-def degree_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """All (d_1..d_n) with d_i >= 1 summing to 2(n-1): tree degree profiles."""
-    if n == 1:
-        yield (0,)
-        return
-    target = 2 * (n - 1)
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            if 1 <= remaining:
-                yield tuple(prefix + [remaining])
-            return
-        # leave at least 1 per remaining slot
-        for d in range(1, remaining - (slots - 1) + 1):
-            yield from rec(prefix + [d], remaining - d, slots - 1)
-
-    yield from rec([], target, n)
-
-
-def count_trees_with_degrees(degrees: Iterable[int]) -> int:
-    """Number of labelled trees with the given degree sequence.
-
-    Multinomial (n-2)! / prod (d_i - 1)!; zero for impossible profiles.
-    """
-    degrees = tuple(degrees)
-    n = len(degrees)
-    if n == 1:
-        return 1 if degrees == (0,) else 0
-    if any(d < 1 for d in degrees) or sum(degrees) != 2 * (n - 1):
-        return 0
-    count = math.factorial(n - 2)
-    for d in degrees:
-        count //= math.factorial(d - 1)
-    return count
-
-
-def _fixed_length_partitions(total: int, length: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing tuples of ``length`` parts >= smallest summing to total."""
-    if length == 1:
-        if total >= smallest:
-            yield (total,)
-        return
-    for first in range(smallest, total // length + 1):
-        for rest in _fixed_length_partitions(total - first, length - 1, first):
-            yield (first,) + rest
-
-
 def majorant_term(n: int, eps: float) -> float:
     """Order-n contribution to the tree-sum majorant.
 
-    eps^n / (n-1)! times the sum over degree sequences of
-    (number of trees with that profile) * prod d_i!.  Degree sequences
-    are grouped by partition so large n stays cheap.
+    eps^n / (n-1)! times the sum over labelled trees on n vertices of
+    prod d_i!.  A degree profile d has (n-2)! / prod (d_i - 1)! trees, so
+    the sum is (n-2)! times the sum of prod d_i over compositions of
+    2(n-1) into n positive parts.  That sum is the coefficient of
+    x^(n-2) in (1-x)^(-2n), which is C(3n-3, n-2).  Its growth rate
+    27/4 < 8 is why ``majorant_limit`` holds for eps < 1/8.
     """
     if n < 2:
         raise ValueError("terms start at two vertices")
-    total = 0
-    for part in _fixed_length_partitions(2 * (n - 1), n):
-        mults: dict[int, int] = {}
-        for d in part:
-            mults[d] = mults.get(d, 0) + 1
-        arrangements = math.factorial(n)
-        for m in mults.values():
-            arrangements //= math.factorial(m)
-        weight = count_trees_with_degrees(part)
-        for d in part:
-            weight *= math.factorial(d)
-        total += arrangements * weight
+    total = math.factorial(n - 2) * math.comb(3 * n - 3, n - 2)
     return (eps ** n) * total / math.factorial(n - 1)
 
 

@@ -61,6 +61,8 @@ def test_config_comments_and_assignments():
     ("model.g = -0.1", "g >= 0"),
     ("weights.metric = l1", "weights.metric"),
     ("expansion.k_max = 8", "unknown key"),
+    ("model.g = nan", "model.g must be finite"),
+    ("weights.h1 = inf", "weights.h1 must be finite"),
 ])
 def test_config_rejections(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -257,6 +259,23 @@ def test_exact_mode_refuses_more_than_eight_psi_modes(tmp_path, capsys):
     assert cli.main(["expand", "--config", str(path), "--mode", "exact"]) == 3
     assert time.perf_counter() - started < 10.0
     assert "capacity error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["expansion.max_diameter = 3", "expansion.eta_cap = 1",
+                                  "expansion.floor = 1e-12"])
+def test_exact_mode_refuses_truncation_keys(text, tmp_path, capsys):
+    path = tmp_path / "capped.cfg"
+    path.write_text(text + "\n")
+    assert cli.main(["expand", "--config", str(path)]) == 2
+    assert "applies only to run.mode = truncated" in capsys.readouterr().err
+
+
+def test_truncation_keys_run_under_truncated_override(tmp_path, capsys):
+    path = tmp_path / "capped.cfg"
+    path.write_text("expansion.max_diameter = 3\n")
+    assert cli.main(["expand", "--config", str(path), "--mode", "truncated"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["payload"]["expansion"]["exact"] is False
 
 
 def test_cli_missing_config_file(capsys):

@@ -6,8 +6,6 @@ import pytest
 from fermicluster.errors import CapacityError
 from fermicluster.trees import (
     cayley_count,
-    count_trees_with_degrees,
-    degree_sequences,
     enumerate_trees,
     majorant_limit,
     majorant_partial_sum,
@@ -54,20 +52,7 @@ def test_enumeration_matches_brute_force(n):
 
 @pytest.mark.parametrize("n", list(range(2, 8)))
 def test_cayley_and_degree_sum_identity(n):
-    assert cayley_count(n) == n ** (n - 2) if n > 2 else 1
-    total = sum(count_trees_with_degrees(d) for d in degree_sequences(n))
-    assert total == cayley_count(n)
-
-
-def test_per_profile_counts_match_enumeration():
-    n = 5
-    by_profile = {}
-    for t in enumerate_trees(n):
-        by_profile.setdefault(tree_degrees(t, n), 0)
-        by_profile[tree_degrees(t, n)] += 1
-    for profile, count in by_profile.items():
-        assert count_trees_with_degrees(profile) == count
-    assert set(by_profile) == set(degree_sequences(n))
+    assert cayley_count(n) == n ** (n - 2)
 
 
 def test_prufer_star_and_path():
@@ -80,13 +65,6 @@ def test_prufer_star_and_path():
 def test_enumeration_capacity_guard():
     with pytest.raises(CapacityError):
         enumerate_trees(9)
-
-
-def test_invalid_degree_profiles_count_zero():
-    assert count_trees_with_degrees((0, 1)) == 0
-    assert count_trees_with_degrees((1, 1, 1)) == 0  # sums to 3, needs 4
-    assert count_trees_with_degrees((3, 1, 1, 1)) == 1  # the star
-    assert count_trees_with_degrees((1, 1)) == 1
 
 
 def test_majorant_terms_by_hand():
@@ -104,14 +82,41 @@ def test_majorant_term_closed_form(n):
     assert majorant_term(n, eps) == pytest.approx(expected, rel=1e-12)
 
 
-def test_majorant_term_matches_full_enumeration():
+@pytest.mark.parametrize("n", list(range(2, 8)))
+def test_majorant_term_matches_full_enumeration(n):
     eps = 0.03
-    for n in (3, 4, 5):
-        direct = sum(
-            count_trees_with_degrees(d) * math.prod(math.factorial(x) for x in d)
-            for d in degree_sequences(n)
-        ) * eps ** n / math.factorial(n - 1)
-        assert majorant_term(n, eps) == pytest.approx(direct, rel=1e-12)
+    total = sum(math.prod(math.factorial(d) for d in tree_degrees(t, n))
+                for t in enumerate_trees(n))
+    assert majorant_term(n, eps) == (eps ** n) * total / math.factorial(n - 1)
+
+
+# Pinned from the degree-profile enumeration the closed form replaced;
+# the integer sum is the same, so the floats must match bit for bit.
+@pytest.mark.parametrize("eps,expected", [
+    (0.01, 0.010103125773),
+    (0.05, 0.052971453125000005),
+    (0.1, 0.11502300000000001),
+    (0.12, 0.144256069632),
+])
+def test_majorant_partial_sum_pinned(eps, expected):
+    assert majorant_partial_sum(eps, 6) == expected
+
+
+@pytest.mark.parametrize("n,expected", [
+    (2, 0.010000000000000002),
+    (3, 0.003000000000000001),
+    (4, 0.0012000000000000003),
+    (5, 0.0005500000000000001),
+    (6, 0.0002730000000000001),
+    (7, 0.00014280000000000006),
+    (8, 7.752000000000003e-05),
+    (9, 4.326300000000002e-05),
+    (10, 2.4667500000000014e-05),
+    (11, 1.4307150000000008e-05),
+    (12, 8.414640000000005e-06),
+])
+def test_majorant_term_pinned(n, expected):
+    assert majorant_term(n, 0.1) == expected
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1, 0.12])
