@@ -11,12 +11,13 @@ canonical order costs ``popcount(b & prefix_parity(a)) & 1`` transpositions
 (the Jordan-Wigner string of each bit of ``b``).  The prefix is computed once
 per left monomial and the sign of each pair is a single popcount.
 
-Products take one of two routes by operand size.  Below ``VECTOR_MIN_PAIRS``
-pair visits a Python loop runs over every pair.  From there on the masks are
-split into 64-bit words and the collision test and sign run over blocks of
-left rows in numpy; the surviving pairs are then accumulated in the same
-(left, right) order as the loop, so both routes give identical terms in
-identical key order.
+Products take one of two routes.  A product of at least ``VECTOR_MIN_PAIRS``
+pair visits whose masks all lie below bit 64 runs the collision test and
+sign over blocks of left rows in numpy, one ``uint64`` per mask; every other
+product runs a Python loop over every pair, which takes masks of any width.
+The numpy route accumulates the surviving pairs in the same (left, right)
+order as the loop, so both routes give identical terms in identical key
+order.
 """
 
 from __future__ import annotations
@@ -34,15 +35,13 @@ from .generators import GeneratorIndex, GeneratorUniverse
 VECTOR_MIN_PAIRS = 512
 #: Pairs tested per numpy block; bounds the temporaries of one block.
 _BLOCK_PAIRS = 1 << 13
-_WORD_BITS = 64
-_WORD = (1 << _WORD_BITS) - 1
 
 
 def prefix_parity(a: int) -> int:
     """Mask whose bit j is the parity of the bits of ``a`` above j.
 
-    Covers masks of up to 128 bits, the psi plus eta capacity.  Applied to
-    a uint64 array it gives each word's prefix within that word alone.
+    Covers masks of up to 128 bits, the psi plus eta capacity, and works
+    elementwise on a uint64 array of masks below bit 64.
     """
     x = a >> 1
     x ^= x >> 1
@@ -72,61 +71,40 @@ def canonicalize(universe: GeneratorUniverse, indices: Iterable[GeneratorIndex])
     return mask, sign
 
 
-def _words(masks: list[int], n_words: int) -> list[np.ndarray]:
-    """``masks`` as ``n_words`` uint64 arrays, least significant word first."""
-    if n_words == 1:
-        return [np.array(masks, dtype=np.uint64)]
-    return [np.array([(m >> (_WORD_BITS * w)) & _WORD for m in masks], dtype=np.uint64)
-            for w in range(n_words)]
-
-
 def _vector_products(a: dict[int, complex], b: dict[int, complex]):
     """Non-vanishing pair products of ``a`` x ``b`` in (left, right) order.
 
-    Yields one ``(masks, coefficients)`` pair of lists per block of left
-    rows.  The coefficient product is spelled out in real arithmetic, the
-    same operations as Python's complex multiply, so the values match the
-    loop route bit for bit.
+    Every mask of both operands must lie below bit 64.  Yields one
+    ``(masks, coefficients)`` pair of lists per block of left rows.  The
+    coefficient product is spelled out in real arithmetic, the same
+    operations as Python's complex multiply, so the values match the loop
+    route bit for bit.
     """
-    ka = list(a)
-    kb = list(b)
-    n_words = max(1, (max(max(ka), max(kb)).bit_length() + _WORD_BITS - 1) // _WORD_BITS)
-    wa = _words(ka, n_words)
-    wb = _words(kb, n_words)
-    if n_words == 1:
-        wp = [prefix_parity(wa[0])]
-    else:
-        wp = _words([prefix_parity(m) for m in ka], n_words)
+    wa = np.array(list(a), dtype=np.uint64)
+    wb = np.array(list(b), dtype=np.uint64)
+    wp = prefix_parity(wa)
     ca = np.array(list(a.values()), dtype=np.complex128)
     cb = np.array(list(b.values()), dtype=np.complex128)
     ar, ai, br, bi = ca.real, ca.imag, cb.real, cb.imag
-    na, nb = len(ka), len(kb)
+    na, nb = len(wa), len(wb)
     rows = max(1, _BLOCK_PAIRS // nb)
     cols = min(nb, _BLOCK_PAIRS)
     for i0 in range(0, na, rows):
         for j0 in range(0, nb, cols):
             left = slice(i0, i0 + rows)
             right = slice(j0, j0 + cols)
-            free = (wa[0][left, None] & wb[0][None, right]) == 0
-            for w in range(1, n_words):
-                free &= (wa[w][left, None] & wb[w][None, right]) == 0
+            free = (wa[left, None] & wb[None, right]) == 0
             ii, jj = np.nonzero(free)
             if not len(ii):
                 continue
             ii += i0
             jj += j0
-            odd = np.bitwise_count(wb[0][jj] & wp[0][ii])
-            for w in range(1, n_words):
-                odd += np.bitwise_count(wb[w][jj] & wp[w][ii])
+            odd = np.bitwise_count(wb[jj] & wp[ii])
             flip = 1.0 - 2.0 * (odd & 1)
             c = np.empty(len(ii), dtype=np.complex128)
             c.real = (ar[ii] * br[jj] - ai[ii] * bi[jj]) * flip
             c.imag = (ar[ii] * bi[jj] + ai[ii] * br[jj]) * flip
-            if n_words == 1:
-                masks = (wa[0][ii] | wb[0][jj]).tolist()
-            else:
-                masks = [ka[i] | kb[j] for i, j in zip(ii.tolist(), jj.tolist())]
-            yield masks, c.tolist()
+            yield (wa[ii] | wb[jj]).tolist(), c.tolist()
 
 
 class GrassmannElement:
@@ -210,7 +188,7 @@ class GrassmannElement:
         out = GrassmannElement()
         acc = out.terms
         a, b = self.terms, other.terms
-        if len(a) * len(b) >= VECTOR_MIN_PAIRS:
+        if len(a) * len(b) >= VECTOR_MIN_PAIRS and (max(a) | max(b)) >> 64 == 0:
             for masks, coeffs in _vector_products(a, b):
                 for m, c in zip(masks, coeffs):
                     v = acc.get(m, 0j) + c

@@ -18,7 +18,7 @@ from .config import RunConfig, load_config, with_overrides
 from .errors import CapacityError, ConfigError
 from .grossneveu import model_norms
 from .pipeline import (
-    check_exact_capacity,
+    check_capacity,
     covariance_report,
     lattice_model,
     lattice_objects,
@@ -74,7 +74,7 @@ def cmd_expand(args) -> int:
     cfg = _load(args)
     started = time.perf_counter()
     spec, cov = lattice_objects(cfg)
-    check_exact_capacity(cfg, spec)
+    check_capacity(cfg, spec)
     model = lattice_model(cfg, spec, cov)
     y1, y2 = spec.sites[0], spec.sites[-1]
     series, report = pair_series(cfg, spec, model, y1, y2)

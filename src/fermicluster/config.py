@@ -10,6 +10,7 @@ gives an identical config.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -53,6 +54,9 @@ class RunConfig:
             raise ConfigError("lattice.N must satisfy N >= 1")
         if self.g < 0:
             raise ConfigError("model.g must satisfy g >= 0")
+        # the two-point function divides by g * g, which underflows to 0.0
+        if self.g > 0 and self.g * self.g < sys.float_info.min:
+            raise ConfigError("model.g is too small: g * g underflows")
         if self.m_f <= 0:
             raise ConfigError("model.m_f must satisfy m_f > 0")
         if not 0 < self.kappa < self.m_f:

@@ -335,16 +335,14 @@ def truncated_two_point(series: LogSeries, g: float, y1: Site, y2: Site,
     return bracket / (g * g)
 
 
-def correlation_rows(series: LogSeries, g: float, spec: LatticeSpec,
-                     origin: Site | None = None) -> list[dict]:
-    """Truncated two-point table from one anchor site to every site.
+def correlation_rows(series: LogSeries, g: float, spec: LatticeSpec) -> list[dict]:
+    """Truncated two-point table from the origin ``spec.sites[0]`` to every site.
 
     One row per (site, spinor pair, flavor); distances use the torus
     metric.  Only flavor-diagonal channels appear, the off-diagonal ones
     vanish identically for this action.
     """
-    if origin is None:
-        origin = spec.sites[0]
+    origin = spec.sites[0]
     metric = spec.metric
     rows = []
     eta_sites = {gidx.site for gidx in series.universe.generators()

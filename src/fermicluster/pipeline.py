@@ -59,9 +59,11 @@ def engine_options(cfg: RunConfig) -> ClusterOptions:
     )
 
 
-def check_exact_capacity(cfg: RunConfig, spec: LatticeSpec) -> None:
-    """Refuse exact mode where the exact engine and the oracle cannot finish,
-    or where the config sets a truncation key that exact mode would ignore."""
+def check_capacity(cfg: RunConfig, spec: LatticeSpec) -> None:
+    """Refuse a lattice whose psi modes do not fit the bit capacity, exact
+    mode where the exact engine and the oracle cannot finish, and a
+    truncation key that exact mode would ignore; before any kernel is built."""
+    universe_for(spec, ())
     if cfg.mode != "exact":
         return
     for field in fields(RunConfig):
@@ -234,7 +236,7 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, dict]:
     from .reports import config_hash
     started = time.perf_counter()
     spec, cov = lattice_objects(cfg)
-    check_exact_capacity(cfg, spec)
+    check_capacity(cfg, spec)
     model = lattice_model(cfg, spec, cov)
     norms = model_norms(model, kappa=cfg.kappa, h1=cfg.h1, h2=cfg.h2)
 

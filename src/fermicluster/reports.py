@@ -25,22 +25,12 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(emit_config(cfg).encode()).hexdigest()[:16]
 
 
-def _jsonable(value):
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def render_report(payload: dict, timing: dict | None = None) -> str:
     """Serialize with sorted keys; timing sits outside the payload."""
     document = {
         "schema_version": SCHEMA_VERSION,
-        "payload": _jsonable(payload),
-        "timing": _jsonable(timing or {}),
+        "payload": payload,
+        "timing": timing or {},
     }
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 

@@ -63,6 +63,7 @@ def test_config_comments_and_assignments():
     ("expansion.k_max = 8", "unknown key"),
     ("model.g = nan", "model.g must be finite"),
     ("weights.h1 = inf", "weights.h1 must be finite"),
+    ("model.g = 1e-200", "model.g is too small"),
 ])
 def test_config_rejections(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -81,14 +82,17 @@ def test_with_overrides_revalidates():
 
 
 def test_report_round_trip_and_timing_isolation():
-    payload = {"alpha": 1, "value": complex(1.5, -0.25), "nested": [1, 2]}
+    payload = {"alpha": 1, "value": 1.5, "nested": [1, 2]}
     text_a = render_report(payload, {"wall_time_s": 1.0})
     text_b = render_report(payload, {"wall_time_s": 99.0})
     assert text_a != text_b
     assert deterministic_part(text_a) == deterministic_part(text_b)
     doc = json.loads(text_a)
     assert doc["schema_version"] == 1
-    assert doc["payload"]["value"] == {"re": 1.5, "im": -0.25}
+    assert doc["payload"] == payload
+    # A complex value has no JSON form; it must not slip into a report.
+    with pytest.raises(TypeError):
+        render_report({"value": 1.5 - 0.25j})
 
 
 def test_correlation_csv_schema():
@@ -246,6 +250,21 @@ def test_cli_exit_code_capacity_error(tmp_path, capsys):
     big.write_text("lattice.L = 5\n")
     assert cli.main(["expand", "--config", str(big), "--mode", "exact"]) == 3
     assert "capacity error" in capsys.readouterr().err
+
+
+def test_truncated_run_past_bit_capacity_fails_before_any_kernel(tmp_path, monkeypatch,
+                                                                  capsys):
+    from fermicluster import grossneveu
+
+    def no_kernel(*args):
+        raise AssertionError("kernel built before the capacity check")
+
+    monkeypatch.setattr(grossneveu, "quartic_kernel", no_kernel)
+    path = tmp_path / "wide.cfg"
+    path.write_text("lattice.L = 5\nmodel.m_f = 3.0\nrun.mode = truncated\n")
+    for command in ("correlate", "expand"):
+        assert cli.main([command, "--config", str(path)]) == 3
+        assert "50 psi modes need 100 bits, capacity is 64" in capsys.readouterr().err
 
 
 def test_exact_mode_refuses_more_than_eight_psi_modes(tmp_path, capsys):
