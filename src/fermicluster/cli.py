@@ -18,7 +18,7 @@ from .config import RunConfig, load_config, with_overrides
 from .errors import CapacityError, ConfigError
 from .grossneveu import model_norms
 from .pipeline import (
-    check_capacity,
+    checked_lattice_objects,
     covariance_report,
     lattice_model,
     lattice_objects,
@@ -73,8 +73,7 @@ def cmd_expand(args) -> int:
     """One assembled log series with sources on the origin and the far corner."""
     cfg = _load(args)
     started = time.perf_counter()
-    spec, cov = lattice_objects(cfg)
-    check_capacity(cfg, spec)
+    spec, cov = checked_lattice_objects(cfg)
     model = lattice_model(cfg, spec, cov)
     y1, y2 = spec.sites[0], spec.sites[-1]
     series, report = pair_series(cfg, spec, model, y1, y2)

@@ -18,6 +18,14 @@ commute and no interchange signs arise at the polymer level.
 Activities come from one route: an anchor recursion peels K0 off the
 restricted integrals.  A run is truncated when it caps the polymer size or
 the eta degree, and exact when it caps neither.
+
+Every activity has its psi fields integrated out, so the polymer sum is
+linear algebra over the few eta monomials that products of activities
+reach.  The descent holds each product as a complex vector over that basis
+and each activity as one small matrix, built once per run; an eta degree
+cap simply leaves the higher monomials out of the basis.  Only when the
+matrices would pass ``DENSE_MAX_ENTRIES`` entries does the descent multiply
+sparse elements instead.
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .algebra import GrassmannElement, exp_series
+import numpy as np
+
+from .algebra import GrassmannElement, exp_series, prefix_parity
 from .berezin import LogSeries, effective_log_integral
 # not called here; bench/tracing.py's EXPECTED_COPIES lists this binding
 from .berezin import integrate_element  # noqa: F401
@@ -38,6 +48,9 @@ SiteSet = frozenset[Site]
 
 #: Largest polymer support closure the engine builds before giving up.
 MAX_CANDIDATES = 4096
+#: Most matrix entries (basis size squared times live polymers) the dense
+#: eta-sector descent holds; past it the descent multiplies sparse elements.
+DENSE_MAX_ENTRIES = 1 << 20
 
 
 # ------------------------------------------------------------ graph helpers
@@ -198,6 +211,14 @@ def _element_1norm(el: GrassmannElement) -> float:
     return sum(abs(c) for c in el.terms.values())
 
 
+def _within_sites(system: CoefficientSystem, cap: int) -> CoefficientSystem:
+    """The entries of ``system`` whose psi generators sit on at most ``cap`` sites."""
+    out = CoefficientSystem()
+    out.entries = {key: v for key, v in system.entries.items()
+                   if len({g.site for g in key[0]}) <= cap}
+    return out
+
+
 # ----------------------------------------------------------------- engine
 
 
@@ -210,6 +231,9 @@ class ClusterEngine:
             raise ParityError("cluster expansion requires an even interaction")
         self.universe = universe
         self.options = options or ClusterOptions()
+        if self.options.max_polymer_sites:
+            # no candidate and no restricted region can hold the others
+            system = _within_sites(system, self.options.max_polymer_sites)
         element = self._capped(system.to_element(universe))
 
         psi_block = universe.psi_block_mask
@@ -301,6 +325,47 @@ class ClusterEngine:
 
     # -- assembly ------------------------------------------------------------
 
+    def eta_sector(self, activities: Sequence[GrassmannElement]
+                   ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The activities as dense matrices over the eta monomials they reach.
+
+        The basis is the closure of {0} under ``m | k`` for every activity
+        mask k disjoint from m, without the masks of eta degree above the
+        cap, shifted down by ``n_psi_bits``; basis[0] is the empty mask.
+        Row m of matrix j holds ``e_m * activities[j]`` restricted to the
+        basis: cell (m, m | k) gets c_k with the product's sign, and no cell
+        gets more than one term since k = column & ~row.  The matrices sit
+        side by side in one basis-by-(len(activities) x basis) array, so a
+        row vector times a slice of it is every product of a descent node.
+        Returns None when the matrices would hold more than
+        DENSE_MAX_ENTRIES entries.
+        """
+        shift = self.universe.n_psi_bits
+        cap = self.options.eta_degree_cap
+        keys = sorted({m >> shift for k0 in activities for m in k0.terms} - {0})
+        limit = math.isqrt(DENSE_MAX_ENTRIES // max(1, len(activities)))
+        # after key i, ``found`` holds the unions of disjoint keys up to i
+        found = {0}
+        for k in keys:
+            found |= {m | k for m in found
+                      if not m & k and (cap is None or (m | k).bit_count() <= cap)}
+            if len(found) > limit:
+                return None
+        basis = np.array(sorted(found), dtype=np.uint64)
+        r = len(basis)
+        parity = prefix_parity(basis)
+        wide = np.zeros((r, len(activities) * r), dtype=np.complex128)
+        for j, k0 in enumerate(activities):
+            ks = np.array([m >> shift for m in k0.terms], dtype=np.uint64)
+            cs = np.array(list(k0.terms.values()), dtype=np.complex128)
+            rows, t = np.nonzero((basis[:, None] & ks[None, :]) == 0)
+            target = basis[rows] | ks[t]
+            cols = np.searchsorted(basis, target).clip(max=r - 1)
+            hit = basis[cols] == target
+            odd = np.bitwise_count(ks[t] & parity[rows]) & 1
+            wide[rows[hit], j * r + cols[hit]] = np.where(odd, -cs[t], cs[t])[hit]
+        return basis, wide
+
     def assemble(self) -> tuple[GrassmannElement, ExpansionReport]:
         opts = self.options
         capped = opts.max_polymer_sites is not None or opts.eta_degree_cap is not None
@@ -313,23 +378,21 @@ class ClusterEngine:
                 polymers.append((support, k0, norm))
         report.polymer_count = len(polymers)
 
-        total = self.pure_eta.copy()
         shrinking = all(norm <= 1.0 for _, _, norm in polymers)
         count = len(polymers)
+        one, children, add, result = (
+            self._dense_descent(polymers) or self._sparse_descent(polymers))
 
-        def descend(start: int, supports: tuple[SiteSet, ...],
-                    product: GrassmannElement, weight: float, run: int) -> None:
+        def descend(start: int, supports: tuple[SiteSet, ...], product,
+                    norm1: float, weight: float, run: int) -> None:
             depth = len(supports)
             report.n_reached = max(report.n_reached, depth)
             if depth:
                 rho = ursell_factor(supports)
                 if rho:
-                    term = product.scaled(rho * weight)
-                    for mask, coeff in term.terms.items():
-                        total.terms[mask] = total.terms.get(mask, 0j) + coeff
+                    add(product, rho * weight)
                     report.cluster_count += 1
             if depth >= opts.n_max:
-                norm1 = _element_1norm(product)
                 report.tail = max(report.tail, norm1)
                 if norm1 >= opts.floor:
                     report.exact = False
@@ -345,10 +408,7 @@ class ClusterEngine:
                             for j in range(start, count)
                         ):
                             return
-            for j in range(start, count):
-                support, k0, _norm = polymers[j]
-                new_product = self._capped(product * k0)
-                norm1 = _element_1norm(new_product)
+            for j, (new_product, norm1) in enumerate(children(product, start), start):
                 if norm1 == 0.0:
                     continue
                 if norm1 < opts.floor:
@@ -358,11 +418,57 @@ class ClusterEngine:
                 # indices never decrease, so polymer j's multiplicity is
                 # the length of the trailing run of j
                 copies = run + 1 if j == start else 1
-                descend(j, supports + (support,), new_product, weight / copies, copies)
+                descend(j, supports + (polymers[j][0],), new_product, norm1,
+                        weight / copies, copies)
 
-        descend(0, (), GrassmannElement.one(1.0), 1.0, 0)
+        descend(0, (), one, 1.0, 1.0, 0)
         report.exact = not capped and report.exact
-        return total.without_zeros(), report
+        return self.pure_eta + result(), report
+
+    def _dense_descent(self, polymers):
+        """Descent operations on basis vectors, or None past the entry budget.
+
+        A product is a complex vector over the eta sector basis; a node's
+        children are that vector times the matrices of polymers start..
+        """
+        sector = self.eta_sector([k0 for _, k0, _ in polymers])
+        if sector is None:
+            return None
+        basis, wide = sector
+        r = len(basis)
+        one = np.zeros(r, dtype=np.complex128)
+        one[0] = 1.0
+        acc = np.zeros(r, dtype=np.complex128)
+
+        def children(v, start):
+            block = (v @ wide[:, start * r:]).reshape(-1, r)
+            return zip(block, np.abs(block).sum(axis=1).tolist())
+
+        def add(v, factor):
+            nonlocal acc
+            acc += factor * v
+
+        def result():
+            shift = self.universe.n_psi_bits
+            return GrassmannElement(
+                {int(m) << shift: c for m, c in zip(basis, acc.tolist())})
+
+        return one, children, add, result
+
+    def _sparse_descent(self, polymers):
+        """Descent operations on sparse elements, capped after each product."""
+        total = GrassmannElement()
+
+        def children(product, start):
+            for _, k0, _ in polymers[start:]:
+                new_product = self._capped(product * k0)
+                yield new_product, _element_1norm(new_product)
+
+        def add(product, factor):
+            for mask, coeff in product.scaled(factor).terms.items():
+                total.terms[mask] = total.terms.get(mask, 0j) + coeff
+
+        return GrassmannElement.one(1.0), children, add, lambda: total
 
 
 def assemble_b(universe: GeneratorUniverse, system: CoefficientSystem,

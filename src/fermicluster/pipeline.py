@@ -48,6 +48,15 @@ def lattice_objects(cfg: RunConfig) -> tuple[LatticeSpec, Covariance]:
     return spec, covariance(spec, cfg.m_f)
 
 
+def checked_lattice_objects(cfg: RunConfig) -> tuple[LatticeSpec, Covariance]:
+    """``lattice_objects`` behind ``check_capacity``: a refused lattice never
+    pays for its covariance, the inverse of a dense matrix of side
+    sites x spinor_dim x N."""
+    spec = LatticeSpec(d=cfg.d, L=cfg.L, N=cfg.N)
+    check_capacity(cfg, spec)
+    return spec, covariance(spec, cfg.m_f)
+
+
 def engine_options(cfg: RunConfig) -> ClusterOptions:
     if cfg.mode == "exact":
         return ClusterOptions(n_max=cfg.n_max)
@@ -235,8 +244,7 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, dict]:
     """Full pipeline; returns (deterministic payload, timing block)."""
     from .reports import config_hash
     started = time.perf_counter()
-    spec, cov = lattice_objects(cfg)
-    check_capacity(cfg, spec)
+    spec, cov = checked_lattice_objects(cfg)
     model = lattice_model(cfg, spec, cov)
     norms = model_norms(model, kappa=cfg.kappa, h1=cfg.h1, h2=cfg.h2)
 

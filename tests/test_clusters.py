@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from fermicluster import clusters, pipeline
 from fermicluster.algebra import GrassmannElement
 from fermicluster.berezin import integrate_element, log_direct
 from fermicluster.clusters import (
@@ -16,9 +17,10 @@ from fermicluster.clusters import (
     ursell_factor,
 )
 from fermicluster.coeffsys import CoefficientSystem
+from fermicluster.config import RunConfig
 from fermicluster.errors import ParityError
 from fermicluster.generators import GeneratorUniverse, eta, psi
-from oracles import exp_power_series, ursell_adjacency
+from oracles import exp_power_series, reference_product, ursell_adjacency
 
 f = frozenset
 
@@ -332,3 +334,88 @@ def test_report_dict_round_trip(three_site_universe):
     assert payload["polymer_count"] >= 1
     assert payload["cluster_count"] >= payload["polymer_count"]
     assert isinstance(payload["exact"], bool)
+
+
+def test_truncated_engine_drops_entries_past_the_site_cap(three_site_universe, monkeypatch):
+    sites, eta_sites, u = three_site_universe
+    system = _random_even_system(random.Random(3), sites, eta_sites)
+    options = ClusterOptions(max_polymer_sites=2, eta_degree_cap=2)
+    filtered = ClusterEngine(u, system, options)
+    assert all(len(sup) <= 2 for *_, sup in filtered._items)
+    monkeypatch.setattr(clusters, "_within_sites", lambda system, cap: system)
+    unfiltered = ClusterEngine(u, system, options)
+    assert any(len(sup) > 2 for *_, sup in unfiltered._items)
+    element, report = filtered.assemble()
+    reference, reference_report = unfiltered.assemble()
+    assert element.terms == reference.terms
+    assert report == reference_report
+
+
+# ------------------------------------------------------------- eta sector
+
+
+@pytest.mark.parametrize("eta_cap", [None, 2], ids=["exact", "truncated"])
+@pytest.mark.parametrize("seed", [7, 21])
+def test_sector_matrices_are_products_with_each_activity(three_site_universe, seed,
+                                                         eta_cap):
+    """Row m of matrix j is the monomial m times activity j, on the basis."""
+    sites, eta_sites, u = three_site_universe
+    system = _random_even_system(random.Random(seed), sites, eta_sites, n_source=8)
+    engine = ClusterEngine(u, system, ClusterOptions(eta_degree_cap=eta_cap))
+    activities = [k0 for k0 in map(engine.polymer_activity, engine.candidates) if k0.terms]
+    basis, wide = engine.eta_sector(activities)
+    shift = u.n_psi_bits
+    masks = [int(m) << shift for m in basis]
+    r = len(masks)
+    assert masks[0] == 0 and r > 1
+    assert wide.shape == (r, len(activities) * r)
+    for j, k0 in enumerate(activities):
+        matrix = wide[:, j * r:(j + 1) * r]
+        for row, m in enumerate(masks):
+            product = reference_product(u, GrassmannElement({m: 1.0}), k0)
+            assert all(mask in masks for mask, c in product.items()
+                       if eta_cap is None or mask.bit_count() <= eta_cap)
+            assert matrix[row].tolist() == [product.get(n, 0j) for n in masks]
+
+
+def _assemble_by_route(monkeypatch, dense, universe, system, options):
+    """``assemble`` on the dense eta-sector route or on the sparse one."""
+    with monkeypatch.context() as patch:
+        if dense:
+            def no_sparse(self, polymers):
+                raise AssertionError("dense route fell back to sparse products")
+
+            patch.setattr(ClusterEngine, "_sparse_descent", no_sparse)
+        else:
+            patch.setattr(clusters, "DENSE_MAX_ENTRIES", 0)
+        return ClusterEngine(universe, system, options).assemble()
+
+
+def _assert_routes_agree(monkeypatch, universe, system, options):
+    dense, dense_report = _assemble_by_route(monkeypatch, True, universe, system, options)
+    sparse, sparse_report = _assemble_by_route(monkeypatch, False, universe, system, options)
+    assert _max_abs(dense - sparse) < 1e-14
+    for field in ("polymer_count", "cluster_count", "n_reached", "exact"):
+        assert getattr(dense_report, field) == getattr(sparse_report, field), field
+    assert abs(dense_report.tail - sparse_report.tail) < 1e-15
+
+
+@pytest.mark.parametrize("eta_cap", [None, 2], ids=["exact", "truncated"])
+@pytest.mark.parametrize("seed", [7, 21, 99])
+def test_dense_and_sparse_descents_agree(three_site_universe, monkeypatch, seed, eta_cap):
+    sites, eta_sites, u = three_site_universe
+    system = _random_even_system(random.Random(seed), sites, eta_sites, n_source=8)
+    options = ClusterOptions(n_max=40, floor=1e-16, eta_degree_cap=eta_cap)
+    _assert_routes_agree(monkeypatch, u, system, options)
+
+
+def test_default_pair_runs_take_the_dense_route_and_match_sparse(monkeypatch):
+    cfg = RunConfig()
+    spec, cov = pipeline.lattice_objects(cfg)
+    model = pipeline.lattice_model(cfg, spec, cov)
+    origin = spec.sites[0]
+    targets = pipeline.representative_targets(spec)
+    assert len(targets) == 3
+    for target in targets:
+        universe, f = pipeline._pair_interaction(spec, model, origin, target)
+        _assert_routes_agree(monkeypatch, universe, f, pipeline.engine_options(cfg))

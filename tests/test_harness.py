@@ -254,12 +254,17 @@ def test_cli_exit_code_capacity_error(tmp_path, capsys):
 
 def test_truncated_run_past_bit_capacity_fails_before_any_kernel(tmp_path, monkeypatch,
                                                                   capsys):
-    from fermicluster import grossneveu
+    from fermicluster import grossneveu, pipeline
 
     def no_kernel(*args):
         raise AssertionError("kernel built before the capacity check")
 
+    def no_covariance(*args):
+        raise AssertionError("covariance computed before the capacity check")
+
     monkeypatch.setattr(grossneveu, "quartic_kernel", no_kernel)
+    for module in (grossneveu, pipeline):
+        monkeypatch.setattr(module, "covariance", no_covariance)
     path = tmp_path / "wide.cfg"
     path.write_text("lattice.L = 5\nmodel.m_f = 3.0\nrun.mode = truncated\n")
     for command in ("correlate", "expand"):
