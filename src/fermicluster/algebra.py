@@ -12,12 +12,20 @@ canonical order costs ``popcount(b & prefix_parity(a)) & 1`` transpositions
 per left monomial and the sign of each pair is a single popcount.
 
 Products take one of two routes.  A product of at least ``VECTOR_MIN_PAIRS``
-pair visits whose masks all lie below bit 64 runs the collision test and
-sign over blocks of left rows in numpy, one ``uint64`` per mask; every other
-product runs a Python loop over every pair, which takes masks of any width.
-The numpy route accumulates the surviving pairs in the same (left, right)
-order as the loop, so both routes give identical terms in identical key
-order.
+pair visits whose masks all lie below bit 64 runs in numpy, one ``uint64``
+per mask: the collision test and sign run over blocks of ``_BLOCK_PAIRS``
+pairs, and the surviving pairs are summed in bounded batches, each merged
+into running (key, sum, first position) arrays with ``np.unique`` and
+``np.add.at``.  A batch holds a sixteenth of a block of survivors, or as
+many as the keys merged so far if that is more, so the temporaries of a
+product stay within one block while its distinct terms are few, and within
+the size of its result otherwise.  Every other product runs a Python loop
+over every pair, which takes masks of any width.
+
+Both routes add each key's pairs in (left, right) order onto a sum that
+starts at 0j and never restarts, list the keys in order of first occurrence
+and drop exact zeros at the end; so they give identical terms, signed zeros
+included, in identical key order.
 """
 
 from __future__ import annotations
@@ -33,8 +41,8 @@ from .generators import GeneratorIndex, GeneratorUniverse
 
 #: Pair visits (``len(a) * len(b)``) from which a product runs in numpy.
 VECTOR_MIN_PAIRS = 512
-#: Pairs tested per numpy block; bounds the temporaries of one block.
-_BLOCK_PAIRS = 1 << 13
+#: Pairs tested per numpy block; bounds the temporaries of a product.
+_BLOCK_PAIRS = 1 << 15
 
 
 def prefix_parity(a: int) -> int:
@@ -71,14 +79,24 @@ def canonicalize(universe: GeneratorUniverse, indices: Iterable[GeneratorIndex])
     return mask, sign
 
 
-def _vector_products(a: dict[int, complex], b: dict[int, complex]):
-    """Non-vanishing pair products of ``a`` x ``b`` in (left, right) order.
+def _flush_bound(n_keys: int) -> int:
+    """Survivors buffered before a merge into ``n_keys`` running sums.
 
-    Every mask of both operands must lie below bit 64.  Yields one
-    ``(masks, coefficients)`` pair of lists per block of left rows.  The
-    coefficient product is spelled out in real arithmetic, the same
-    operations as Python's complex multiply, so the values match the loop
-    route bit for bit.
+    A sixteenth of a block bounds the temporaries; growing with the keys
+    keeps the merges, each a sort of every key, few in a product with many
+    distinct terms.
+    """
+    return max(1, _BLOCK_PAIRS // 16, n_keys)
+
+
+def _vector_product(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
+    """Terms of ``a`` x ``b`` summed in numpy, keys in first-occurrence order.
+
+    Every mask of both operands must lie below bit 64.  The coefficient
+    product is spelled out in real arithmetic, the same operations as
+    Python's complex multiply, and ``np.add.at`` adds unbuffered in pair
+    order onto partial sums carried across merges, so every sum is the same
+    floating-point sequence as the loop route's.
     """
     wa = np.array(list(a), dtype=np.uint64)
     wb = np.array(list(b), dtype=np.uint64)
@@ -89,12 +107,35 @@ def _vector_products(a: dict[int, complex], b: dict[int, complex]):
     na, nb = len(wa), len(wb)
     rows = max(1, _BLOCK_PAIRS // nb)
     cols = min(nb, _BLOCK_PAIRS)
+    keys = np.empty(0, dtype=np.uint64)
+    sums = np.empty(0, dtype=np.complex128)
+    first = np.empty(0, dtype=np.int64)
+    merged = 0  # survivors already merged; the position of the next one
+    masks: list[np.ndarray] = []
+    coeffs: list[np.ndarray] = []
+    pending = 0
+
+    def merge():
+        nonlocal keys, sums, first, merged, pending
+        new = np.concatenate(masks)
+        keys, index, inverse = np.unique(np.concatenate((keys, new)),
+                                         return_index=True, return_inverse=True)
+        old = len(sums)
+        carried = np.zeros(len(keys), dtype=np.complex128)
+        carried[inverse[:old]] = sums
+        np.add.at(carried, inverse[old:], np.concatenate(coeffs))
+        sums = carried
+        first = np.concatenate((first, np.arange(merged, merged + len(new))))[index]
+        merged += len(new)
+        masks.clear()
+        coeffs.clear()
+        pending = 0
+
     for i0 in range(0, na, rows):
         for j0 in range(0, nb, cols):
-            left = slice(i0, i0 + rows)
-            right = slice(j0, j0 + cols)
-            free = (wa[left, None] & wb[None, right]) == 0
-            ii, jj = np.nonzero(free)
+            free = (wa[i0:i0 + rows, None] & wb[None, j0:j0 + cols]) == 0
+            # one flat scan; two-dimensional nonzero takes about twice as long
+            ii, jj = np.divmod(np.flatnonzero(free), free.shape[1])
             if not len(ii):
                 continue
             ii += i0
@@ -104,7 +145,17 @@ def _vector_products(a: dict[int, complex], b: dict[int, complex]):
             c = np.empty(len(ii), dtype=np.complex128)
             c.real = (ar[ii] * br[jj] - ai[ii] * bi[jj]) * flip
             c.imag = (ar[ii] * bi[jj] + ai[ii] * br[jj]) * flip
-            yield (wa[ii] | wb[jj]).tolist(), c.tolist()
+            masks.append(wa[ii] | wb[jj])
+            coeffs.append(c)
+            pending += len(ii)
+            if pending >= _flush_bound(len(keys)):
+                merge()
+    if pending:
+        merge()
+    order = np.argsort(first)
+    keys, sums = keys[order], sums[order]
+    kept = sums != 0
+    return dict(zip(keys[kept].tolist(), sums[kept].tolist()))
 
 
 class GrassmannElement:
@@ -186,17 +237,11 @@ class GrassmannElement:
         if not isinstance(other, GrassmannElement):
             return self.scaled(other)
         out = GrassmannElement()
-        acc = out.terms
         a, b = self.terms, other.terms
         if len(a) * len(b) >= VECTOR_MIN_PAIRS and (max(a) | max(b)) >> 64 == 0:
-            for masks, coeffs in _vector_products(a, b):
-                for m, c in zip(masks, coeffs):
-                    v = acc.get(m, 0j) + c
-                    if v == 0:
-                        acc.pop(m, None)
-                    else:
-                        acc[m] = v
+            out.terms = _vector_product(a, b)
             return out
+        acc: dict[int, complex] = {}
         for ma, ca in a.items():
             pa = prefix_parity(ma)
             for mb, cb in b.items():
@@ -206,11 +251,10 @@ class GrassmannElement:
                 c = ca * cb
                 if (mb & pa).bit_count() & 1:
                     c = -c
-                v = acc.get(m, 0j) + c
-                if v == 0:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = v
+                acc[m] = acc.get(m, 0j) + c
+        if 0 in acc.values():
+            acc = {m: c for m, c in acc.items() if c != 0}
+        out.terms = acc
         return out
 
     def __rmul__(self, other) -> "GrassmannElement":

@@ -154,6 +154,8 @@ class CorrelationResult:
     reports: list[ExpansionReport]
     oracle_worst_abs: float | None
     oracle_worst_rel: float | None
+    engine_s: float
+    oracle_s: float
 
 
 def merged_coefficients(series_list: list[LogSeries]) -> CoefficientSystem:
@@ -178,12 +180,17 @@ def run_correlations(cfg: RunConfig, spec: LatticeSpec, model: Model,
     series_list = []
     reports = []
     worst_abs = worst_rel = None
+    engine_s = oracle_s = 0.0
     for target in representative_targets(spec):
+        started = time.perf_counter()
         series, report = pair_series(cfg, spec, model, origin, target)
+        engine_s += time.perf_counter() - started
         series_list.append(series)
         reports.append(report)
         if with_oracle:
+            started = time.perf_counter()
             oracle = oracle_pair_series(cfg, spec, model, origin, target)
+            oracle_s += time.perf_counter() - started
             da, dr = series_deviation(series, oracle)
             worst_abs = max(worst_abs or 0.0, da)
             worst_rel = max(worst_rel or 0.0, dr)
@@ -200,7 +207,7 @@ def run_correlations(cfg: RunConfig, spec: LatticeSpec, model: Model,
                 rows.append(row)
     rows.sort(key=lambda r: (r["distance"], r["alpha"], r["beta"], r["flavor"]))
     return CorrelationResult(rows, samples, series_list, reports,
-                             worst_abs, worst_rel)
+                             worst_abs, worst_rel, engine_s, oracle_s)
 
 
 def covariance_report(cov: Covariance) -> dict:
@@ -241,16 +248,28 @@ def expansion_summary(reports: list[ExpansionReport]) -> dict:
 
 
 def run_experiment(cfg: RunConfig) -> tuple[dict, dict]:
-    """Full pipeline; returns (deterministic payload, timing block)."""
+    """Full pipeline; returns (deterministic payload, timing block).
+
+    The timing block holds the wall time and, under ``stages_s``, the
+    seconds of each stage: ``covariance``, ``model`` (the kernel build),
+    ``norms`` (the model norms and the log-series norm), ``engine`` and
+    ``oracle`` (every pair run of each), and ``fits`` (the decay tables and
+    fits).
+    """
     from .reports import config_hash
-    started = time.perf_counter()
+    clock = time.perf_counter
+    started = clock()
     spec, cov = checked_lattice_objects(cfg)
+    built_cov = clock()
     model = lattice_model(cfg, spec, cov)
+    built_model = clock()
     norms = model_norms(model, kappa=cfg.kappa, h1=cfg.h1, h2=cfg.h2)
+    normed = clock()
 
     with_oracle = cfg.mode == "exact"
     corr = run_correlations(cfg, spec, model, with_oracle)
 
+    correlated = clock()
     h_norm = logseries_norm(merged_coefficients(corr.series_list),
                             cfg.h2, cfg.kappa, spec.metric)
     f_norm, _, holds = log_norm_bound_check(norms["v1_norm"], h_norm)
@@ -260,23 +279,38 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, dict]:
         "gate_sixteenth": bool(norms["gate_sixteenth"]),
         "holds": holds,
     }
+    bounded = clock()
+    covariance_fits = covariance_report(cov)
+    correlation_fits = correlation_fit(corr.samples, cfg.L)
+    fitted = clock()
+    stages = {
+        "covariance": built_cov - started,
+        "model": built_model - built_cov,
+        "norms": normed - built_model + bounded - correlated,
+        "engine": corr.engine_s,
+        "oracle": corr.oracle_s,
+        "fits": fitted - bounded,
+    }
 
     payload = {
         "config_hash": config_hash(cfg),
         "lattice": {"d": cfg.d, "L": cfg.L, "N": cfg.N},
         "model": {"g": cfg.g, "m_f": cfg.m_f},
-        "covariance": covariance_report(cov),
+        "covariance": covariance_fits,
         "norms": norms,
         "log_norm_bound": log_norm_bound,
         "expansion": expansion_summary(corr.reports),
         "correlations": corr.rows,
         "correlation_samples": [[list(site), value] for site, value in corr.samples],
-        "correlation_fit": correlation_fit(corr.samples, cfg.L),
+        "correlation_fit": correlation_fits,
         "oracle": {
             "ran": with_oracle,
             "worst_abs": corr.oracle_worst_abs,
             "worst_rel": corr.oracle_worst_rel,
         },
     }
-    timing = {"wall_time_s": round(time.perf_counter() - started, 3)}
+    timing = {
+        "wall_time_s": round(clock() - started, 3),
+        "stages_s": {stage: round(seconds, 3) for stage, seconds in stages.items()},
+    }
     return payload, timing

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -158,10 +160,29 @@ def random_element(rng, n_bits, n_terms, lowest_bit=0):
     terms = {}
     for _ in range(n_terms):
         mask = mask_of_positions(rng.sample(range(lowest_bit, n_bits), rng.randint(0, 3)))
-        # Small integers make exact cancellations, which drop and re-insert keys.
+        # Small integers make sums cancel to exactly 0 mid-product.
         terms[mask] = (float(rng.randint(-2, 2)) if rng.random() < 0.75
                        else complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
     return GrassmannElement(terms)
+
+
+def cancel_and_return(rng, n_bits, lowest_bit):
+    """Operands on which the sum of one key passes exactly 0 and comes back.
+
+    x and y have odd degree and every bit of x lies below every bit of y, so
+    x*y = +xy and y*x = -xy.  With a = {x, y, 1, ...} and b = {y, x, xy, ...}
+    in that order, the sum of xy runs 1, 0, 1 over the left rows x, y and 1
+    before any other row adds to it.
+    """
+    bits = sorted(rng.sample(range(lowest_bit, n_bits), 4))
+    x, y = mask_of_positions(bits[:1]), mask_of_positions(bits[1:])
+    a = {x: 1.0, y: 1.0, 0: 1.0}
+    b = {y: 1.0, x: 1.0, x | y: 1.0}
+    for side in (a, b):
+        extra = random_element(rng, n_bits, rng.randint(1, 25), lowest_bit)
+        for m, c in extra.terms.items():
+            side.setdefault(m, c)
+    return GrassmannElement(a), GrassmannElement(b)
 
 
 def both_routes(monkeypatch, a, b):
@@ -172,25 +193,75 @@ def both_routes(monkeypatch, a, b):
     return vector, loop
 
 
-@pytest.mark.parametrize("block", [1, 7, 1 << 15])
+@pytest.mark.parametrize("block,flush", [
+    pytest.param(1, None, id="1"),
+    pytest.param(7, None, id="7"),
+    pytest.param(1 << 15, None, id="32768"),
+    # Blocks of several left rows, each block's survivors merged at once.
+    pytest.param(64, 1, id="64-flush1"),
+])
 @pytest.mark.parametrize("lowest_bit,n_bits", [(0, 12), (52, 64)])
-def test_vector_and_loop_routes_agree_bit_for_bit(monkeypatch, lowest_bit, n_bits, block):
+def test_vector_and_loop_routes_agree_bit_for_bit(monkeypatch, lowest_bit, n_bits,
+                                                  block, flush):
     monkeypatch.setattr(algebra, "_BLOCK_PAIRS", block)
+    if flush is not None:
+        monkeypatch.setattr(algebra, "_flush_bound", lambda n_keys: flush)
     rng = random.Random(1000 * n_bits + block)
-    for _ in range(15):
-        a = random_element(rng, n_bits, rng.randint(1, 30), lowest_bit)
-        b = random_element(rng, n_bits, rng.randint(1, 30), lowest_bit)
+    for trial in range(30):
+        if trial % 2:
+            a, b = cancel_and_return(rng, n_bits, lowest_bit)
+        else:
+            a = random_element(rng, n_bits, rng.randint(1, 30), lowest_bit)
+            b = random_element(rng, n_bits, rng.randint(1, 30), lowest_bit)
         vector, loop = both_routes(monkeypatch, a, b)
         assert list(vector.terms.items()) == list(loop.terms.items())
         assert repr(list(vector.terms.values())) == repr(list(loop.terms.values()))
 
 
-def test_cancelled_key_is_reinserted_last_on_both_routes(monkeypatch):
+def test_cancelled_key_keeps_its_first_position_on_both_routes(monkeypatch):
     a = GrassmannElement({0b01: 1.0, 0b10: 1.0, 0: 1.0})
     b = GrassmannElement({0b10: 1.0, 0b01: 1.0, 0b11: 1.0})
-    # 0b11 gets +1, then -1 (dropped), then +1 again after 0b10 and 0b01.
+    # 0b11 gets +1, then -1 (its sum is exactly 0), then +1 again after
+    # 0b10 and 0b01 first appear; keys are listed by first occurrence.
     for product in both_routes(monkeypatch, a, b):
-        assert list(product.terms.items()) == [(0b10, 1.0), (0b01, 1.0), (0b11, 1.0)]
+        assert list(product.terms.items()) == [(0b11, 1.0), (0b10, 1.0), (0b01, 1.0)]
+
+
+def test_signed_zero_parts_agree_across_routes(monkeypatch):
+    parts = (0.0, -0.0, 1.0, -1.0, 0.5)
+    rng = random.Random(5)
+    for _ in range(20):
+        a, b = (GrassmannElement({
+            mask_of_positions(rng.sample(range(10), rng.randint(0, 3))):
+                complex(rng.choice(parts), rng.choice(parts))
+            for _ in range(30)}) for _ in range(2))
+        assert any(math.copysign(1.0, c.real) < 0 or math.copysign(1.0, c.imag) < 0
+                   for c in a.terms.values() if 0.0 in (c.real, c.imag))
+        vector, loop = both_routes(monkeypatch, a, b)
+        assert list(vector.terms.items()) == list(loop.terms.items())
+        assert repr(list(vector.terms.values())) == repr(list(loop.terms.values()))
+
+
+def test_large_product_keeps_its_temporaries_bounded(monkeypatch):
+    # 1,000 x 1,000 five-bit masks over 13 bits: about 4% of the pairs
+    # survive and they collapse to at most C(13, 10) = 286 terms, the low
+    # hit ratio of the largest mode-elimination products.
+    rng = random.Random(13)
+    subsets = [mask_of_positions(c) for c in itertools.combinations(range(13), 5)]
+    a, b = (GrassmannElement({m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                              for m in rng.sample(subsets, 1000)}) for _ in range(2))
+    survivors = sum(1 for ma in a.terms for mb in b.terms if not ma & mb)
+    assert survivors >= 20_000
+    tracemalloc.start()
+    try:
+        product = a * b
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Summing every survivor in one np.unique peaks at about 3.5 MB here.
+    assert peak < 2 * 2 ** 20
+    monkeypatch.setattr(algebra, "VECTOR_MIN_PAIRS", 10 ** 12)
+    assert list(product.terms.items()) == list((a * b).terms.items())
 
 
 def test_product_across_bit_64(monkeypatch):
@@ -210,10 +281,10 @@ def test_product_across_bit_64(monkeypatch):
 def test_numpy_route_takes_only_one_word_masks(monkeypatch, top_bit):
     universe = universe_with_sources(32, 32)
     calls = []
-    vector_products = algebra._vector_products
-    monkeypatch.setattr(algebra, "_vector_products",
+    vector_product = algebra._vector_product
+    monkeypatch.setattr(algebra, "_vector_product",
                         lambda a, b: calls.append((max(a) | max(b)).bit_length())
-                        or vector_products(a, b))
+                        or vector_product(a, b))
     monkeypatch.setattr(algebra, "VECTOR_MIN_PAIRS", 1)
     rng = random.Random(top_bit)
     a = random_element(rng, top_bit, 20, lowest_bit=top_bit - 10)

@@ -134,6 +134,20 @@ def test_default_run_payload_shape(default_run):
     assert timing["wall_time_s"] > 0
 
 
+def test_default_run_times_each_stage_outside_the_payload(default_run):
+    payload, timing = default_run
+    stages = timing["stages_s"]
+    assert set(stages) == {"covariance", "model", "norms", "engine", "oracle", "fits"}
+    assert all(seconds >= 0 for seconds in stages.values())
+    assert stages["engine"] > 0 and stages["oracle"] > 0
+    # Each stage is rounded to the millisecond on its own.
+    assert sum(stages.values()) <= timing["wall_time_s"] + 0.006
+    text = render_report(payload, timing)
+    assert json.loads(text)["timing"] == timing
+    again = render_report(*run_experiment(RunConfig()))
+    assert deterministic_part(again) == deterministic_part(text)
+
+
 def test_default_run_correlations_decay(default_run):
     payload, _ = default_run
     fit = payload["correlation_fit"]
