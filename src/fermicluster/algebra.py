@@ -14,13 +14,11 @@ per left monomial and the sign of each pair is a single popcount.
 Products take one of two routes.  A product of at least ``VECTOR_MIN_PAIRS``
 pair visits whose masks all lie below bit 64 runs in numpy, one ``uint64``
 per mask: the collision test and sign run over blocks of ``_BLOCK_PAIRS``
-pairs, and the surviving pairs are summed in bounded batches, each merged
-into running (key, sum, first position) arrays with ``np.unique`` and
-``np.add.at``.  A batch holds a sixteenth of a block of survivors, or as
-many as the keys merged so far if that is more, so the temporaries of a
-product stay within one block while its distinct terms are few, and within
-the size of its result otherwise.  Every other product runs a Python loop
-over every pair, which takes masks of any width.
+pairs, and the surviving pairs are summed in batches of a sixteenth of a
+block, each merged into running (key, sum, first position) arrays with
+``np.unique`` and ``np.add.at``, so the temporaries of a product stay
+within one block.  Every other product runs a Python loop over every pair,
+which takes masks of any width.
 
 Both routes add each key's pairs in (left, right) order onto a sum that
 starts at 0j and never restarts, list the keys in order of first occurrence
@@ -77,16 +75,6 @@ def canonicalize(universe: GeneratorUniverse, indices: Iterable[GeneratorIndex])
             sign = -sign
         mask |= b
     return mask, sign
-
-
-def _flush_bound(n_keys: int) -> int:
-    """Survivors buffered before a merge into ``n_keys`` running sums.
-
-    A sixteenth of a block bounds the temporaries; growing with the keys
-    keeps the merges, each a sort of every key, few in a product with many
-    distinct terms.
-    """
-    return max(1, _BLOCK_PAIRS // 16, n_keys)
 
 
 def _vector_product(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
@@ -148,7 +136,7 @@ def _vector_product(a: dict[int, complex], b: dict[int, complex]) -> dict[int, c
             masks.append(wa[ii] | wb[jj])
             coeffs.append(c)
             pending += len(ii)
-            if pending >= _flush_bound(len(keys)):
+            if pending >= max(1, _BLOCK_PAIRS // 16):
                 merge()
     if pending:
         merge()

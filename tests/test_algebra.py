@@ -193,19 +193,12 @@ def both_routes(monkeypatch, a, b):
     return vector, loop
 
 
-@pytest.mark.parametrize("block,flush", [
-    pytest.param(1, None, id="1"),
-    pytest.param(7, None, id="7"),
-    pytest.param(1 << 15, None, id="32768"),
-    # Blocks of several left rows, each block's survivors merged at once.
-    pytest.param(64, 1, id="64-flush1"),
-])
+# Blocks of at most 16 pairs merge their survivors after every block; a
+# block of 16 spans several left rows when the right side has at most 8 terms.
+@pytest.mark.parametrize("block", [1, 7, 16, 1 << 15])
 @pytest.mark.parametrize("lowest_bit,n_bits", [(0, 12), (52, 64)])
-def test_vector_and_loop_routes_agree_bit_for_bit(monkeypatch, lowest_bit, n_bits,
-                                                  block, flush):
+def test_vector_and_loop_routes_agree_bit_for_bit(monkeypatch, lowest_bit, n_bits, block):
     monkeypatch.setattr(algebra, "_BLOCK_PAIRS", block)
-    if flush is not None:
-        monkeypatch.setattr(algebra, "_flush_bound", lambda n_keys: flush)
     rng = random.Random(1000 * n_bits + block)
     for trial in range(30):
         if trial % 2:
