@@ -19,7 +19,6 @@ from .coeffsys import (
     CoefficientSystem,
     onsite_density_quartic,
     source_coupling_bilinear,
-    system_from_element,
 )
 from .config import RunConfig
 from .errors import ParityError
@@ -228,7 +227,7 @@ def criterion_7_parity_guards() -> CheckResult:
     lone_eta = GrassmannElement({universe.bit(eta((0,))): 1.0})
     guards = {
         "LogSeries": lambda: LogSeries(universe, lone_eta),
-        "ClusterEngine": lambda: ClusterEngine(universe, system_from_element(universe, lone_psi)),
+        "ClusterEngine": lambda: ClusterEngine(universe, lone_psi),
         "effective_log_integral": lambda: effective_log_integral(universe, lone_psi),
     }
     silent = []

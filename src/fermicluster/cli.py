@@ -72,11 +72,15 @@ def cmd_covariance(args) -> int:
 def cmd_expand(args) -> int:
     """One assembled log series with sources on the origin and the far corner."""
     cfg = _load(args)
-    started = time.perf_counter()
+    clock = time.perf_counter
+    started = clock()
     spec, cov = checked_lattice_objects(cfg)
+    built_cov = clock()
     model = lattice_model(cfg, spec, cov)
+    built_model = clock()
     y1, y2 = spec.sites[0], spec.sites[-1]
     series, report = pair_series(cfg, spec, model, y1, y2)
+    expanded = clock()
 
     def label(gidx):
         bar = "bar" if gidx.bar else ""
@@ -94,8 +98,11 @@ def cmd_expand(args) -> int:
     coefficients.sort(key=lambda c: c["key"])
 
     oracle_block = {"ran": False, "worst_abs": None, "worst_rel": None}
+    oracle_s = 0.0
     if cfg.mode == "exact":
+        oracle_started = clock()
         oracle = oracle_pair_series(cfg, spec, model, y1, y2)
+        oracle_s = clock() - oracle_started
         worst_abs, worst_rel = series_deviation(series, oracle)
         oracle_block = {"ran": True, "worst_abs": worst_abs, "worst_rel": worst_rel}
 
@@ -106,13 +113,22 @@ def cmd_expand(args) -> int:
         "expansion": report.as_dict(),
         "oracle": oracle_block,
     }
-    _emit(args, payload, {"wall_time_s": round(time.perf_counter() - started, 3)})
+    stages = {
+        "covariance": built_cov - started,
+        "model": built_model - built_cov,
+        "engine": expanded - built_model,
+        "oracle": oracle_s,
+    }
+    _emit(args, payload, {
+        "wall_time_s": round(clock() - started, 3),
+        "stages_s": {stage: round(seconds, 3) for stage, seconds in stages.items()},
+    })
     return EXIT_OK
 
 
 def cmd_norms(args) -> int:
     cfg = _load(args)
-    model = lattice_model(cfg, *lattice_objects(cfg))
+    model = lattice_model(cfg, *checked_lattice_objects(cfg, engine=False))
     norms = model_norms(model, kappa=cfg.kappa, h1=cfg.h1, h2=cfg.h2)
     payload = {
         "lattice": {"d": cfg.d, "L": cfg.L, "N": cfg.N},

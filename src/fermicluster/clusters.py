@@ -40,7 +40,6 @@ from .algebra import GrassmannElement, exp_series, prefix_parity
 from .berezin import LogSeries, effective_log_integral
 # not called here; bench/tracing.py's EXPECTED_COPIES lists this binding
 from .berezin import integrate_element  # noqa: F401
-from .coeffsys import CoefficientSystem
 from .errors import CapacityError, ParityError
 from .generators import GeneratorUniverse, Site
 
@@ -211,39 +210,33 @@ def _element_1norm(el: GrassmannElement) -> float:
     return sum(abs(c) for c in el.terms.values())
 
 
-def _within_sites(system: CoefficientSystem, cap: int) -> CoefficientSystem:
-    """The entries of ``system`` whose psi generators sit on at most ``cap`` sites."""
-    out = CoefficientSystem()
-    out.entries = {key: v for key, v in system.entries.items()
-                   if len({g.site for g in key[0]}) <= cap}
-    return out
-
-
 # ----------------------------------------------------------------- engine
 
 
 class ClusterEngine:
-    """Polymer activities and their resummed logarithm for one even system."""
+    """Polymer activities and their resummed logarithm for one even exponent f."""
 
-    def __init__(self, universe: GeneratorUniverse, system: CoefficientSystem,
+    def __init__(self, universe: GeneratorUniverse, f: GrassmannElement,
                  options: ClusterOptions | None = None):
-        if not system.is_even():
+        if not f.is_even():
             raise ParityError("cluster expansion requires an even interaction")
         self.universe = universe
         self.options = options or ClusterOptions()
-        if self.options.max_polymer_sites:
-            # no candidate and no restricted region can hold the others
-            system = _within_sites(system, self.options.max_polymer_sites)
-        element = self._capped(system.to_element(universe))
+        element = self._capped(f)
 
         psi_block = universe.psi_block_mask
+        cap = self.options.max_polymer_sites
         self.pure_eta = GrassmannElement(
             {mask: coeff for mask, coeff in element.terms.items() if not mask & psi_block})
-        # the psi-supported monomials in mask order, each with its site support
-        self._items: list[tuple[int, complex, SiteSet]] = [
+        # the psi-supported monomials in mask order, each with its site
+        # support; no candidate and no restricted region holds one on more
+        # than ``cap`` sites
+        items = [
             (mask, coeff, frozenset(g.site for g in universe.indices_of(mask & psi_block)))
             for mask, coeff in sorted(element.terms.items()) if mask & psi_block
         ]
+        self._items: list[tuple[int, complex, SiteSet]] = [
+            item for item in items if not cap or len(item[2]) <= cap]
 
         self.candidates = self._candidate_supports()
         self._activity_cache: dict[SiteSet, GrassmannElement] = {}
@@ -471,9 +464,9 @@ class ClusterEngine:
         return GrassmannElement.one(1.0), children, add, lambda: total
 
 
-def assemble_b(universe: GeneratorUniverse, system: CoefficientSystem,
+def assemble_b(universe: GeneratorUniverse, f: GrassmannElement,
                options: ClusterOptions | None = None) -> tuple[LogSeries, ExpansionReport]:
     """Resummed cluster logarithm of the normalized exp(f) integral."""
-    engine = ClusterEngine(universe, system, options)
+    engine = ClusterEngine(universe, f, options)
     element, report = engine.assemble()
     return LogSeries(universe, element), report

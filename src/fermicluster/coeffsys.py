@@ -69,9 +69,6 @@ class CoefficientSystem:
     def degrees(self) -> set[tuple[int, int]]:
         return {(len(zs), len(ws)) for zs, ws in self.entries}
 
-    def is_even(self) -> bool:
-        return all((len(zs) + len(ws)) % 2 == 0 for zs, ws in self.entries)
-
     def with_sources_at(self, sites: Iterable[Site] | None) -> "CoefficientSystem":
         """The kernel with every source off ``sites`` set to zero.
 

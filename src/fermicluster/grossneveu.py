@@ -3,21 +3,24 @@
 Builds the massive covariance S = (D + m_f)^-1, rewrites the quartic
 density and source couplings on the unit-covariance side (psi -> S psi), and
 exposes the truncated two-point function read off a resummed log series,
-together with exponential decay fits of correlations and of S itself.
+together with exponential decay fits of correlations and of S itself.  Both
+S and the action are translation invariant, so a model keeps the quartic
+density of one site and moves it to the others.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .algebra import GrassmannElement
 from .berezin import LogSeries
 from .coeffsys import CoefficientSystem
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 from .generators import Family, GeneratorUniverse, Site, eta, psi
 from .weights import TorusMetric, WeightSystem, coeff_norm
 
@@ -180,37 +183,100 @@ def universe_for(spec: LatticeSpec,
     return GeneratorUniverse(psi_modes, eta_modes)
 
 
-def quartic_kernel(spec: LatticeSpec, cov: Covariance, g: float) -> CoefficientSystem:
-    """Transformed quartic density: entries at (x, x, y, y') carrying
-    -g^2 S(x,y) S(x,y') over all spinor and flavor assignments."""
-    system = CoefficientSystem()
-    if g == 0:
-        return system
+def _add_quartic_at(system: CoefficientSystem, spec: LatticeSpec, cov: Covariance,
+                    g: float, x: Site) -> None:
+    """Add the quartic entries whose psi-bar site is ``x``: (x, x, y, y')
+    carrying -g^2 S(x,y) S(x,y') over all spinor and flavor assignments."""
     sd = spec.spinor_dim
     sites = spec.sites
     gg = g * g
-    for x in sites:
-        for y in sites:
-            sxy = cov.block(x, y)
-            for yp in sites:
-                sxyp = cov.block(x, yp)
-                for alpha, beta, alphap, betap in itertools.product(range(sd), repeat=4):
-                    value = -gg * sxy[alpha, beta] * sxyp[alphap, betap]
-                    if value == 0:
-                        continue
-                    for a in range(spec.N):
-                        for ap in range(spec.N):
-                            system.add(
-                                (
-                                    psi(x, alpha, a, bar=True),
-                                    psi(x, alphap, ap, bar=True),
-                                    psi(y, beta, a),
-                                    psi(yp, betap, ap),
-                                ),
-                                (),
-                                value,
-                            )
+    for y in sites:
+        sxy = cov.block(x, y)
+        for yp in sites:
+            sxyp = cov.block(x, yp)
+            for alpha, beta, alphap, betap in itertools.product(range(sd), repeat=4):
+                value = -gg * sxy[alpha, beta] * sxyp[alphap, betap]
+                if value == 0:
+                    continue
+                for a in range(spec.N):
+                    for ap in range(spec.N):
+                        system.add(
+                            (
+                                psi(x, alpha, a, bar=True),
+                                psi(x, alphap, ap, bar=True),
+                                psi(y, beta, a),
+                                psi(yp, betap, ap),
+                            ),
+                            (),
+                            value,
+                        )
+
+
+def quartic_kernel(spec: LatticeSpec, cov: Covariance, g: float) -> CoefficientSystem:
+    """Transformed quartic density: the entries of every psi-bar site in turn."""
+    system = CoefficientSystem()
+    if g != 0:
+        for x in spec.sites:
+            _add_quartic_at(system, spec, cov, g, x)
     return system
+
+
+#: Most quartic stencil entries a model builds; L = 10 in d = 2 at N = 1
+#: holds 160,000.
+STENCIL_BUDGET = 200_000
+
+
+def check_stencil(spec: LatticeSpec) -> None:
+    """Refuse a lattice whose quartic stencil passes ``STENCIL_BUDGET``
+    entries: one per (y, y') site pair, four spinor indices and two flavors."""
+    size = (spec.n_sites * spec.spinor_dim ** 2 * spec.N) ** 2
+    if size > STENCIL_BUDGET:
+        raise CapacityError(
+            f"the quartic stencil of {spec.n_sites} sites x {spec.spinor_dim} spinor x "
+            f"{spec.N} flavors holds {size} entries, the budget is {STENCIL_BUDGET}; "
+            f"lower lattice.L or lattice.N")
+
+
+def quartic_stencil(spec: LatticeSpec, cov: Covariance, g: float) -> CoefficientSystem:
+    """The quartic entries whose psi-bar site is the origin ``spec.sites[0]``.
+
+    S and the action are translation invariant, so the kernel at any other
+    site is this stencil moved there: 1/L^d of ``quartic_kernel``.
+    """
+    system = CoefficientSystem()
+    if g != 0:
+        _add_quartic_at(system, spec, cov, g, spec.sites[0])
+    return system
+
+
+def _translated(spec: LatticeSpec, origin: GrassmannElement) -> GrassmannElement:
+    """The sum of ``origin`` moved by every lattice vector, on the psi bits
+    of ``universe_for(spec, ...)``.
+
+    ``origin`` holds psi monomials whose psi-bar generators all sit on the
+    origin, each of the same degree, so no two moves give the same mask.
+    A site owns a fixed run of bits, so a move shifts each generator by
+    whole runs and keeps its offset; the coefficient takes the sign of the
+    permutation that sorts the moved generators back into canonical order.
+    Terms come move by move, in ``spec.sites`` order.
+    """
+    if not origin.terms:
+        return GrassmannElement()
+    per_site = 2 * spec.spinor_dim * spec.N
+    positions = np.array([[p for p in range(m.bit_length()) if m >> p & 1]
+                          for m in origin.terms])
+    index = {s: i for i, s in enumerate(spec.sites)}
+    moved_site = np.array([[index[tuple((a + b) % spec.L for a, b in zip(s, t))]
+                            for s in spec.sites] for t in spec.sites])
+    moved = moved_site[:, positions // per_site] * per_site + positions % per_site
+    k = positions.shape[1]
+    inversions = sum(moved[..., i] > moved[..., j] for i in range(k) for j in range(i + 1, k))
+    bits = np.bitwise_or.reduce(np.left_shift(np.uint64(1), moved.astype(np.uint64)), axis=-1)
+    coeffs = np.array(list(origin.terms.values()), dtype=np.complex128)
+    values = np.where(inversions & 1, -coeffs, coeffs)
+    out = GrassmannElement()
+    out.terms = dict(zip(bits.ravel().tolist(), values.ravel().tolist()))
+    return out
 
 
 def source_kernels(spec: LatticeSpec, cov: Covariance, g: float,
@@ -251,36 +317,65 @@ def source_kernels(spec: LatticeSpec, cov: Covariance, g: float,
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """S and the full-source kernels of V1 for one (lattice, m_f, g).
+    """S, the quartic stencil and the source kernels for one (lattice, m_f, g).
 
     Built once per run.  The quartic density carries coupling g and the
     source couplings carry ``source_g``, which is g itself except for a
-    free theory probed with unit sources.  Restricting sources to a few
-    sites only zeroes the other etas, so a restricted interaction is ``v1``
-    filtered by ``CoefficientSystem.with_sources_at``, never a rebuild.
+    free theory probed with unit sources.  Only the quartic entries whose
+    psi-bar site is the origin are kept: translation gives the rest.  A
+    pair run's interaction is the source entries at its two sites plus
+    ``psi_element``, the whole quartic part as one Grassmann element, built
+    on first use and kept for the model's later pair runs.
     """
 
     spec: LatticeSpec
     cov: Covariance
     g: float
-    quartic: CoefficientSystem
+    stencil: CoefficientSystem
     local: CoefficientSystem
     smeared: CoefficientSystem
-    v1: CoefficientSystem
+    _psi_elements: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, spec: LatticeSpec, cov: Covariance, g: float,
               source_g: float | None = None) -> "Model":
-        quartic = quartic_kernel(spec, cov, g)
         local, smeared = source_kernels(spec, cov, g if source_g is None else source_g)
-        v1 = local.scaled(-1) + smeared.scaled(-1) + quartic
-        return cls(spec, cov, g, quartic, local, smeared, v1)
+        return cls(spec, cov, g, quartic_stencil(spec, cov, g), local, smeared)
+
+    def psi_element(self, max_sites: int | None = None) -> GrassmannElement:
+        """-quartic as one element on the psi bits that every
+        ``universe_for(spec, ...)`` shares, without the monomials on more
+        than ``max_sites`` sites; a site count does not change under
+        translation, so the stencil is capped before it is moved."""
+        if max_sites not in self._psi_elements:
+            universe = universe_for(self.spec, ())
+            origin = self.stencil.scaled(-1).to_element(universe)
+            if max_sites:
+                origin = GrassmannElement(
+                    {m: c for m, c in origin.terms.items()
+                     if len({gen.site for gen in universe.indices_of(m)}) <= max_sites})
+            self._psi_elements[max_sites] = _translated(self.spec, origin)
+        return self._psi_elements[max_sites]
+
+    def interaction(self, source_sites: tuple[Site, ...] | None,
+                    max_sites: int | None = None) -> tuple[GeneratorUniverse, GrassmannElement]:
+        """The universe and f = -V1 with sources on ``source_sites`` only
+        (None: every site), monomials past ``max_sites`` sites dropped.
+
+        Setting the other sources to zero drops the source entries with an
+        eta elsewhere; the quartic part holds no eta.
+        """
+        universe = universe_for(self.spec, source_sites)
+        sources = (self.local + self.smeared).with_sources_at(source_sites)
+        return universe, sources.to_element(universe) + self.psi_element(max_sites)
 
 
 def build_v1(spec: LatticeSpec, cov: Covariance, g: float,
              source_sites: tuple[Site, ...] | None = None) -> CoefficientSystem:
     """Full transformed interaction; feed its negation to the expansion."""
-    return Model.build(spec, cov, g).v1.with_sources_at(source_sites)
+    local, smeared = source_kernels(spec, cov, g)
+    v1 = local.scaled(-1) + smeared.scaled(-1) + quartic_kernel(spec, cov, g)
+    return v1.with_sources_at(source_sites)
 
 
 def model_norms(model: Model, kappa: float, h1: float = 4.0, h2: float = 1.0,
@@ -288,7 +383,10 @@ def model_norms(model: Model, kappa: float, h1: float = 4.0, h2: float = 1.0,
     """Weighted kernel norms of the interaction pieces and the run gate.
 
     A free model (g = 0) has no interaction: probe sources are not part of
-    V1, so every norm is zero.
+    V1, so every norm is zero.  The quartic norm is the stencil's: every
+    pin site of the full kernel gives the same bucket under translation,
+    the origin-pinned one is the stencil's whole, and the stencil's other
+    buckets are partial sums of buckets of that same value.
     """
     if kappa >= model.cov.m_f:
         raise ConfigError("report mass must stay below the fermion mass")
@@ -299,7 +397,7 @@ def model_norms(model: Model, kappa: float, h1: float = 4.0, h2: float = 1.0,
             return 0.0
         return coeff_norm(system.with_sources_at(source_sites), weights)
 
-    v_norm = norm(model.quartic)
+    v_norm = norm(model.stencil)
     local_norm = norm(model.local)
     smeared_norm = norm(model.smeared)
     # The norm adds up per degree class, and the quartic (4, 0) class never

@@ -1,17 +1,21 @@
 """Experiment orchestration: covariance, expansion, norms, correlations, fits.
 
-Each run builds its interaction kernels once, as a :class:`Model` with
-sources on every site.  Correlation runs restrict the sources to the probed
-pair of sites by filtering that full-source V1: dropping the entries with
-an eta elsewhere is exactly setting those sources to zero, and it keeps
-the eta sector small enough for exact work.  Retained log-series
-coefficients do not depend on the restriction beyond rounding and the
-engine's branch floor: on 2x2 the oracle returns them bit for bit with a
-third source site added, while the engine moved them by up to 2e-14
-absolute.  One run per representative target site gives the distance
-table; the probed-sector norm of the assembled series is a lower bound on
-the full-source norm, so a convergence-bound violation on it would falsify
-the full statement as well.
+Each run builds its interaction once, as a :class:`Model`: the source
+kernels with sources on every site and the quartic stencil, the entries of
+one psi-bar site, which translation carries to every other site.  The
+model's norms read the stencil.  A correlation run restricts the sources
+to the probed pair of sites: its interaction is the source entries at
+those two sites plus the model's psi element, the whole quartic part as
+one Grassmann element, built by the first pair run and shared by the rest.
+Dropping the source entries with an eta elsewhere is exactly setting those
+sources to zero, and it keeps the eta sector small enough for exact work.
+Retained log-series coefficients do not depend on the restriction beyond
+rounding and the engine's branch floor: on 2x2 the oracle returns them bit
+for bit with a third source site added, while the engine moved them by up
+to 2e-14 absolute.  One run per representative target site gives the
+distance table; the probed-sector norm of the assembled series is a lower
+bound on the full-source norm, so a convergence-bound violation on it
+would falsify the full statement as well.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .grossneveu import (
     Covariance,
     LatticeSpec,
     Model,
+    check_stencil,
     correlation_rows,
     covariance,
     covariance_decay_table,
@@ -48,12 +53,15 @@ def lattice_objects(cfg: RunConfig) -> tuple[LatticeSpec, Covariance]:
     return spec, covariance(spec, cfg.m_f)
 
 
-def checked_lattice_objects(cfg: RunConfig) -> tuple[LatticeSpec, Covariance]:
-    """``lattice_objects`` behind ``check_capacity``: a refused lattice never
-    pays for its covariance, the inverse of a dense matrix of side
-    sites x spinor_dim x N."""
+def checked_lattice_objects(cfg: RunConfig, engine: bool = True,
+                            ) -> tuple[LatticeSpec, Covariance]:
+    """``lattice_objects`` behind ``check_stencil`` and, for a run of the
+    engine, ``check_capacity``: a refused lattice never pays for its
+    covariance, the inverse of a dense matrix of side sites x spinor_dim x N."""
     spec = LatticeSpec(d=cfg.d, L=cfg.L, N=cfg.N)
-    check_capacity(cfg, spec)
+    check_stencil(spec)
+    if engine:
+        check_capacity(cfg, spec)
     return spec, covariance(spec, cfg.m_f)
 
 
@@ -103,22 +111,22 @@ def lattice_model(cfg: RunConfig, spec: LatticeSpec, cov: Covariance) -> Model:
     return Model.build(spec, cov, cfg.g, source_g=probe_coupling(cfg))
 
 
-def _pair_interaction(spec: LatticeSpec, model: Model, y1: Site, y2: Site):
-    sources = (y1,) if y1 == y2 else (y1, y2)
-    return universe_for(spec, sources), model.v1.with_sources_at(sources).scaled(-1)
+def _pair_interaction(model: Model, y1: Site, y2: Site, max_sites: int | None = None):
+    """Universe and f with sources on the two sites only."""
+    return model.interaction((y1,) if y1 == y2 else (y1, y2), max_sites)
 
 
 def pair_series(cfg: RunConfig, spec: LatticeSpec, model: Model,
                 y1: Site, y2: Site) -> tuple[LogSeries, ExpansionReport]:
     """Assembled log series with sources restricted to two sites."""
-    universe, f = _pair_interaction(spec, model, y1, y2)
-    return assemble_b(universe, f, engine_options(cfg))
+    options = engine_options(cfg)
+    universe, f = _pair_interaction(model, y1, y2, options.max_polymer_sites)
+    return assemble_b(universe, f, options)
 
 
 def oracle_pair_series(cfg: RunConfig, spec: LatticeSpec, model: Model,
                        y1: Site, y2: Site) -> LogSeries:
-    universe, f = _pair_interaction(spec, model, y1, y2)
-    return log_direct(universe, f.to_element(universe))
+    return log_direct(*_pair_interaction(model, y1, y2))
 
 
 def series_deviation(a: LogSeries, b: LogSeries) -> tuple[float, float]:

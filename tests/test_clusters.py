@@ -126,7 +126,7 @@ def test_single_polymer_reproduces_log1p():
     u = GeneratorUniverse([((0,), 0, 0)])
     system = CoefficientSystem()
     system.add((psi((0,), bar=True), psi((0,))), (), 0.3)
-    series, report = assemble_b(u, system, ClusterOptions(n_max=40))
+    series, report = assemble_b(u, system.to_element(u), ClusterOptions(n_max=40))
     assert report.exact
     assert series.constant == pytest.approx(math.log(1.3), rel=1e-12)
 
@@ -136,7 +136,7 @@ def test_disjoint_polymers_add_logs():
     system = CoefficientSystem()
     system.add((psi((0,), bar=True), psi((0,))), (), 0.25)
     system.add((psi((5,), bar=True), psi((5,))), (), -0.4)
-    series, report = assemble_b(u, system, ClusterOptions(n_max=60))
+    series, report = assemble_b(u, system.to_element(u), ClusterOptions(n_max=60))
     assert report.exact
     expected = math.log(1.25) + math.log(0.6)
     assert series.constant == pytest.approx(expected, rel=1e-12)
@@ -181,9 +181,9 @@ def three_site_universe():
 def test_assembly_matches_direct_log(three_site_universe, seed):
     sites, eta_sites, u = three_site_universe
     rng = random.Random(seed)
-    system = _random_even_system(rng, sites, eta_sites)
-    oracle = log_direct(u, system.to_element(u))
-    series, report = assemble_b(u, system, ClusterOptions(n_max=40, floor=1e-16))
+    element = _random_even_system(rng, sites, eta_sites).to_element(u)
+    oracle = log_direct(u, element)
+    series, report = assemble_b(u, element, ClusterOptions(n_max=40, floor=1e-16))
     assert report.exact
     diff = series.element - oracle.element
     scale = max(_max_abs(oracle.element), 1e-30)
@@ -196,9 +196,10 @@ def test_capped_activity_is_restricted_activity(three_site_universe, seed):
     """An eta degree cap keeps exactly the low-degree terms of every K0."""
     sites, eta_sites, u = three_site_universe
     # twice the default psi-eta terms: these seeds reach eta degree 4
-    system = _random_even_system(random.Random(seed), sites, eta_sites, n_source=8)
-    full = ClusterEngine(u, system)
-    capped = ClusterEngine(u, system, ClusterOptions(eta_degree_cap=2))
+    element = _random_even_system(random.Random(seed), sites, eta_sites,
+                                  n_source=8).to_element(u)
+    full = ClusterEngine(u, element)
+    capped = ClusterEngine(u, element, ClusterOptions(eta_degree_cap=2))
     assert capped.candidates == full.candidates
     assert len(full.candidates) >= 3
     dropped = 0
@@ -218,8 +219,8 @@ def test_polymer_identity_on_every_region(three_site_universe, seed, eta_cap):
     under an eta degree cap, both sides agree on the kept terms."""
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(seed), sites, eta_sites)
-    engine = ClusterEngine(u, system, ClusterOptions(eta_degree_cap=eta_cap))
     element = system.to_element(u)
+    engine = ClusterEngine(u, element, ClusterOptions(eta_degree_cap=eta_cap))
     psi_block = u.psi_block_mask
     supports = {mask: f(g.site for g in u.indices_of(mask & psi_block))
                 for mask in element.terms if mask & psi_block}
@@ -259,9 +260,9 @@ def test_disjoint_systems_factorize():
 
     part_a = quartic_block(sites_a)
     part_b = quartic_block(sites_b)
-    whole, _ = assemble_b(u, part_a + part_b, ClusterOptions(n_max=40))
-    only_a, _ = assemble_b(u, part_a, ClusterOptions(n_max=40))
-    only_b, _ = assemble_b(u, part_b, ClusterOptions(n_max=40))
+    whole, _ = assemble_b(u, (part_a + part_b).to_element(u), ClusterOptions(n_max=40))
+    only_a, _ = assemble_b(u, part_a.to_element(u), ClusterOptions(n_max=40))
+    only_b, _ = assemble_b(u, part_b.to_element(u), ClusterOptions(n_max=40))
     diff = whole.element - (only_a.element + only_b.element)
     assert _max_abs(diff) < 1e-12
 
@@ -271,14 +272,14 @@ def test_odd_system_rejected():
     system = CoefficientSystem()
     system.add((psi((0,), bar=True),), (), 0.5)
     with pytest.raises(ParityError):
-        assemble_b(u, system)
+        assemble_b(u, system.to_element(u))
 
 
 def test_single_quadratic_activity_is_plain_coefficient():
     u = GeneratorUniverse([((0,), 0, 0)])
     system = CoefficientSystem()
     system.add((psi((0,), bar=True), psi((0,))), (), 0.125)
-    engine = ClusterEngine(u, system)
+    engine = ClusterEngine(u, system.to_element(u))
     k0 = engine.polymer_activity(f({(0,)}))
     assert k0.constant == pytest.approx(0.125)
     assert len(k0) == 1
@@ -288,7 +289,7 @@ def test_truncated_mode_never_reports_exact(three_site_universe):
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(2), sites, eta_sites)
     for options in (ClusterOptions(max_polymer_sites=3), ClusterOptions(eta_degree_cap=4)):
-        _, report = assemble_b(u, system, options)
+        _, report = assemble_b(u, system.to_element(u), options)
         assert report.mode == "truncated"
         assert not report.exact
 
@@ -296,10 +297,10 @@ def test_truncated_mode_never_reports_exact(three_site_universe):
 def test_eta_cap_exact_on_retained_sector(three_site_universe):
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(31), sites, eta_sites, n_source=8)
-    full, _ = assemble_b(u, system, ClusterOptions(n_max=40, floor=1e-16))
+    full, _ = assemble_b(u, system.to_element(u), ClusterOptions(n_max=40, floor=1e-16))
     capped, _ = assemble_b(
         u,
-        system,
+        system.to_element(u),
         ClusterOptions(n_max=40, floor=1e-16, eta_degree_cap=2),
     )
     psi_block = u.psi_block_mask
@@ -317,7 +318,7 @@ def test_small_n_max_reports_inexact():
     u = GeneratorUniverse([((0,), 0, 0)])
     system = CoefficientSystem()
     system.add((psi((0,), bar=True), psi((0,))), (), 0.5)
-    series, report = assemble_b(u, system, ClusterOptions(n_max=3))
+    series, report = assemble_b(u, system.to_element(u), ClusterOptions(n_max=3))
     assert not report.exact
     assert report.tail > 0
     # three terms of log(1+x)
@@ -328,7 +329,7 @@ def test_small_n_max_reports_inexact():
 def test_report_dict_round_trip(three_site_universe):
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(4), sites, eta_sites)
-    _, report = assemble_b(u, system, ClusterOptions(n_max=30))
+    _, report = assemble_b(u, system.to_element(u), ClusterOptions(n_max=30))
     payload = report.as_dict()
     assert payload["mode"] == "exact"
     assert payload["polymer_count"] >= 1
@@ -336,18 +337,22 @@ def test_report_dict_round_trip(three_site_universe):
     assert isinstance(payload["exact"], bool)
 
 
-def test_truncated_engine_drops_entries_past_the_site_cap(three_site_universe, monkeypatch):
+def test_truncated_engine_drops_entries_past_the_site_cap(three_site_universe):
     sites, eta_sites, u = three_site_universe
-    system = _random_even_system(random.Random(3), sites, eta_sites)
+    element = _random_even_system(random.Random(3), sites, eta_sites).to_element(u)
     options = ClusterOptions(max_polymer_sites=2, eta_degree_cap=2)
-    filtered = ClusterEngine(u, system, options)
+    filtered = ClusterEngine(u, element, options)
     assert all(len(sup) <= 2 for *_, sup in filtered._items)
-    monkeypatch.setattr(clusters, "_within_sites", lambda system, cap: system)
-    unfiltered = ClusterEngine(u, system, options)
-    assert any(len(sup) > 2 for *_, sup in unfiltered._items)
-    element, report = filtered.assemble()
+    psi_block = u.psi_block_mask
+    supported = [(m, c, f(g.site for g in u.indices_of(m & psi_block)))
+                 for m, c in sorted(element.terms.items()) if m & psi_block]
+    assert any(len(sup) > 2 for *_, sup in supported)
+    # the dropped monomials never enter: handing them back changes nothing
+    unfiltered = ClusterEngine(u, element, options)
+    unfiltered._items = supported
+    out, report = filtered.assemble()
     reference, reference_report = unfiltered.assemble()
-    assert element.terms == reference.terms
+    assert out.terms == reference.terms
     assert report == reference_report
 
 
@@ -361,7 +366,7 @@ def test_sector_matrices_are_products_with_each_activity(three_site_universe, se
     """Row m of matrix j is the monomial m times activity j, on the basis."""
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(seed), sites, eta_sites, n_source=8)
-    engine = ClusterEngine(u, system, ClusterOptions(eta_degree_cap=eta_cap))
+    engine = ClusterEngine(u, system.to_element(u), ClusterOptions(eta_degree_cap=eta_cap))
     activities = [k0 for k0 in map(engine.polymer_activity, engine.candidates) if k0.terms]
     basis, wide = engine.eta_sector(activities)
     shift = u.n_psi_bits
@@ -378,7 +383,7 @@ def test_sector_matrices_are_products_with_each_activity(three_site_universe, se
             assert matrix[row].tolist() == [product.get(n, 0j) for n in masks]
 
 
-def _assemble_by_route(monkeypatch, dense, universe, system, options):
+def _assemble_by_route(monkeypatch, dense, universe, f, options):
     """``assemble`` on the dense eta-sector route or on the sparse one."""
     with monkeypatch.context() as patch:
         if dense:
@@ -388,12 +393,12 @@ def _assemble_by_route(monkeypatch, dense, universe, system, options):
             patch.setattr(ClusterEngine, "_sparse_descent", no_sparse)
         else:
             patch.setattr(clusters, "DENSE_MAX_ENTRIES", 0)
-        return ClusterEngine(universe, system, options).assemble()
+        return ClusterEngine(universe, f, options).assemble()
 
 
-def _assert_routes_agree(monkeypatch, universe, system, options):
-    dense, dense_report = _assemble_by_route(monkeypatch, True, universe, system, options)
-    sparse, sparse_report = _assemble_by_route(monkeypatch, False, universe, system, options)
+def _assert_routes_agree(monkeypatch, universe, f, options):
+    dense, dense_report = _assemble_by_route(monkeypatch, True, universe, f, options)
+    sparse, sparse_report = _assemble_by_route(monkeypatch, False, universe, f, options)
     assert _max_abs(dense - sparse) < 1e-14
     for field in ("polymer_count", "cluster_count", "n_reached", "exact"):
         assert getattr(dense_report, field) == getattr(sparse_report, field), field
@@ -406,7 +411,7 @@ def test_dense_and_sparse_descents_agree(three_site_universe, monkeypatch, seed,
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(seed), sites, eta_sites, n_source=8)
     options = ClusterOptions(n_max=40, floor=1e-16, eta_degree_cap=eta_cap)
-    _assert_routes_agree(monkeypatch, u, system, options)
+    _assert_routes_agree(monkeypatch, u, system.to_element(u), options)
 
 
 def test_default_pair_runs_take_the_dense_route_and_match_sparse(monkeypatch):
@@ -417,5 +422,5 @@ def test_default_pair_runs_take_the_dense_route_and_match_sparse(monkeypatch):
     targets = pipeline.representative_targets(spec)
     assert len(targets) == 3
     for target in targets:
-        universe, f = pipeline._pair_interaction(spec, model, origin, target)
+        universe, f = pipeline._pair_interaction(model, origin, target)
         _assert_routes_agree(monkeypatch, universe, f, pipeline.engine_options(cfg))

@@ -1,5 +1,6 @@
 """Lattice model tests: operator, covariance, kernels, correlations, fits."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from fermicluster import grossneveu
 from fermicluster.berezin import log_direct
 from fermicluster.clusters import ClusterOptions, assemble_b
+from fermicluster.config import RunConfig
 from fermicluster.errors import CapacityError, ConfigError
 from fermicluster.generators import psi
 from fermicluster.grossneveu import (
@@ -28,6 +30,12 @@ from fermicluster.grossneveu import (
     torus_decay_fit,
     truncated_two_point,
     universe_for,
+)
+from fermicluster.pipeline import (
+    lattice_model,
+    lattice_objects,
+    pair_series,
+    representative_targets,
 )
 from fermicluster.weights import WeightSystem, coeff_norm
 
@@ -215,7 +223,7 @@ def test_log_norm_inequality_at_open_gate():
     g = 0.002
     sources = (spec.sites[0], spec.sites[-1])
     u = universe_for(spec, sources)
-    f = build_v1(spec, cov, g, source_sites=sources).scaled(-1)
+    f = build_v1(spec, cov, g, source_sites=sources).scaled(-1).to_element(u)
     series, report = assemble_b(u, f, ClusterOptions(n_max=30))
     assert report.exact
     f_norm = model_norms(Model.build(spec, cov, g), kappa=0.5,
@@ -228,12 +236,17 @@ def test_log_norm_inequality_at_open_gate():
 
 @pytest.mark.parametrize("L", [2, 3])
 def test_v1_norm_is_the_norm_of_v1(L):
+    # the model takes the quartic norm from the origin's stencil, the full
+    # kernel's is a max over every pin: translation makes them agree up to
+    # rounding
     spec = LatticeSpec(d=2, L=L)
-    model = Model.build(spec, covariance(spec, 3.0), 0.05)
+    cov = covariance(spec, 3.0)
+    model = Model.build(spec, cov, 0.05)
     weights = WeightSystem(kappa=0.5, h1=4.0, h2=1.0, metric=spec.metric)
     for sources in (None, (spec.sites[0], spec.sites[-1])):
         norms = model_norms(model, kappa=0.5, source_sites=sources)
-        assert norms["v1_norm"] == coeff_norm(model.v1.with_sources_at(sources), weights)
+        full = coeff_norm(build_v1(spec, cov, 0.05, source_sites=sources), weights)
+        assert norms["v1_norm"] == pytest.approx(full, rel=1e-13, abs=0)
 
 
 def test_model_norms_rejects_kappa_at_mass(small_cov):
@@ -242,14 +255,81 @@ def test_model_norms_rejects_kappa_at_mass(small_cov):
         model_norms(Model.build(spec, cov, 0.05), kappa=1.0)
 
 
+# ------------------------------------------------------------ translation
+
+
+def _moved(key, vector, L):
+    def move(gen):
+        return gen._replace(site=tuple((s + v) % L for s, v in zip(gen.site, vector)))
+
+    zs, ws = key
+    return tuple(map(move, zs)), tuple(map(move, ws))
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_v1_is_translation_invariant(L):
+    # Compared against the kernel's largest entry: at L=3 some spinor
+    # blocks of S vanish exactly, and their inverse's rounding noise (about
+    # 2e-18) leaves entries whose own relative error is of order one.
+    spec = LatticeSpec(d=2, L=L)
+    entries = dict(build_v1(spec, covariance(spec, 1.0), 0.05))
+    scale = max(map(abs, entries.values()))
+    for vector in spec.sites[1:]:
+        for key, value in entries.items():
+            assert abs(entries[_moved(key, vector, L)] - value) <= 1e-15 * scale
+
+
+def test_stencil_is_the_origin_part_of_the_kernel():
+    spec = LatticeSpec(d=2, L=3)
+    cov = covariance(spec, 3.0)
+    origin = spec.sites[0]
+    full = quartic_kernel(spec, cov, 0.05)
+    stencil = list(Model.build(spec, cov, 0.05).stencil)
+    assert stencil == [(key, v) for key, v in full if key[0][0].site == origin]
+    assert len(full) == spec.n_sites * len(stencil)
+
+
+@pytest.mark.parametrize("L, caps", [(2, [None]), (3, [2, None])])
+def test_psi_element_is_the_capped_quartic_element(L, caps):
+    spec = LatticeSpec(d=2, L=L)
+    cov = covariance(spec, 3.0)
+    u = universe_for(spec, ())
+    full = quartic_kernel(spec, cov, 0.05).scaled(-1).to_element(u)
+    model = Model.build(spec, cov, 0.05)
+    for cap in caps:
+        want = {m: c for m, c in full.terms.items()
+                if cap is None or len({gen.site for gen in u.indices_of(m)}) <= cap}
+        assert len(want) < len(full) if cap else len(want) == len(full)
+        got = model.psi_element(cap)
+        assert set(got.terms) == set(want)
+        assert max(abs(got.terms[m] - c) for m, c in want.items()) <= 1e-15
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(L=3, m_f=3.0, mode="truncated")],
+                         ids=["exact-2x2", "truncated-3x3"])
+def test_translated_pair_has_the_same_two_point_values(cfg):
+    spec, cov = lattice_objects(cfg)
+    model = lattice_model(cfg, spec, cov)
+    origin = spec.sites[0]
+    for r in representative_targets(spec):
+        series, _ = pair_series(cfg, spec, model, origin, r)
+        for a in ((1, 0), (1, 1)):
+            b = tuple((x + y) % cfg.L for x, y in zip(a, r))
+            moved, _ = pair_series(cfg, spec, model, a, b)
+            for alpha, beta in itertools.product(range(spec.spinor_dim), repeat=2):
+                want = truncated_two_point(series, cfg.g, origin, r, alpha, beta)
+                got = truncated_two_point(moved, cfg.g, a, b, alpha, beta)
+                # values that vanish exactly come out as rounding noise
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
 # ------------------------------------------------------------ correlations
 
 
 def test_free_theory_two_point_equals_covariance(small_cov):
     spec, cov = small_cov
     g = 0.05
-    u = universe_for(spec)
-    f = Model.build(spec, cov, 0.0, source_g=g).v1.scaled(-1)
+    u, f = Model.build(spec, cov, 0.0, source_g=g).interaction(None)
     series, report = assemble_b(u, f, ClusterOptions(n_max=30))
     assert report.exact
     for y1 in spec.sites:
@@ -266,8 +346,8 @@ def test_interacting_two_point_matches_direct_oracle(small_cov):
     g = 0.1
     sources = (spec.sites[0], spec.sites[-1])
     u = universe_for(spec, sources)
-    f = build_v1(spec, cov, g, source_sites=sources).scaled(-1)
-    oracle = log_direct(u, f.to_element(u))
+    f = build_v1(spec, cov, g, source_sites=sources).scaled(-1).to_element(u)
+    oracle = log_direct(u, f)
     series, report = assemble_b(u, f, ClusterOptions(n_max=30))
     assert report.exact
     y1, y2 = sources
@@ -287,7 +367,7 @@ def test_flavor_channels_diagonal_and_equal():
     g = 0.1
     sources = (spec.sites[0], spec.sites[1])
     u = universe_for(spec, sources)
-    f = build_v1(spec, cov, g, source_sites=sources).scaled(-1)
+    f = build_v1(spec, cov, g, source_sites=sources).scaled(-1).to_element(u)
     # two flavors double the mode count; a site-local truncation keeps the
     # run cheap while preserving the channel structure under test
     options = ClusterOptions(n_max=20, max_polymer_sites=1, eta_degree_cap=2)
@@ -304,8 +384,7 @@ def test_flavor_channels_diagonal_and_equal():
 def test_correlation_rows_schema(small_cov):
     spec, cov = small_cov
     g = 0.05
-    u = universe_for(spec)
-    f = Model.build(spec, cov, 0.0, source_g=g).v1.scaled(-1)
+    u, f = Model.build(spec, cov, 0.0, source_g=g).interaction(None)
     series, _ = assemble_b(u, f, ClusterOptions(n_max=30))
     rows = correlation_rows(series, g, spec)
     assert len(rows) == len(spec.sites) * spec.spinor_dim ** 2 * spec.N

@@ -172,16 +172,17 @@ def test_zero_coupling_run_equals_covariance():
 
 @pytest.mark.parametrize("g", [0.05, 0.0])
 def test_run_builds_each_kernel_once(monkeypatch, g):
-    # pair runs filter the full-source kernels instead of rebuilding them
+    # the three pair runs share the model's kernels and its one psi element;
+    # the full quartic kernel is never built
     from fermicluster import grossneveu
 
     calls = []
-    for name in ("quartic_kernel", "source_kernels"):
+    for name in ("quartic_kernel", "quartic_stencil", "source_kernels", "_translated"):
         original = getattr(grossneveu, name)
         monkeypatch.setattr(grossneveu, name,
                             lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
     run_experiment(RunConfig(g=g, mode="truncated"))
-    assert sorted(calls) == ["quartic_kernel", "source_kernels"]
+    assert sorted(calls) == ["_translated", "quartic_stencil", "source_kernels"]
 
 
 def test_truncated_run_flags_inexactness():
@@ -217,6 +218,46 @@ def test_cli_expand_writes_report(tmp_path, capsys):
     assert doc["payload"]["oracle"]["ran"] is True
     assert doc["payload"]["expansion"]["exact"] is True
     assert doc["payload"]["coefficients"]
+
+
+def test_cli_expand_times_each_stage_outside_the_payload(tmp_path, capsys):
+    out = tmp_path / "series.json"
+    assert cli.main(["expand", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    doc = json.loads(text)
+    timing = doc["timing"]
+    stages = timing["stages_s"]
+    assert set(stages) == {"covariance", "model", "engine", "oracle"}
+    assert stages["engine"] > 0 and stages["oracle"] > 0
+    # Each stage is rounded to the millisecond on its own.
+    assert sum(stages.values()) <= timing["wall_time_s"] + 0.004
+    assert deterministic_part(text) == deterministic_part(render_report(doc["payload"], {}))
+
+
+def test_cli_norms_runs_past_the_bit_capacity(tmp_path, capsys):
+    path = tmp_path / "wide.cfg"
+    path.write_text("lattice.L = 5\nmodel.m_f = 3.0\n")
+    assert cli.main(["norms", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["norms"]["v1_norm"] > 0
+
+
+def test_cli_norms_refuses_a_stencil_past_the_budget_at_once(tmp_path, monkeypatch,
+                                                             capsys):
+    from fermicluster import grossneveu, pipeline
+
+    def no_covariance(*args):
+        raise AssertionError("covariance computed before the stencil check")
+
+    grossneveu.check_stencil(grossneveu.LatticeSpec(d=2, L=10))
+    for module in (grossneveu, pipeline):
+        monkeypatch.setattr(module, "covariance", no_covariance)
+    path = tmp_path / "huge.cfg"
+    path.write_text("lattice.L = 12\n")
+    started = time.perf_counter()
+    assert cli.main(["norms", "--config", str(path)]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert "quartic stencil" in capsys.readouterr().err
 
 
 def test_cli_correlate_writes_csv(tmp_path, capsys):
@@ -275,7 +316,7 @@ def test_truncated_run_past_bit_capacity_fails_before_any_kernel(tmp_path, monke
     def no_covariance(*args):
         raise AssertionError("covariance computed before the capacity check")
 
-    monkeypatch.setattr(grossneveu, "quartic_kernel", no_kernel)
+    monkeypatch.setattr(grossneveu, "quartic_stencil", no_kernel)
     for module in (grossneveu, pipeline):
         monkeypatch.setattr(module, "covariance", no_covariance)
     path = tmp_path / "wide.cfg"
@@ -362,6 +403,31 @@ def test_bench_tracer_finds_every_traced_callable(monkeypatch):
         tracer.remove()
     assert not hasattr(berezin.log_direct, "__wrapped__")
     assert not hasattr(clusters.ursell_factor, "__wrapped__")
+
+
+def test_bench_tracer_spans_a_tiny_run(monkeypatch):
+    """``bench/run.py --trace 1`` needs every span to resolve and every
+    expected copy to be found in the package as it is now."""
+    from fermicluster import pipeline
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracing
+
+    for module, path in {**tracing.SPANS, **tracing.COUNTED}.values():
+        owner, attr = tracing._resolve(module, path)
+        assert callable(vars(owner)[attr]), (module, path)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert {f"{m}.{a}" for m, a in tracing.EXPECTED_COPIES} <= set(tracer.rebound)
+        run_experiment(RunConfig(mode="truncated"))
+    finally:
+        tracer.remove()
+    for name in ("pipeline.pair_series", "grossneveu.model_norms", "clusters.assemble",
+                 "berezin.elim", "algebra.mul"):
+        assert tracer.calls[name] > 0, name
+    assert tracer.counts["clusters.candidates"] > 0
+    assert not hasattr(pipeline.pair_series, "__wrapped__")
 
 
 # --------------------------------------------------------------- packaging
