@@ -81,7 +81,7 @@ def _oracle_runs():
         model = lattice_model(cfg, spec, cov)
         y1, y2 = spec.sites[0], spec.sites[-1]
         series, report = pair_series(cfg, spec, model, y1, y2)
-        oracle = oracle_pair_series(cfg, spec, model, y1, y2)
+        oracle = oracle_pair_series(model, y1, y2)
         runs.append((cfg, spec, model, (y1, y2), series, report, oracle))
     return runs
 

@@ -101,7 +101,7 @@ def cmd_expand(args) -> int:
     oracle_s = 0.0
     if cfg.mode == "exact":
         oracle_started = clock()
-        oracle = oracle_pair_series(cfg, spec, model, y1, y2)
+        oracle = oracle_pair_series(model, y1, y2)
         oracle_s = clock() - oracle_started
         worst_abs, worst_rel = series_deviation(series, oracle)
         oracle_block = {"ran": True, "worst_abs": worst_abs, "worst_rel": worst_rel}

@@ -30,7 +30,9 @@ sparse elements instead.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -55,89 +57,67 @@ DENSE_MAX_ENTRIES = 1 << 20
 # ------------------------------------------------------------ graph helpers
 
 
+def _merged(comps: list, part) -> list:
+    """``comps`` (pairwise disjoint) with ``part`` joined to every one it meets."""
+    apart = []
+    for comp in comps:
+        if comp & part:
+            part = part | comp
+        else:
+            apart.append(comp)
+    apart.append(part)
+    return apart
+
+
 def _components(parts: Sequence) -> list:
     """Connected components of the overlap graph of ``parts`` (site sets or
     site bitmasks): two parts meet when ``a & b`` is nonempty, and each
     component is the ``|`` of its parts."""
-    comps = []
+    comps: list = []
     for part in parts:
-        merged = part
-        apart = []
-        for comp in comps:
-            if comp & merged:
-                merged = merged | comp
-            else:
-                apart.append(comp)
-        apart.append(merged)
-        comps = apart
+        comps = _merged(comps, part)
     return comps
 
 
-def _independent_sets(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Nonempty independent vertex sets of a block graph, as bitmasks."""
-    d = len(adj)
-    out = []
-    for bits in range(1, 1 << d):
-        m = bits
-        ok = True
-        while m:
-            low = m & -m
-            if adj[low.bit_length() - 1] & bits:
-                ok = False
-                break
-            m ^= low
-        if ok:
-            out.append(bits)
-    return tuple(out)
+def _ursell(counts: tuple[tuple[int, int], ...], adj: Sequence[int], memo: dict) -> int:
+    """rho^T of a multiset of polymers by the anchor recursion.
 
+    ``counts`` holds (index, copies) pairs in increasing index order, and
+    bit k of adj[i] is set when polymers i and k overlap; copies of one
+    polymer always overlap.  With A(v) = 1 when v is a selection of single,
+    pairwise disjoint polymers,
 
-def _edge_free(adj: tuple[int, ...], counts: tuple[int, ...]) -> bool:
-    """True when the selection has no repeated block and no adjacent pair."""
-    bits = 0
-    for i, c in enumerate(counts):
-        if c > 1:
-            return False
-        if c:
-            if adj[i] & bits:
-                return False
-            bits |= 1 << i
-    return True
+        C(v) = A(v) - sum over proper sub-multisets s holding the anchor
+               (the lowest index) of (choices) C(s) A(v - s),
 
-
-def _ursell_counts(adj: tuple[int, ...], counts: tuple[int, ...],
-                   independent: tuple[int, ...], memo: dict) -> int:
-    """Anchor recursion over count vectors, block 0 as the anchor.
-
-    C(v) = A(v) - sum over proper sub-multisets s holding the anchor vertex
-    of (choices) C(s) A(v - s); the remainder v - s only survives when it is
-    an independent selection with single copies, so the sum runs over the
-    ``independent`` sets of the block graph.  ``memo`` is local to one
-    Ursell factor.
+    so v - s runs over the nonempty such selections inside v that leave an
+    anchor copy.  Every sub-multiset keeps the lowest index as its anchor,
+    so C(s) depends on s alone and one ``memo`` serves every multiset over
+    the same ``adj``.  A disconnected multiset gives 0.
     """
-    if sum(counts) == 1:
-        return 1
     if counts in memo:
         return memo[counts]
-    value = 1 if _edge_free(adj, counts) else 0
-    for rest_bits in independent:
+    value = 1
+    bits = 0
+    for i, c in counts:
+        if c > 1 or adj[i] & bits:
+            value = 0
+            break
+        bits |= 1 << i
+    # (index bitmask, positions) of every selection v - s
+    removals = [(0, ())]
+    for p, (i, c) in enumerate(counts):
+        if p or c > 1:
+            removals += [(b | 1 << i, pos + (p,)) for b, pos in removals if not adj[i] & b]
+    for _, positions in removals[1:]:
         sub = list(counts)
-        m = rest_bits
-        ok = True
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if sub[i] == 0:
-                ok = False
-                break
-            sub[i] -= 1
-            m ^= low
-        if not ok or sub[0] == 0:
-            continue
-        ways = math.comb(counts[0] - 1, sub[0] - 1)
-        for i in range(1, len(counts)):
-            ways *= math.comb(counts[i], sub[i])
-        if ways:
-            value -= ways * _ursell_counts(adj, tuple(sub), independent, memo)
+        ways = 1
+        for p in positions:
+            i, c = sub[p]
+            # comb(c0 - 1, c0 - 2) for the anchor, comb(c, c - 1) otherwise
+            ways *= c - 1 if p == 0 else c
+            sub[p] = (i, c - 1)
+        value -= ways * _ursell(tuple(pair for pair in sub if pair[1]), adj, memo)
     memo[counts] = value
     return value
 
@@ -147,31 +127,15 @@ def ursell_factor(supports: Sequence[SiteSet]) -> int:
     n = len(supports)
     if n == 0:
         raise ValueError("need at least one support")
-    distinct: list[SiteSet] = []
-    mults: list[int] = []
-    for sup in supports:
-        try:
-            pos = distinct.index(sup)
-        except ValueError:
-            distinct.append(sup)
-            mults.append(1)
-        else:
-            mults[pos] += 1
+    distinct = list(dict.fromkeys(supports))
     if len(_components(distinct)) > 1:
         return 0  # no connected spanning subgraph; an empty support meets nothing
-    if len(distinct) == 1 and not distinct[0] and mults[0] > 1:
+    if len(distinct) == 1 and not distinct[0] and n > 1:
         return 0
-    d = len(distinct)
-    adj = [0] * d
-    for i in range(d):
-        for j in range(i + 1, d):
-            if distinct[i] & distinct[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    # copies of one support are mutually adjacent, so edge-free selections
-    # take at most one vertex per block
-    adj = tuple(adj)
-    return _ursell_counts(adj, tuple(mults), _independent_sets(adj), {})
+    adj = [sum(1 << k for k, other in enumerate(distinct) if sup & other)
+           for sup in distinct]
+    counts = tuple((i, supports.count(sup)) for i, sup in enumerate(distinct))
+    return _ursell(counts, adj, {})
 
 
 # ---------------------------------------------------------------- options
@@ -198,6 +162,7 @@ class ExpansionReport:
     mode: str
     polymer_count: int = 0
     cluster_count: int = 0
+    clusters_visited: int = 0
     n_reached: int = 0
     tail: float = 0.0
     exact: bool = True
@@ -246,8 +211,7 @@ class ClusterEngine:
 
     def _candidate_supports(self) -> list[SiteSet]:
         cap = self.options.max_polymer_sites
-        seeds = [s for s in dict.fromkeys(sup for *_, sup in self._items)
-                 if not cap or len(s) <= cap]
+        seeds = list(dict.fromkeys(sup for *_, sup in self._items))
         found: set[SiteSet] = set(seeds)
         frontier = list(found)
         while frontier:
@@ -372,49 +336,57 @@ class ClusterEngine:
         report.polymer_count = len(polymers)
 
         shrinking = all(norm <= 1.0 for _, _, norm in polymers)
-        count = len(polymers)
         one, children, add, result = (
             self._dense_descent(polymers) or self._sparse_descent(polymers))
+        # polymer j's sites as a bitmask, the polymers it overlaps (itself
+        # included) and the sites that polymers j.. cover
+        site_bit = {site: 1 << b for b, site in enumerate(
+            sorted({site for support, _, _ in polymers for site in support}))}
+        sites = [sum(site_bit[site] for site in support) for support, _, _ in polymers]
+        adj = [sum(1 << k for k, other in enumerate(sites) if mask & other)
+               for mask in sites]
+        reach = list(itertools.accumulate(reversed(sites), operator.or_))[::-1]
+        memo: dict = {}
 
-        def descend(start: int, supports: tuple[SiteSet, ...], product,
-                    norm1: float, weight: float, run: int) -> None:
-            depth = len(supports)
-            report.n_reached = max(report.n_reached, depth)
-            if depth:
-                rho = ursell_factor(supports)
-                if rho:
-                    add(product, rho * weight)
-                    report.cluster_count += 1
-            if depth >= opts.n_max:
-                report.tail = max(report.tail, norm1)
-                if norm1 >= opts.floor:
-                    report.exact = False
-                return
-            # a component no remaining polymer can reach keeps every
-            # extension disconnected, so the whole branch contributes zero
-            if depth >= 2:
-                comps = _components(supports)
-                if len(comps) >= 2:
-                    for comp in comps:
-                        if not any(
-                            comp & polymers[j][0]
-                            for j in range(start, count)
-                        ):
-                            return
-            for j, (new_product, norm1) in enumerate(children(product, start), start):
+        # pre-order walk; a frame is (multiset as (index, copies) pairs, its
+        # site components, weight, children still to visit)
+        stack = [((), [], 1.0, enumerate(children(one, 0)))]
+        if opts.n_max < 1:  # the root already sits at the depth cap
+            report.tail, report.exact, stack = 1.0, False, []
+        while stack:
+            counts, comps, weight, pending = stack[-1]
+            for j, (product, norm1) in pending:
                 if norm1 == 0.0:
                     continue
                 if norm1 < opts.floor:
                     report.tail = max(report.tail, norm1)
                     if shrinking:
                         continue
-                # indices never decrease, so polymer j's multiplicity is
-                # the length of the trailing run of j
-                copies = run + 1 if j == start else 1
-                descend(j, supports + (polymers[j][0],), new_product, norm1,
-                        weight / copies, copies)
-
-        descend(0, (), one, 1.0, 1.0, 0)
+                copies = counts[-1][1] + 1 if counts and counts[-1][0] == j else 1
+                sub = (*counts[:len(counts) - (copies > 1)], (j, copies))
+                sub_weight = weight / copies
+                depth = len(stack)
+                report.n_reached = max(report.n_reached, depth)
+                report.clusters_visited += 1
+                parts = _merged(comps, sites[j])
+                if len(parts) == 1:
+                    rho = _ursell(sub, adj, memo)
+                    if rho:
+                        add(product, rho * sub_weight)
+                        report.cluster_count += 1
+                if depth >= opts.n_max:
+                    report.tail = max(report.tail, norm1)
+                    if norm1 >= opts.floor:
+                        report.exact = False
+                    continue
+                # a component no remaining polymer can reach keeps every
+                # extension disconnected, so the whole branch contributes zero
+                if len(parts) >= 2 and any(not comp & reach[j] for comp in parts):
+                    continue
+                stack.append((sub, parts, sub_weight, enumerate(children(product, j), j)))
+                break
+            else:
+                stack.pop()
         report.exact = not capped and report.exact
         return self.pure_eta + result(), report
 

@@ -124,8 +124,7 @@ def pair_series(cfg: RunConfig, spec: LatticeSpec, model: Model,
     return assemble_b(universe, f, options)
 
 
-def oracle_pair_series(cfg: RunConfig, spec: LatticeSpec, model: Model,
-                       y1: Site, y2: Site) -> LogSeries:
+def oracle_pair_series(model: Model, y1: Site, y2: Site) -> LogSeries:
     return log_direct(*_pair_interaction(model, y1, y2))
 
 
@@ -197,7 +196,7 @@ def run_correlations(cfg: RunConfig, spec: LatticeSpec, model: Model,
         reports.append(report)
         if with_oracle:
             started = time.perf_counter()
-            oracle = oracle_pair_series(cfg, spec, model, origin, target)
+            oracle = oracle_pair_series(model, origin, target)
             oracle_s += time.perf_counter() - started
             da, dr = series_deviation(series, oracle)
             worst_abs = max(worst_abs or 0.0, da)

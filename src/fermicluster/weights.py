@@ -101,8 +101,13 @@ def coeff_norm(a: CoefficientSystem, w: WeightSystem) -> float:
         else:
             pairs = [(None, j) for j in range(m)]
         buckets: dict[tuple, float] = {}
+        # the weight depends only on the class and the site set
+        weight_of: dict[frozenset[Site], float] = {}
         for zs, ws, value in items:
-            mass = w.weight(n, m, (g.site for g in zs + ws)) * abs(value)
+            sites = frozenset(g.site for g in zs + ws)
+            if sites not in weight_of:
+                weight_of[sites] = w.weight(n, m, sites)
+            mass = weight_of[sites] * abs(value)
             for i, j in pairs:
                 pin_sites = set()
                 if i is not None:

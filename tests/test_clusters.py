@@ -1,5 +1,6 @@
 """Cluster engine tests: Ursell factors, activities, and the resummed log."""
 
+import collections
 import itertools
 import math
 import random
@@ -117,6 +118,35 @@ def test_ursell_empty_supports():
     assert ursell_factor([f()]) == 1
     assert ursell_factor([f(), f()]) == 0
     assert ursell_factor([f(), f({(0,)})]) == 0
+
+
+def test_ursell_memo_is_shared_across_multisets():
+    """One memo serves every multiset over a polymer family: each connected
+    multiset gets the value of its expanded adjacency, a disconnected one 0,
+    and no entry that one multiset writes moves another's value."""
+    rng = random.Random(13)
+    polymers = [_bits(rng.sample(range(7), rng.randint(1, 2))) for _ in range(6)]
+    adj = [sum(1 << k for k, other in enumerate(polymers) if mask & other)
+           for mask in polymers]
+    memo = {}
+    connected = disconnected = 0
+    for size in range(1, 7):
+        for multiset in itertools.combinations_with_replacement(range(len(polymers)), size):
+            counts = tuple(sorted(collections.Counter(multiset).items()))
+            value = clusters._ursell(counts, adj, memo)
+            expanded = [polymers[i] for i in multiset]
+            if len(_components(expanded)) > 1:
+                assert value == 0, multiset
+                disconnected += 1
+            else:
+                rows = tuple(sum(1 << k for k, other in enumerate(expanded)
+                                 if k != i and mask & other)
+                             for i, mask in enumerate(expanded))
+                assert value == ursell_adjacency(rows), multiset
+                connected += 1
+    assert connected and disconnected
+    for counts, value in memo.items():
+        assert clusters._ursell(counts, adj, {}) == value, counts
 
 
 # ------------------------------------------------------- scalar polymer gas
@@ -400,7 +430,8 @@ def _assert_routes_agree(monkeypatch, universe, f, options):
     dense, dense_report = _assemble_by_route(monkeypatch, True, universe, f, options)
     sparse, sparse_report = _assemble_by_route(monkeypatch, False, universe, f, options)
     assert _max_abs(dense - sparse) < 1e-14
-    for field in ("polymer_count", "cluster_count", "n_reached", "exact"):
+    for field in ("polymer_count", "cluster_count", "clusters_visited", "n_reached",
+                  "exact"):
         assert getattr(dense_report, field) == getattr(sparse_report, field), field
     assert abs(dense_report.tail - sparse_report.tail) < 1e-15
 

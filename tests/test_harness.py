@@ -1,6 +1,7 @@
 """Config parsing, report artifacts, pipeline orchestration, CLI dispatch."""
 
 import ast
+import gc
 import json
 import subprocess
 import sys
@@ -151,6 +152,18 @@ def test_default_run_correlations_decay(default_run):
     payload, _ = default_run
     fit = payload["correlation_fit"]
     assert fit["decaying"] and fit["kappa"] > 0
+
+
+def test_default_run_leaves_no_cyclic_garbage(default_run):
+    """Reference counting frees all of a run, so a repeated run never keeps
+    the last run's objects alive until the collector passes."""
+    gc.collect()
+    gc.disable()
+    try:
+        run_experiment(RunConfig())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_zero_coupling_run_equals_covariance():
