@@ -278,17 +278,21 @@ def exp_series(f: GrassmannElement) -> GrassmannElement:
     return out.scaled(scale)
 
 
+def nilpotent_powers(r: GrassmannElement) -> list[GrassmannElement]:
+    """The nonzero powers r, r^2, r^3, ... of a nilpotent r, in order."""
+    powers = []
+    power = r
+    while not power.is_zero():
+        powers.append(power)
+        power = power * r
+    return powers
+
+
 def log1p_nilpotent(r: GrassmannElement) -> GrassmannElement:
     """log(1 + r) for nilpotent r, via the alternating power series."""
     if 0 in r.terms:
         raise ParityError("log1p_nilpotent needs an element without constant term")
     out = GrassmannElement()
-    power = GrassmannElement.one(1.0)
-    k = 0
-    while True:
-        k += 1
-        power = power * r
-        if power.is_zero():
-            break
+    for k, power in enumerate(nilpotent_powers(r), 1):
         out = out + power.scaled((-1.0) ** (k + 1) / k)
     return out

@@ -8,10 +8,15 @@ The log-partition series is computed by mode elimination: integrate out one
 psi mode at a time directly at the level of the exponent.  Writing the
 exponent as ``f = f0 + psibar_k u + v psi_k + psibar_k psi_k w``, one
 Gaussian mode gives ``exp(f0) (1 + u v + w)``, which is folded back into
-exponent form.  This keeps everything logarithmic and is the production
-oracle.  The literal route (exponentiate, integrate monomial by monomial,
-take the logarithm) is exponentially large and lives in ``tests/oracles.py``
-as the reference that elimination is checked against.
+exponent form.  The exponent is even, so u and v are odd and square to
+zero, and ``(u v)^2 = -u^2 v^2 = 0``.  With ``s = 1 + w0`` (w0 the constant
+of w) and ``x = (w - w0) / s``, the bracket's logarithm is therefore exactly
+``log s + log(1 + x) + (u v / s) (1 + x)^-1``: both series run over the
+powers of x alone, never over the powers of the much larger ``u v + w``.
+This keeps everything logarithmic and is the production oracle.  The
+literal route (exponentiate, integrate monomial by monomial, take the
+logarithm) is exponentially large and lives in ``tests/oracles.py`` as the
+reference that elimination is checked against.
 
 :func:`log_direct` returns a :class:`LogSeries`, the logarithm of the
 normalized integral as an even polynomial in the surviving eta generators.
@@ -21,7 +26,9 @@ from __future__ import annotations
 
 import cmath
 
-from .algebra import GrassmannElement, canonicalize, log1p_nilpotent
+from .algebra import GrassmannElement, canonicalize, nilpotent_powers
+# not called here; bench/tracing.py's EXPECTED_COPIES lists this binding
+from .algebra import log1p_nilpotent  # noqa: F401
 from .coeffsys import CoefficientSystem, system_from_element
 from .errors import NormalizationError, ParityError
 from .generators import GeneratorIndex, GeneratorUniverse
@@ -119,14 +126,37 @@ def _split_mode(f: GrassmannElement, bar_bit: int, unbar_bit: int):
     return f0, u, v, w
 
 
+def log_bracket(u: GrassmannElement, v: GrassmannElement, w: GrassmannElement) -> GrassmannElement:
+    """log(1 + u v + w) for odd u and v and even w, the bracket of one mode.
+
+    Since ``(u v)^2 = 0``, the logarithm is ``log s + log(1 + x) +
+    (u v / s) (1 + x)^-1`` with ``s = 1 + w0`` and ``x = (w - w0) / s``;
+    both series are summed from one ladder of powers of x.
+    """
+    s = 1 + w.constant
+    if s == 0:
+        raise NormalizationError("vanishing normalization: the bracket's constant is 0")
+    log = {0: cmath.log(s)}
+    inverse = {0: 1 + 0j}
+    for k, power in enumerate(nilpotent_powers(w.without_constant().scaled(1 / s)), 1):
+        a = (-1.0) ** (k + 1) / k
+        b = (-1.0) ** k
+        for m, c in power.terms.items():
+            log[m] = log.get(m, 0j) + a * c
+            inverse[m] = inverse.get(m, 0j) + b * c
+    return GrassmannElement(log) + (u * v).scaled(1 / s) * GrassmannElement(inverse)
+
+
 def effective_log_integral(universe: GeneratorUniverse, f: GrassmannElement) -> GrassmannElement:
     """log of the Gaussian integral of exp(f), eliminating one mode at a time.
 
     Requires an even exponent.  Each step integrates a single psi mode:
     ``int dmu_k exp(f) = exp(f0) (1 + u v + w)``, and the bracket is folded
-    back into the exponent through its logarithm, so the working object
-    stays a log-series throughout.  A mode that no term holds integrates to
-    1 and is skipped; elimination never adds a mode to a term.
+    back into the exponent through its logarithm (:func:`log_bracket`), so
+    the working object stays a log-series throughout.  As ``(u v)^2 = 0``,
+    that logarithm needs the powers of ``(w - w0) / (1 + w0)`` only.  A mode
+    that no term holds integrates to 1 and is skipped; elimination never
+    adds a mode to a term.
     """
     if not f.is_even():
         raise ParityError("mode elimination needs an even exponent")
@@ -139,12 +169,7 @@ def effective_log_integral(universe: GeneratorUniverse, f: GrassmannElement) -> 
         if not held & (bar_bit | unbar_bit):
             continue
         f0, u, v, w = _split_mode(current, bar_bit, unbar_bit)
-        inner = u * v + w
-        s = 1 + inner.constant
-        if s == 0:
-            raise NormalizationError(f"vanishing normalization at psi mode {k}")
-        rest = inner.without_constant().scaled(1 / s)
-        current = f0 + log1p_nilpotent(rest) + cmath.log(s)
+        current = f0 + log_bracket(u, v, w)
     return current
 
 

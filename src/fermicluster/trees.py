@@ -29,18 +29,27 @@ def cayley_count(n: int) -> int:
 
 
 def prufer_to_tree(seq: tuple[int, ...], n: int) -> TreeEdges:
-    """Decode a Prufer sequence of length n-2 into its labelled tree."""
+    """Decode a Prufer sequence of length n-2 into its labelled tree.
+
+    Linear time: a pointer walks up to the next unused leaf, and a vertex
+    that becomes a leaf below the pointer is joined next, which is the
+    smallest leaf at every step.
+    """
     degree = [1] * n
     for v in seq:
         degree[v] += 1
+    pointer = degree.index(1)
+    leaf = pointer
     edges = []
     for v in seq:
-        leaf = min(i for i in range(n) if degree[i] == 1)
-        edges.append((min(leaf, v), max(leaf, v)))
-        degree[leaf] -= 1
+        edges.append((leaf, v) if leaf < v else (v, leaf))
         degree[v] -= 1
-    last = [v for v in range(n) if degree[v] == 1]
-    edges.append((last[0], last[1]))
+        if degree[v] == 1 and v < pointer:
+            leaf = v
+        else:
+            pointer = degree.index(1, pointer + 1)
+            leaf = pointer
+    edges.append((leaf, n - 1))
     return frozenset(edges)
 
 

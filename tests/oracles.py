@@ -3,9 +3,10 @@
 Each one computes the same quantity as a production routine by a slow,
 independent route: the Ursell factor from adjacency rows, Gaussian
 integrals by explicit Wick pairing, the log-partition series by literal
-expansion, kernels spread over every slot ordering, and Grassmann products
-by sorting generator lists.  Exponential cost; test scale only.  Two
-small helpers compare elements and spell masks by generator.
+expansion, kernels spread over every slot ordering, Grassmann products by
+sorting generator lists, and Prufer decoding by a smallest-leaf search.
+Exponential cost; test scale only.  Two small helpers compare elements and
+spell masks by generator.
 """
 
 import cmath
@@ -165,6 +166,26 @@ def reference_product(universe: GeneratorUniverse, a: GrassmannElement,
             if sign:
                 acc[mask] = acc.get(mask, 0j) + sign * ca * cb
     return {m: c for m, c in acc.items() if c != 0}
+
+
+def prufer_to_tree_by_min_leaf(seq: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
+    """Prufer decode that searches for the smallest leaf at every step.
+
+    Quadratic per tree: the reference that ``trees.prufer_to_tree``'s
+    pointer decode is checked against.
+    """
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(i for i in range(n) if degree[i] == 1)
+        edges.append((min(leaf, v), max(leaf, v)))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    last = [v for v in range(n) if degree[v] == 1]
+    edges.append((last[0], last[1]))
+    return frozenset(edges)
 
 
 def allclose(a: GrassmannElement, b: GrassmannElement,

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from fermicluster.algebra import GrassmannElement
+from fermicluster import berezin
+from fermicluster.algebra import GrassmannElement, log1p_nilpotent, nilpotent_powers
 from fermicluster.berezin import (
     LogSeries,
+    _split_mode,
     effective_log_integral,
     integrate_element,
     integrate_monomial,
+    log_bracket,
     log_direct,
 )
 from fermicluster.coeffsys import CoefficientSystem
@@ -133,15 +136,72 @@ def random_even_exponent(u, rng, n_terms=8, scale=0.4):
     return el
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_eliminate_matches_expand_on_random_even_input(seed):
+def random_element(u, rng, n_terms, parity, scale=0.4, max_degree=4):
+    """n_terms distinct monomials of one parity and degree <= max_degree."""
+    el = GrassmannElement()
+    while len(el) < n_terms:
+        mask = int(rng.integers(1, 1 << u.n_bits))
+        if mask.bit_count() % 2 == parity and mask.bit_count() <= max_degree:
+            el = el + GrassmannElement({mask: complex(*(scale * rng.normal(size=2)))})
+    return el
+
+
+@pytest.mark.parametrize("seed, dense", [
+    *[pytest.param(seed, False, id=str(seed)) for seed in range(6)],
+    *[pytest.param(seed, True, id=f"dense{seed}") for seed in range(3)],
+])
+def test_eliminate_matches_expand_on_random_even_input(monkeypatch, seed, dense):
     rng = np.random.default_rng(100 + seed)
-    u = universe_n(3, n_eta=2)
-    f = random_even_exponent(u, rng)
+    if dense:
+        # bilinear and quartic terms only, so the w ladders run deep
+        u = universe_n(4, n_eta=2)
+        f = random_element(u, rng, 64, parity=0)
+    else:
+        u = universe_n(3, n_eta=2)
+        f = random_even_exponent(u, rng)
+    ladders = []
+
+    def recorded(r):
+        powers = nilpotent_powers(r)
+        ladders.append(len(powers))
+        return powers
+
+    monkeypatch.setattr(berezin, "nilpotent_powers", recorded)
     a = log_direct(u, f)
     b = log_expand(u, f)
     assert allclose(a.element, b.element, rel=1e-9, abs_tol=1e-11)
     assert a.element.is_even()
+    if dense:
+        assert max(ladders) >= 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_product_of_odd_elements_squares_to_zero(seed):
+    rng = np.random.default_rng(400 + seed)
+    u = universe_n(3, n_eta=2)
+    a = random_element(u, rng, 10, parity=1)
+    b = random_element(u, rng, 10, parity=1)
+    uv = a * b
+    assert not uv.is_zero()
+    assert uv.constant == 0
+    # zero up to the roundoff of terms that cancel in pairs
+    assert allclose(uv * uv, GrassmannElement(), rel=0, abs_tol=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_log_bracket_matches_log_of_whole_bracket(seed):
+    """log(1 + u v + w) from the powers of w alone equals the series over
+    the powers of the whole bracket."""
+    rng = np.random.default_rng(500 + seed)
+    uni = universe_n(3, n_eta=2)
+    u = random_element(uni, rng, 8, parity=1)
+    v = random_element(uni, rng, 8, parity=1)
+    w = random_element(uni, rng, 12, parity=0, scale=0.6)
+    w0 = complex(*rng.normal(size=2))
+    w = w.without_constant() + w0
+    s = 1 + w0
+    expected = log1p_nilpotent((u * v + w - w0).scaled(1 / s)) + cmath.log(s)
+    assert allclose(log_bracket(u, v, w), expected, rel=1e-12, abs_tol=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -190,6 +250,26 @@ def test_vanishing_normalization_raises():
     pair = mask_of(u, [psi((0,), 0, 0, bar=True), psi((0,), 0, 0)])
     with pytest.raises(NormalizationError):
         log_direct(u, GrassmannElement({pair: -1.0}))
+
+
+def test_vanishing_normalization_raises_with_sources():
+    # -psibar_0 psi_0 (1 - 0.5 psibar_1 psi_1) + 0.3 psibar_0 eta + 0.7 psi_0 etabar:
+    # the mode-0 bracket has u and v nonzero (from the eta terms) and w0 = -1
+    u = universe_n(2, n_eta=1)
+    bar0, psi0 = psi((0,), 0, 0, bar=True), psi((0,), 0, 0)
+    etabar, eta0 = eta((0,), 0, 0, bar=True), eta((0,), 0, 0)
+    f = GrassmannElement({
+        mask_of(u, [bar0, psi0]): -1.0,
+        mask_of(u, [bar0, psi0, psi((1,), 0, 0, bar=True), psi((1,), 0, 0)]): 0.5,
+        mask_of(u, [bar0, eta0]): 0.3,
+        mask_of(u, [psi0, etabar]): 0.7,
+    })
+    _, uu, vv, w = _split_mode(f, *u.psi_mode_bits(0))
+    assert not uu.is_zero() and not vv.is_zero() and w.constant == -1
+    with pytest.raises(NormalizationError):
+        log_direct(u, f)
+    with pytest.raises(NormalizationError):
+        log_bracket(uu, vv, w)
 
 
 def test_log_series_rejects_odd_term():

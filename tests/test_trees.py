@@ -13,6 +13,7 @@ from fermicluster.trees import (
     prufer_to_tree,
     tree_degrees,
 )
+from oracles import prufer_to_tree_by_min_leaf
 
 
 def is_connected(n, edges):
@@ -60,6 +61,19 @@ def test_prufer_star_and_path():
     assert prufer_to_tree((2, 2), 4) == frozenset({(0, 2), (1, 2), (2, 3)})
     degrees = tree_degrees(prufer_to_tree((1, 2), 4), 4)
     assert sorted(degrees) == [1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_prufer_decode_matches_min_leaf_reference(n):
+    for seq in itertools.product(range(n), repeat=n - 2):
+        assert prufer_to_tree(seq, n) == prufer_to_tree_by_min_leaf(seq, n), seq
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_enumeration_order_matches_min_leaf_reference(n):
+    expected = [prufer_to_tree_by_min_leaf(seq, n)
+                for seq in itertools.product(range(n), repeat=n - 2)]
+    assert enumerate_trees(n) == expected
 
 
 def test_enumeration_capacity_guard():
