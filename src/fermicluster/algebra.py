@@ -196,16 +196,22 @@ class GrassmannElement:
         out.terms = {m: c for m, c in self.terms.items() if c != 0}
         return out
 
-    def __add__(self, other) -> "GrassmannElement":
+    def __iadd__(self, other) -> "GrassmannElement":
+        """Add in place, dropping sums that are exactly 0."""
         if not isinstance(other, GrassmannElement):
             other = GrassmannElement.one(other)
-        out = self.copy()
+        acc = self.terms
         for m, c in other.terms.items():
-            v = out.terms.get(m, 0j) + c
+            v = acc.get(m, 0j) + c
             if v == 0:
-                out.terms.pop(m, None)
+                acc.pop(m, None)
             else:
-                out.terms[m] = v
+                acc[m] = v
+        return self
+
+    def __add__(self, other) -> "GrassmannElement":
+        out = self.copy()
+        out += other
         return out
 
     __radd__ = __add__

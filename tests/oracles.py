@@ -3,8 +3,9 @@
 Each one computes the same quantity as a production routine by a slow,
 independent route: the Ursell factor from adjacency rows, Gaussian
 integrals by explicit Wick pairing, the log-partition series by literal
-expansion, kernels spread over every slot ordering, Grassmann products by
-sorting generator lists, and Prufer decoding by a smallest-leaf search.
+expansion and by mode elimination in index order, kernels spread over
+every slot ordering, Grassmann products by sorting generator lists, and
+Prufer decoding by a smallest-leaf search.
 Exponential cost; test scale only.  Two small helpers compare elements and
 spell masks by generator.
 """
@@ -14,10 +15,11 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
+from fermicluster import berezin
 from fermicluster.algebra import GrassmannElement, canonicalize, log1p_nilpotent
 from fermicluster.berezin import LogSeries, integrate_element
 from fermicluster.coeffsys import CoefficientSystem
-from fermicluster.errors import NormalizationError
+from fermicluster.errors import NormalizationError, ParityError
 from fermicluster.generators import GeneratorIndex, GeneratorUniverse
 
 
@@ -121,6 +123,28 @@ def log_expand(universe: GeneratorUniverse, f: GrassmannElement) -> LogSeries:
         raise NormalizationError("vanishing partition function")
     rest = integrated.without_constant().scaled(1 / s)
     return LogSeries(universe, log1p_nilpotent(rest) + cmath.log(s))
+
+
+def eliminate_in_index_order(universe: GeneratorUniverse, f: GrassmannElement) -> GrassmannElement:
+    """Mode elimination in the fixed order 0..n-1, skipping modes no term holds.
+
+    The reference for the order ``berezin.effective_log_integral`` picks:
+    the integrals of even mode pairs commute, so both give the same series.
+    Each step goes through ``berezin.log_bracket``, so a test can wrap it.
+    """
+    if not f.is_even():
+        raise ParityError("mode elimination needs an even exponent")
+    held = 0
+    for m in f.terms:
+        held |= m
+    current = f
+    for k in range(len(universe.psi_modes)):
+        bar_bit, unbar_bit = universe.psi_mode_bits(k)
+        if not held & (bar_bit | unbar_bit):
+            continue
+        f0, u, v, w = berezin._split_mode(current, bar_bit, unbar_bit)
+        current = f0 + berezin.log_bracket(u, v, w)
+    return current
 
 
 def _perm_sign(perm: Iterable[int]) -> int:

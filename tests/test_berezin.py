@@ -1,11 +1,14 @@
 import cmath
 import itertools
+import logging
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fermicluster import berezin
+from fermicluster import berezin, pipeline
 from fermicluster.algebra import GrassmannElement, log1p_nilpotent, nilpotent_powers
 from fermicluster.berezin import (
     LogSeries,
@@ -17,9 +20,10 @@ from fermicluster.berezin import (
     log_direct,
 )
 from fermicluster.coeffsys import CoefficientSystem
+from fermicluster.config import RunConfig
 from fermicluster.errors import NormalizationError, ParityError
 from fermicluster.generators import GeneratorUniverse, eta, psi
-from oracles import allclose, log_expand, mask_of, wick_expectation
+from oracles import allclose, eliminate_in_index_order, log_expand, mask_of, wick_expectation
 
 ROUTES = [pytest.param(log_direct, id="eliminate"), pytest.param(log_expand, id="expand")]
 
@@ -221,6 +225,100 @@ def test_elimination_skips_modes_no_term_holds(seed):
     assert allclose(got, log_expand(u, f).element, rel=1e-9, abs_tol=1e-11)
 
 
+# ------------------------------------------------------ elimination order
+
+
+@pytest.fixture(scope="module")
+def oracle_inputs():
+    """(universe, f) of the three pair runs of the ``RunConfig()`` oracle."""
+    cfg = RunConfig()
+    spec, cov = pipeline.lattice_objects(cfg)
+    model = pipeline.lattice_model(cfg, spec, cov)
+    origin = spec.sites[0]
+    return [pipeline._pair_interaction(model, origin, target)
+            for target in pipeline.representative_targets(spec)]
+
+
+def _uv_pair_visits(monkeypatch, eliminate, universe, f):
+    """Result of ``eliminate`` and the sum of |u| |v| over its steps."""
+    visits = []
+
+    def counted(u, v, w):
+        visits.append(len(u) * len(v))
+        return log_bracket(u, v, w)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(berezin, "log_bracket", counted)
+        out = eliminate(universe, f)
+    return out, sum(visits)
+
+
+def test_elimination_order_keeps_the_oracle_series(monkeypatch, oracle_inputs):
+    """Cheapest-first elimination equals the index order on the default
+    oracle inputs and visits at least five times fewer u v pairs."""
+    assert len(oracle_inputs) == 3
+    for universe, f in oracle_inputs:
+        greedy, greedy_visits = _uv_pair_visits(monkeypatch, effective_log_integral, universe, f)
+        ordered, ordered_visits = _uv_pair_visits(
+            monkeypatch, eliminate_in_index_order, universe, f)
+        assert allclose(greedy, ordered, rel=1e-12, abs_tol=1e-14)
+        assert 5 * greedy_visits <= ordered_visits, (greedy_visits, ordered_visits)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_elimination_order_keeps_dense_random_series(seed):
+    # the dense cases of test_eliminate_matches_expand_on_random_even_input
+    rng = np.random.default_rng(100 + seed)
+    u = universe_n(4, n_eta=2)
+    f = random_element(u, rng, 64, parity=0)
+    assert allclose(effective_log_integral(u, f), eliminate_in_index_order(u, f),
+                    rel=1e-12, abs_tol=1e-14)
+
+
+def test_each_step_takes_the_cheapest_mode_and_logs_it(caplog):
+    """Mode 0 holds three sources on each side and its pair (cost 3 * 3 + 1);
+    modes 1 and 2 share one quartic term (cost 1 each).  The tie goes to
+    mode 1, then mode 2 costs 1, and mode 0 comes last."""
+    u = universe_n(3, n_eta=3)
+    bar = [psi((i,), 0, 0, bar=True) for i in range(3)]
+    unbar = [psi((i,), 0, 0) for i in range(3)]
+    f = GrassmannElement({mask_of(u, [bar[0], unbar[0]]): 0.5,
+                          mask_of(u, [bar[1], unbar[1], bar[2], unbar[2]]): 0.25})
+    for j in range(3):
+        f = f + GrassmannElement({mask_of(u, [bar[0], eta((j,), 0, 0)]): 0.1 * (j + 1),
+                                  mask_of(u, [unbar[0], eta((j,), 0, 0, bar=True)]): 0.2})
+    with caplog.at_level(logging.DEBUG, logger="fermicluster.berezin"):
+        got = effective_log_integral(u, f)
+    steps = [r.getMessage() for r in caplog.records if r.name == "fermicluster.berezin"]
+    assert steps == [
+        "eliminated psi mode 1: |u|=0 |v|=0 |w|=1, 8 terms after",
+        "eliminated psi mode 2: |u|=0 |v|=0 |w|=1, 8 terms after",
+        f"eliminated psi mode 0: |u|=3 |v|=3 |w|=1, {len(got)} terms after",
+    ]
+    assert allclose(got, log_expand(u, f).element, rel=1e-12, abs_tol=1e-14)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="fermicluster.berezin"):
+        effective_log_integral(u, f)
+    assert not caplog.records
+
+
+def test_elimination_leaves_logging_unimported():
+    """Importing logging costs every run start-up time and memory, so the
+    package and an elimination run only look it up."""
+    code = (
+        "import sys\n"
+        "from fermicluster import berezin, cli\n"
+        "from fermicluster.algebra import GrassmannElement\n"
+        "from fermicluster.generators import GeneratorUniverse\n"
+        "u = GeneratorUniverse([((0,), 0, 0)])\n"
+        "berezin.log_direct(u, GrassmannElement({0b11: 0.5}))\n"
+        "assert 'logging' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_pure_eta_part_passes_through():
     u = universe_n(2, n_eta=2)
     eta_pair = mask_of(u, [eta((0,), 0, 0, bar=True), eta((0,), 0, 0)])
@@ -254,7 +352,8 @@ def test_vanishing_normalization_raises():
 
 def test_vanishing_normalization_raises_with_sources():
     # -psibar_0 psi_0 (1 - 0.5 psibar_1 psi_1) + 0.3 psibar_0 eta + 0.7 psi_0 etabar:
-    # the mode-0 bracket has u and v nonzero (from the eta terms) and w0 = -1
+    # the mode-0 bracket has u and v nonzero (from the eta terms) and w0 = -1,
+    # but the integral is not 0: taking mode 1 first leaves w0 = -0.5 at mode 0
     u = universe_n(2, n_eta=1)
     bar0, psi0 = psi((0,), 0, 0, bar=True), psi((0,), 0, 0)
     etabar, eta0 = eta((0,), 0, 0, bar=True), eta((0,), 0, 0)
@@ -267,9 +366,22 @@ def test_vanishing_normalization_raises_with_sources():
     _, uu, vv, w = _split_mode(f, *u.psi_mode_bits(0))
     assert not uu.is_zero() and not vv.is_zero() and w.constant == -1
     with pytest.raises(NormalizationError):
-        log_direct(u, f)
-    with pytest.raises(NormalizationError):
         log_bracket(uu, vv, w)
+    got, expected = log_direct(u, f), log_expand(u, f)
+    assert allclose(got.element, expected.element, rel=1e-12, abs_tol=1e-14)
+    assert got.constant == pytest.approx(math.log(0.5), rel=1e-12)
+    assert got.element.terms[mask_of(u, [etabar, eta0])] == pytest.approx(0.42, rel=1e-12)
+    # with mode 0 alone the integral 0.3 * 0.7 etabar eta has no constant
+    lone = universe_n(1, n_eta=1)
+    f = GrassmannElement({
+        mask_of(lone, [bar0, psi0]): -1.0,
+        mask_of(lone, [bar0, eta0]): 0.3,
+        mask_of(lone, [psi0, etabar]): 0.7,
+    })
+    _, uu, vv, w = _split_mode(f, *lone.psi_mode_bits(0))
+    assert not uu.is_zero() and not vv.is_zero() and w.constant == -1
+    with pytest.raises(NormalizationError):
+        log_direct(lone, f)
 
 
 def test_log_series_rejects_odd_term():
