@@ -34,10 +34,9 @@ from .pipeline import (
     covariance_report,
     lattice_model,
     lattice_objects,
-    oracle_pair_series,
     pair_series,
+    run_correlations,
     run_experiment,
-    series_deviation,
 )
 from .reports import render_report
 from .trees import cayley_count, enumerate_trees, majorant_partial_sum, tree_degrees
@@ -68,32 +67,25 @@ class CheckResult:
         return f"{status} criterion {self.criterion}: {self.name} ({self.details})"
 
 
-def _oracle_runs():
-    """Engine and oracle series on the 2x2 lattice for the pinned couplings.
+def _pair_run(cfg: RunConfig, with_oracle: bool):
+    """The run of one pair, sources on the origin and the diagonally
+    opposite site, which keeps the oracle tractable."""
+    spec, cov = lattice_objects(cfg)
+    model = lattice_model(cfg, spec, cov)
+    return cfg, spec, model, run_correlations(cfg, spec, model, with_oracle,
+                                              [spec.sites[-1]])
 
-    Sources sit on the origin and the diagonally opposite site, which keeps
-    the oracle tractable.
-    """
-    runs = []
-    for g in ORACLE_COUPLINGS:
-        cfg = RunConfig(g=g, m_f=1.0, mode="exact")
-        spec, cov = lattice_objects(cfg)
-        model = lattice_model(cfg, spec, cov)
-        y1, y2 = spec.sites[0], spec.sites[-1]
-        series, report = pair_series(cfg, spec, model, y1, y2)
-        oracle = oracle_pair_series(model, y1, y2)
-        runs.append((cfg, spec, model, (y1, y2), series, report, oracle))
-    return runs
+
+def _oracle_runs():
+    """Engine and oracle pair runs on the 2x2 lattice for the pinned couplings."""
+    return [_pair_run(RunConfig(g=g, m_f=1.0, mode="exact"), True)
+            for g in ORACLE_COUPLINGS]
 
 
 def criterion_1_oracle_equivalence(runs=None) -> CheckResult:
     runs = runs if runs is not None else _oracle_runs()
-    worst = 0.0
-    exact_all = True
-    for cfg, _, _, _, series, report, oracle in runs:
-        _, rel = series_deviation(series, oracle)
-        worst = max(worst, rel)
-        exact_all = exact_all and report.exact
+    worst = max(corr.oracle["worst_rel"] for *_, corr in runs)
+    exact_all = all(corr.reports[0].exact for *_, corr in runs)
     passed = worst <= ORACLE_REL_TOL and exact_all
     details = (f"g in {ORACLE_COUPLINGS}, worst relative deviation {worst:.3e}, "
                f"all runs exact={exact_all}")
@@ -108,15 +100,13 @@ def criterion_2_log_norm_bound(runs=None) -> CheckResult:
     coupling with an open gate keeps the check non-vacuous.
     """
     runs = runs if runs is not None else _oracle_runs()
-    small = RunConfig(g=0.002, m_f=1.0, mode="exact")
-    spec, cov = lattice_objects(small)
-    model = lattice_model(small, spec, cov)
-    sources = (spec.sites[0], spec.sites[-1])
-    series, _ = pair_series(small, spec, model, *sources)
+    open_gate = _pair_run(RunConfig(g=0.002, m_f=1.0, mode="exact"), False)
     verdicts = []
-    for cfg, spec, model, sources, series, *_ in [*runs, (small, spec, model, sources, series)]:
+    for cfg, spec, model, corr in [*runs, open_gate]:
+        sources = (spec.sites[0], spec.sites[-1])
         f_norm = model_norms(model, kappa=cfg.kappa, source_sites=sources)["v1_norm"]
-        h_norm = logseries_norm(series.coefficients(), cfg.h2, cfg.kappa, spec.metric)
+        h_norm = logseries_norm(corr.series_list[0].coefficients(), cfg.h2, cfg.kappa,
+                                spec.metric)
         verdicts.append((cfg.g, log_norm_bound_check(f_norm, h_norm)[2]))
 
     # the open-gate run comes last and must hold; no gated run may fail

@@ -190,12 +190,6 @@ class GrassmannElement:
             out.terms = {m: v * c for m, v in self.terms.items()}
         return out
 
-    def without_zeros(self) -> "GrassmannElement":
-        """Copy without exactly-zero coefficients."""
-        out = GrassmannElement()
-        out.terms = {m: c for m, c in self.terms.items() if c != 0}
-        return out
-
     def __iadd__(self, other) -> "GrassmannElement":
         """Add in place, dropping sums that are exactly 0."""
         if not isinstance(other, GrassmannElement):

@@ -16,16 +16,13 @@ import time
 from .acceptance import run_checklist
 from .config import RunConfig, load_config, with_overrides
 from .errors import CapacityError, ConfigError
-from .grossneveu import model_norms
+from .grossneveu import LatticeSpec, covariance, model_norms
 from .pipeline import (
-    checked_lattice_objects,
     covariance_report,
     lattice_model,
     lattice_objects,
-    oracle_pair_series,
-    pair_series,
+    run_correlations,
     run_experiment,
-    series_deviation,
 )
 from .reports import correlation_csv, render_report, write_artifact
 from .trees import cayley_count, enumerate_trees, majorant_limit, majorant_partial_sum
@@ -59,7 +56,7 @@ def _load(args) -> RunConfig:
 
 def cmd_covariance(args) -> int:
     cfg = _load(args)
-    _, cov = lattice_objects(cfg)
+    cov = covariance(LatticeSpec(d=cfg.d, L=cfg.L, N=cfg.N), cfg.m_f)
     payload = {
         "lattice": {"d": cfg.d, "L": cfg.L, "N": cfg.N},
         "m_f": cfg.m_f,
@@ -74,13 +71,12 @@ def cmd_expand(args) -> int:
     cfg = _load(args)
     clock = time.perf_counter
     started = clock()
-    spec, cov = checked_lattice_objects(cfg)
+    spec, cov = lattice_objects(cfg)
     built_cov = clock()
     model = lattice_model(cfg, spec, cov)
     built_model = clock()
-    y1, y2 = spec.sites[0], spec.sites[-1]
-    series, report = pair_series(cfg, spec, model, y1, y2)
-    expanded = clock()
+    corr = run_correlations(cfg, spec, model, cfg.mode == "exact", [spec.sites[-1]])
+    series, report = corr.series_list[0], corr.reports[0]
 
     def label(gidx):
         bar = "bar" if gidx.bar else ""
@@ -97,27 +93,18 @@ def cmd_expand(args) -> int:
         })
     coefficients.sort(key=lambda c: c["key"])
 
-    oracle_block = {"ran": False, "worst_abs": None, "worst_rel": None}
-    oracle_s = 0.0
-    if cfg.mode == "exact":
-        oracle_started = clock()
-        oracle = oracle_pair_series(model, y1, y2)
-        oracle_s = clock() - oracle_started
-        worst_abs, worst_rel = series_deviation(series, oracle)
-        oracle_block = {"ran": True, "worst_abs": worst_abs, "worst_rel": worst_rel}
-
     payload = {
-        "sources": [list(y1), list(y2)],
+        "sources": [list(spec.sites[0]), list(spec.sites[-1])],
         "constant": {"re": series.constant.real, "im": series.constant.imag},
         "coefficients": coefficients,
         "expansion": report.as_dict(),
-        "oracle": oracle_block,
+        "oracle": corr.oracle,
     }
     stages = {
         "covariance": built_cov - started,
         "model": built_model - built_cov,
-        "engine": expanded - built_model,
-        "oracle": oracle_s,
+        "engine": corr.engine_s,
+        "oracle": corr.oracle_s,
     }
     _emit(args, payload, {
         "wall_time_s": round(clock() - started, 3),
@@ -128,7 +115,7 @@ def cmd_expand(args) -> int:
 
 def cmd_norms(args) -> int:
     cfg = _load(args)
-    model = lattice_model(cfg, *checked_lattice_objects(cfg, engine=False))
+    model = lattice_model(cfg, *lattice_objects(cfg, engine=False))
     norms = model_norms(model, kappa=cfg.kappa, h1=cfg.h1, h2=cfg.h2)
     payload = {
         "lattice": {"d": cfg.d, "L": cfg.L, "N": cfg.N},

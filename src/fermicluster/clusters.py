@@ -277,7 +277,7 @@ class ClusterEngine:
             if anchor in sub and sub < support:
                 value = value - self.polymer_activity(sub) * self._restricted_exp(
                     support - sub)
-        k0 = self._activity_cache[support] = self._capped(value).without_zeros()
+        k0 = self._activity_cache[support] = self._capped(value)
         return k0
 
     # -- assembly ------------------------------------------------------------

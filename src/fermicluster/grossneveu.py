@@ -21,7 +21,7 @@ from .algebra import GrassmannElement
 from .berezin import LogSeries
 from .coeffsys import CoefficientSystem
 from .errors import CapacityError, ConfigError
-from .generators import Family, GeneratorUniverse, Site, eta, psi
+from .generators import GeneratorUniverse, Site, eta, psi
 from .weights import TorusMetric, WeightSystem, coeff_norm
 
 
@@ -433,40 +433,34 @@ def truncated_two_point(series: LogSeries, g: float, y1: Site, y2: Site,
     return bracket / (g * g)
 
 
-def correlation_rows(series: LogSeries, g: float, spec: LatticeSpec) -> list[dict]:
-    """Truncated two-point table from the origin ``spec.sites[0]`` to every site.
+def correlation_rows(series: LogSeries, g: float, spec: LatticeSpec,
+                     target: Site) -> list[dict]:
+    """Truncated two-point rows from the origin ``spec.sites[0]`` to ``target``.
 
-    One row per (site, spinor pair, flavor); distances use the torus
-    metric.  Only flavor-diagonal channels appear, the off-diagonal ones
-    vanish identically for this action.
+    One row per (spinor pair, flavor), in (alpha, beta, flavor) order, each
+    at the torus distance of the target.  Only flavor-diagonal channels
+    appear, the off-diagonal ones vanish identically for this action.
     """
     origin = spec.sites[0]
-    metric = spec.metric
+    r = spec.metric.distance(origin, target)
     rows = []
-    eta_sites = {gidx.site for gidx in series.universe.generators()
-                 if gidx.family == Family.ETA}
-    for site in spec.sites:
-        if site not in eta_sites or origin not in eta_sites:
-            continue
-        r = metric.distance(origin, site)
-        for alpha in range(spec.spinor_dim):
-            for beta in range(spec.spinor_dim):
-                for flavor in range(spec.N):
-                    value = truncated_two_point(
-                        series, g, origin, site, alpha, beta, flavor, flavor
-                    )
-                    rows.append(
-                        {
-                            "distance": r,
-                            "alpha": alpha,
-                            "beta": beta,
-                            "flavor": flavor,
-                            "re": value.real,
-                            "im": value.imag,
-                            "abs": abs(value),
-                        }
-                    )
-    rows.sort(key=lambda row: (row["distance"], row["alpha"], row["beta"], row["flavor"]))
+    for alpha in range(spec.spinor_dim):
+        for beta in range(spec.spinor_dim):
+            for flavor in range(spec.N):
+                value = truncated_two_point(
+                    series, g, origin, target, alpha, beta, flavor, flavor
+                )
+                rows.append(
+                    {
+                        "distance": r,
+                        "alpha": alpha,
+                        "beta": beta,
+                        "flavor": flavor,
+                        "re": value.real,
+                        "im": value.imag,
+                        "abs": abs(value),
+                    }
+                )
     return rows
 
 

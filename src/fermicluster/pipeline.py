@@ -12,10 +12,12 @@ sources to zero, and it keeps the eta sector small enough for exact work.
 Retained log-series coefficients do not depend on the restriction beyond
 rounding and the engine's branch floor: on 2x2 the oracle returns them bit
 for bit with a third source site added, while the engine moved them by up
-to 2e-14 absolute.  One run per representative target site gives the
-distance table; the probed-sector norm of the assembled series is a lower
-bound on the full-source norm, so a convergence-bound violation on it
-would falsify the full statement as well.
+to 2e-14 absolute.  Every pair run, of ``correlate``, ``expand`` and the
+verify checklist alike, goes through :func:`run_correlations`, sources on
+the origin and a target; one target per distance class gives the distance
+table.  The probed-sector norm of the assembled series is a lower bound on
+the full-source norm, so a convergence-bound violation on it would falsify
+the full statement as well.
 """
 
 from __future__ import annotations
@@ -48,16 +50,11 @@ from .weights import log_norm_bound_check, logseries_norm
 EXACT_MODE_PSI_LIMIT = 8
 
 
-def lattice_objects(cfg: RunConfig) -> tuple[LatticeSpec, Covariance]:
-    spec = LatticeSpec(d=cfg.d, L=cfg.L, N=cfg.N)
-    return spec, covariance(spec, cfg.m_f)
-
-
-def checked_lattice_objects(cfg: RunConfig, engine: bool = True,
-                            ) -> tuple[LatticeSpec, Covariance]:
-    """``lattice_objects`` behind ``check_stencil`` and, for a run of the
-    engine, ``check_capacity``: a refused lattice never pays for its
-    covariance, the inverse of a dense matrix of side sites x spinor_dim x N."""
+def lattice_objects(cfg: RunConfig, engine: bool = True,
+                    ) -> tuple[LatticeSpec, Covariance]:
+    """The run's lattice and covariance behind ``check_stencil`` and, for a
+    run of the engine, ``check_capacity``: a refused lattice never pays for
+    its covariance, the inverse of a dense matrix of side sites x spinor_dim x N."""
     spec = LatticeSpec(d=cfg.d, L=cfg.L, N=cfg.N)
     check_stencil(spec)
     if engine:
@@ -111,21 +108,15 @@ def lattice_model(cfg: RunConfig, spec: LatticeSpec, cov: Covariance) -> Model:
     return Model.build(spec, cov, cfg.g, source_g=probe_coupling(cfg))
 
 
-def _pair_interaction(model: Model, y1: Site, y2: Site, max_sites: int | None = None):
-    """Universe and f with sources on the two sites only."""
-    return model.interaction((y1,) if y1 == y2 else (y1, y2), max_sites)
-
-
 def pair_series(cfg: RunConfig, spec: LatticeSpec, model: Model,
                 y1: Site, y2: Site) -> tuple[LogSeries, ExpansionReport]:
     """Assembled log series with sources restricted to two sites."""
     options = engine_options(cfg)
-    universe, f = _pair_interaction(model, y1, y2, options.max_polymer_sites)
-    return assemble_b(universe, f, options)
+    return assemble_b(*model.interaction((y1, y2), options.max_polymer_sites), options)
 
 
 def oracle_pair_series(model: Model, y1: Site, y2: Site) -> LogSeries:
-    return log_direct(*_pair_interaction(model, y1, y2))
+    return log_direct(*model.interaction((y1, y2)))
 
 
 def series_deviation(a: LogSeries, b: LogSeries) -> tuple[float, float]:
@@ -159,8 +150,7 @@ class CorrelationResult:
     samples: list[tuple[Site, float]]
     series_list: list[LogSeries]
     reports: list[ExpansionReport]
-    oracle_worst_abs: float | None
-    oracle_worst_rel: float | None
+    oracle: dict
     engine_s: float
     oracle_s: float
 
@@ -178,17 +168,23 @@ def merged_coefficients(series_list: list[LogSeries]) -> CoefficientSystem:
 
 
 def run_correlations(cfg: RunConfig, spec: LatticeSpec, model: Model,
-                     with_oracle: bool) -> CorrelationResult:
+                     with_oracle: bool, targets: list[Site]) -> CorrelationResult:
+    """One engine run per pair (origin, target), in ``targets`` order, and
+    one oracle run beside it when ``with_oracle``.
+
+    The rows are each target's correlation rows, concatenated, and a
+    target's sample is the largest of its magnitudes.  The oracle block
+    holds the worst deviation of the engine from the oracle over the runs.
+    """
     origin = spec.sites[0]
     probe = probe_coupling(cfg)
     rows: list[dict] = []
-    seen_rows = set()
     samples: list[tuple[Site, float]] = []
     series_list = []
     reports = []
     worst_abs = worst_rel = None
     engine_s = oracle_s = 0.0
-    for target in representative_targets(spec):
+    for target in targets:
         started = time.perf_counter()
         series, report = pair_series(cfg, spec, model, origin, target)
         engine_s += time.perf_counter() - started
@@ -201,20 +197,14 @@ def run_correlations(cfg: RunConfig, spec: LatticeSpec, model: Model,
             da, dr = series_deviation(series, oracle)
             worst_abs = max(worst_abs or 0.0, da)
             worst_rel = max(worst_rel or 0.0, dr)
-        pair_rows = correlation_rows(series, probe, spec)
-        r = spec.metric.distance(origin, target)
-        envelope = max((row["abs"] for row in pair_rows if row["distance"] == r),
-                       default=0.0)
+        pair_rows = correlation_rows(series, probe, spec, target)
+        envelope = max((row["abs"] for row in pair_rows), default=0.0)
         if envelope > 0.0:
             samples.append((target, envelope))
-        for row in pair_rows:
-            key = (row["distance"], row["alpha"], row["beta"], row["flavor"])
-            if key not in seen_rows:
-                seen_rows.add(key)
-                rows.append(row)
-    rows.sort(key=lambda r: (r["distance"], r["alpha"], r["beta"], r["flavor"]))
-    return CorrelationResult(rows, samples, series_list, reports,
-                             worst_abs, worst_rel, engine_s, oracle_s)
+        rows += pair_rows
+    oracle_block = {"ran": with_oracle, "worst_abs": worst_abs, "worst_rel": worst_rel}
+    return CorrelationResult(rows, samples, series_list, reports, oracle_block,
+                             engine_s, oracle_s)
 
 
 def covariance_report(cov: Covariance) -> dict:
@@ -266,15 +256,15 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, dict]:
     from .reports import config_hash
     clock = time.perf_counter
     started = clock()
-    spec, cov = checked_lattice_objects(cfg)
+    spec, cov = lattice_objects(cfg)
     built_cov = clock()
     model = lattice_model(cfg, spec, cov)
     built_model = clock()
     norms = model_norms(model, kappa=cfg.kappa, h1=cfg.h1, h2=cfg.h2)
     normed = clock()
 
-    with_oracle = cfg.mode == "exact"
-    corr = run_correlations(cfg, spec, model, with_oracle)
+    corr = run_correlations(cfg, spec, model, cfg.mode == "exact",
+                            representative_targets(spec))
 
     correlated = clock()
     h_norm = logseries_norm(merged_coefficients(corr.series_list),
@@ -310,11 +300,7 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, dict]:
         "correlations": corr.rows,
         "correlation_samples": [[list(site), value] for site, value in corr.samples],
         "correlation_fit": correlation_fits,
-        "oracle": {
-            "ran": with_oracle,
-            "worst_abs": corr.oracle_worst_abs,
-            "worst_rel": corr.oracle_worst_rel,
-        },
+        "oracle": corr.oracle,
     }
     timing = {
         "wall_time_s": round(clock() - started, 3),

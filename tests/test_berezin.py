@@ -235,7 +235,7 @@ def oracle_inputs():
     spec, cov = pipeline.lattice_objects(cfg)
     model = pipeline.lattice_model(cfg, spec, cov)
     origin = spec.sites[0]
-    return [pipeline._pair_interaction(model, origin, target)
+    return [model.interaction((origin, target))
             for target in pipeline.representative_targets(spec)]
 
 

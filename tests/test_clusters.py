@@ -453,5 +453,5 @@ def test_default_pair_runs_take_the_dense_route_and_match_sparse(monkeypatch):
     targets = pipeline.representative_targets(spec)
     assert len(targets) == 3
     for target in targets:
-        universe, f = pipeline._pair_interaction(model, origin, target)
+        universe, f = model.interaction((origin, target))
         _assert_routes_agree(monkeypatch, universe, f, pipeline.engine_options(cfg))

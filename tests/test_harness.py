@@ -273,6 +273,17 @@ def test_cli_norms_refuses_a_stencil_past_the_budget_at_once(tmp_path, monkeypat
     assert "quartic stencil" in capsys.readouterr().err
 
 
+def test_cli_covariance_runs_past_the_stencil_budget_and_bit_capacity(tmp_path, capsys):
+    # L = 12 has a 331,776-entry stencil and 288 psi modes; the covariance
+    # needs neither check
+    path = tmp_path / "wide.cfg"
+    path.write_text("lattice.L = 12\n")
+    out = tmp_path / "cov.json"
+    assert cli.main(["covariance", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["payload"]["lattice"]["L"] == 12
+
+
 def test_cli_correlate_writes_csv(tmp_path, capsys):
     out = tmp_path / "corr.json"
     assert cli.main(["correlate", "--out", str(out)]) == 0
