@@ -5,7 +5,8 @@ density and source couplings on the unit-covariance side (psi -> S psi), and
 exposes the truncated two-point function read off a resummed log series,
 together with exponential decay fits of correlations and of S itself.  Both
 S and the action are translation invariant, so a model keeps the quartic
-density of one site and moves it to the others.
+density of one site and moves it to the others; S itself is one table over
+displacements, computed from its momentum-space symbol.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -78,69 +78,68 @@ def gamma_matrices(d: int) -> tuple[np.ndarray, ...]:
     raise ConfigError(f"no gamma construction wired for d={d}")
 
 
-def dirac_matrix(spec: LatticeSpec, m_f: float) -> np.ndarray:
-    """Dense matrix of D + m_f with D = gamma.grad - Laplacian/2.
-
-    Symmetric first differences for the gradient, the 2d+1 point stencil
-    for the Laplacian, periodic wrap.  Index layout is site-major with the
-    spinor inside; flavors are an exact copy and stay implicit.
-    """
-    if m_f <= 0:
-        raise ConfigError("fermion mass must be positive")
-    gams = gamma_matrices(spec.d)
-    sd = spec.spinor_dim
-    sites = spec.sites
-    index = {s: i for i, s in enumerate(sites)}
-    n = len(sites) * sd
-    out = np.zeros((n, n), dtype=complex)
-    eye = np.eye(sd, dtype=complex)
-    for s in sites:
-        row = index[s] * sd
-        out[row:row + sd, row:row + sd] += (m_f + spec.d) * eye
-        for mu in range(spec.d):
-            step = list(s)
-            step[mu] = (step[mu] + 1) % spec.L
-            fwd = index[tuple(step)] * sd
-            step[mu] = (s[mu] - 1) % spec.L
-            bwd = index[tuple(step)] * sd
-            out[row:row + sd, fwd:fwd + sd] += (gams[mu] - eye) / 2
-            out[row:row + sd, bwd:bwd + sd] += -(gams[mu] + eye) / 2
-    return out
-
-
 @dataclass(frozen=True)
 class Covariance:
-    """Inverse of D + m_f on the (site x spinor) index, flavor-diagonal."""
+    """S = (D + m_f)^-1, flavor-diagonal: ``table[x]`` is the spinor block
+    S(x, 0), and S(x, y) is ``table[(x - y) mod L]``.  Entries related by an
+    axis reflection or permutation are equal floats, so those that vanish by
+    symmetry are exact zeros."""
 
     spec: LatticeSpec
     m_f: float
-    matrix: np.ndarray
+    table: np.ndarray
     log_det: float
 
-    @cached_property
-    def blocks(self) -> np.ndarray:
-        """S as a (site, spinor, site, spinor) view of ``matrix``."""
-        n, sd = self.spec.n_sites, self.spec.spinor_dim
-        return self.matrix.reshape(n, sd, n, sd)
-
-    @cached_property
-    def site_index(self) -> dict[Site, int]:
-        return {s: i for i, s in enumerate(self.spec.sites)}
-
     def entry(self, x: Site, y: Site, alpha: int, beta: int) -> complex:
-        return complex(self.blocks[self.site_index[x], alpha, self.site_index[y], beta])
+        return complex(self.block(x, y)[alpha, beta])
 
     def block(self, x: Site, y: Site) -> np.ndarray:
-        return self.blocks[self.site_index[x], :, self.site_index[y], :]
+        return self.table[tuple((a - b) % self.spec.L for a, b in zip(x, y))]
 
 
 def covariance(spec: LatticeSpec, m_f: float) -> Covariance:
-    op = dirac_matrix(spec, m_f)
-    sign, log_det = np.linalg.slogdet(op)
-    if sign == 0:
-        raise ConfigError("Dirac operator is singular at this mass")
-    matrix = np.linalg.inv(op)
-    return Covariance(spec=spec, m_f=m_f, matrix=matrix, log_det=float(log_det))
+    """S from the symbol of D + m_f = A + i sum_mu gamma_mu sin p_mu at
+    momentum p, A = m_f + sum_mu (1 - cos p_mu): D = gamma.grad - Laplacian/2
+    hops forward along mu with (gamma_mu - 1)/2 and backward with
+    -(gamma_mu + 1)/2.  The gammas anticommute and are traceless, so
+    S(p) = (A - i sum_mu gamma_mu sin p_mu) / n with n = A^2 + |sin p|^2
+    >= m_f^2, and log det(D + m_f) = (spinor_dim / 2) sum_p log n.  The
+    table is a(x) I + sum_mu c_mu(x) gamma_mu, a and c_mu the transforms of
+    A / n and -i sin p_mu / n.  A mass so small that n underflows (m_f below
+    about 1e-153) would leave it NaN, and is refused.
+    """
+    if m_f <= 0:
+        raise ConfigError("fermion mass must be positive")
+    d, L = spec.d, spec.L
+    x = np.indices((L,) * d)
+    p = 2 * np.pi * x / L
+    A = m_f + (1 - np.cos(p)).sum(axis=0)
+    sines = np.sin(p)
+    # scaled by a power of two, which rounds nothing, so that n cannot
+    # overflow at a large mass
+    scale = math.frexp(float(A.max()))[1]
+    A, sines = np.ldexp(A, -scale), np.ldexp(sines, -scale)
+    n = A * A + (sines * sines).sum(axis=0)
+    if n.min() < np.finfo(float).tiny:
+        raise ConfigError(f"fermion mass {m_f} is too small: m_f^2 underflows")
+    parts = np.ldexp(np.stack([A, sines[0]]) / n, -scale)
+    # e^{i p x} / L per axis, its angle reduced mod 2 pi before rounding
+    k = np.arange(L)
+    phase = np.exp(2j * np.pi * (np.outer(k, k) % L) / L) / L
+    for axis in range(1, d + 1):
+        parts = np.moveaxis(np.tensordot(parts, phase, axes=(axis, 0)), -1, axis)
+    # every entry is read at its orbit's representative under the axis
+    # reflections and permutations: the sorted distances r <= L/2 from the
+    # origin, c_mu's own distance first and its sign from the side of x_mu
+    r = np.minimum(x, L - x)
+    a = parts[0].real[tuple(np.sort(r, axis=0))]
+    c = np.stack([np.sign(L - 2 * x[mu]) * (x[mu] != 0)
+                  * parts[1].imag[(r[mu], *np.sort(np.delete(r, mu, axis=0), axis=0))]
+                  for mu in range(d)])
+    table = (a[..., None, None] * np.eye(spec.spinor_dim)
+             + np.tensordot(c, np.array(gamma_matrices(d)), axes=(0, 0)))
+    log_det = 0.5 * spec.spinor_dim * (np.log(n).sum() + 2 * scale * math.log(2) * n.size)
+    return Covariance(spec=spec, m_f=m_f, table=table, log_det=float(log_det))
 
 
 def covariance_decay_table(cov: Covariance) -> list[tuple[float, float]]:

@@ -53,8 +53,8 @@ EXACT_MODE_PSI_LIMIT = 8
 def lattice_objects(cfg: RunConfig, engine: bool = True,
                     ) -> tuple[LatticeSpec, Covariance]:
     """The run's lattice and covariance behind ``check_stencil`` and, for a
-    run of the engine, ``check_capacity``: a refused lattice never pays for
-    its covariance, the inverse of a dense matrix of side sites x spinor_dim x N."""
+    run of the engine, ``check_capacity``: a refused lattice builds no
+    covariance."""
     spec = LatticeSpec(d=cfg.d, L=cfg.L, N=cfg.N)
     check_stencil(spec)
     if engine:

@@ -4,10 +4,11 @@ Each one computes the same quantity as a production routine by a slow,
 independent route: the Ursell factor from adjacency rows, Gaussian
 integrals by explicit Wick pairing, the log-partition series by literal
 expansion and by mode elimination in index order, kernels spread over
-every slot ordering, Grassmann products by sorting generator lists, and
-Prufer decoding by a smallest-leaf search.
-Exponential cost; test scale only.  Two small helpers compare elements and
-spell masks by generator.
+every slot ordering, Grassmann products by sorting generator lists,
+Prufer decoding by a smallest-leaf search, and the covariance as the
+inverse of the dense Dirac matrix.
+Exponential or cubic cost; test scale only.  Two small helpers compare
+elements and spell masks by generator.
 """
 
 import cmath
@@ -15,12 +16,15 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from fermicluster import berezin
 from fermicluster.algebra import GrassmannElement, canonicalize, log1p_nilpotent
 from fermicluster.berezin import LogSeries, integrate_element
 from fermicluster.coeffsys import CoefficientSystem
 from fermicluster.errors import NormalizationError, ParityError
 from fermicluster.generators import GeneratorIndex, GeneratorUniverse
+from fermicluster.grossneveu import LatticeSpec, gamma_matrices
 
 
 def ursell_adjacency(adj: tuple[int, ...]) -> int:
@@ -210,6 +214,35 @@ def prufer_to_tree_by_min_leaf(seq: tuple[int, ...], n: int) -> frozenset[tuple[
     last = [v for v in range(n) if degree[v] == 1]
     edges.append((last[0], last[1]))
     return frozenset(edges)
+
+
+def dirac_matrix(spec: LatticeSpec, m_f: float) -> np.ndarray:
+    """Dense matrix of D + m_f with D = gamma.grad - Laplacian/2.
+
+    Symmetric first differences for the gradient, the 2d+1 point stencil
+    for the Laplacian, periodic wrap.  Index layout is site-major with the
+    spinor inside; flavors are an exact copy and stay implicit.  Its
+    inverse is ``grossneveu.covariance``'s table spread over site pairs.
+    """
+    gams = gamma_matrices(spec.d)
+    sd = spec.spinor_dim
+    sites = spec.sites
+    index = {s: i for i, s in enumerate(sites)}
+    n = len(sites) * sd
+    out = np.zeros((n, n), dtype=complex)
+    eye = np.eye(sd, dtype=complex)
+    for s in sites:
+        row = index[s] * sd
+        out[row:row + sd, row:row + sd] += (m_f + spec.d) * eye
+        for mu in range(spec.d):
+            step = list(s)
+            step[mu] = (step[mu] + 1) % spec.L
+            fwd = index[tuple(step)] * sd
+            step[mu] = (s[mu] - 1) % spec.L
+            bwd = index[tuple(step)] * sd
+            out[row:row + sd, fwd:fwd + sd] += (gams[mu] - eye) / 2
+            out[row:row + sd, bwd:bwd + sd] += -(gams[mu] + eye) / 2
+    return out
 
 
 def allclose(a: GrassmannElement, b: GrassmannElement,

@@ -22,7 +22,6 @@ from fermicluster.grossneveu import (
     covariance,
     covariance_decay_table,
     decay_fit,
-    dirac_matrix,
     gamma_matrices,
     model_norms,
     quartic_kernel,
@@ -38,6 +37,7 @@ from fermicluster.pipeline import (
     representative_targets,
 )
 from fermicluster.weights import WeightSystem, coeff_norm
+from oracles import dirac_matrix
 
 GOLDEN = Path(__file__).parent / "golden" / "gn_2x2_g0.05.json"
 
@@ -81,7 +81,7 @@ def test_dirac_row_sums_are_mass():
 
 def test_dirac_rejects_nonpositive_mass():
     with pytest.raises(ConfigError):
-        dirac_matrix(LatticeSpec(), 0.0)
+        covariance(LatticeSpec(), 0.0)
 
 
 def test_lattice_spec_validation():
@@ -96,11 +96,19 @@ def test_lattice_spec_validation():
 # -------------------------------------------------------------- covariance
 
 
-def test_covariance_inverts_operator(small_cov):
-    spec, cov = small_cov
-    op = dirac_matrix(spec, cov.m_f)
-    residual = np.max(np.abs(cov.matrix @ op - np.eye(op.shape[0])))
-    assert residual < 1e-10
+def test_covariance_inverts_operator():
+    for d, L in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]:
+        spec = LatticeSpec(d=d, L=L)
+        cov = covariance(spec, 1.0)
+        op = dirac_matrix(spec, cov.m_f)
+        n, sd = spec.n_sites, spec.spinor_dim
+        dense = np.linalg.inv(op).reshape(n, sd, n, sd)
+        for (i, x), (j, y) in itertools.product(enumerate(spec.sites), repeat=2):
+            want, got = dense[i, :, j, :], cov.block(x, y)
+            assert np.max(np.abs(got - want)) <= 1e-15
+            # what vanishes by symmetry is an exact zero, not rounding noise
+            assert np.all(got[np.abs(want) < 1e-15] == 0.0)
+        assert cov.log_det == pytest.approx(np.linalg.slogdet(op)[1], rel=1e-12)
 
 
 def test_covariance_translation_invariance():
@@ -110,7 +118,38 @@ def test_covariance_translation_invariance():
     t = (1, 2)
     xs = tuple((a + b) % spec.L for a, b in zip(x, t))
     ys = tuple((a + b) % spec.L for a, b in zip(y, t))
-    assert np.allclose(cov.block(x, y), cov.block(xs, ys))
+    assert np.array_equal(cov.block(x, y), cov.block(xs, ys))
+
+
+@pytest.mark.parametrize("d, L", [(d, L) for d in (2, 3) for L in (2, 3, 4, 5)])
+def test_covariance_site_blocks_are_diagonal(d, L):
+    cov = covariance(LatticeSpec(d=d, L=L), 1.0)
+    for x in cov.spec.sites:
+        block = cov.block(x, x)
+        assert np.all(block[~np.eye(len(block), dtype=bool)] == 0.0)
+
+
+@pytest.mark.parametrize("L", [2, 3, 5, 6])
+def test_covariance_is_the_fold_of_a_larger_torus(L):
+    # S_L(x) = sum over n in [0, B/L)^2 of S_B(x + nL), for L dividing B
+    B = 30
+    big = covariance(LatticeSpec(d=2, L=B), 1.0)
+    cov = covariance(LatticeSpec(d=2, L=L), 1.0)
+    folded = big.table.reshape(B // L, L, B // L, L, 2, 2).sum(axis=(0, 2))
+    assert np.max(np.abs(folded - cov.table)) <= 2e-15
+
+
+@pytest.mark.parametrize("m_f", [1e-10, 1e-3, 1e200])
+def test_covariance_at_small_and_large_mass(m_f):
+    # at L = 2 every sin p vanishes: S(0, 0) averages 1 / A over the four momenta
+    cov = covariance(LatticeSpec(d=2, L=2), m_f)
+    want = (1 / m_f + 2 / (m_f + 2) + 1 / (m_f + 4)) / 4
+    assert cov.entry((0, 0), (0, 0), 0, 0) == pytest.approx(want, rel=1e-12)
+
+
+def test_covariance_refuses_a_mass_whose_square_underflows():
+    with pytest.raises(ConfigError, match="underflows"):
+        covariance(LatticeSpec(d=2, L=2), 1e-170)
 
 
 def test_covariance_large_mass_diagonal():
@@ -268,15 +307,18 @@ def _moved(key, vector, L):
 
 @pytest.mark.parametrize("L", [2, 3])
 def test_v1_is_translation_invariant(L):
-    # Compared against the kernel's largest entry: at L=3 some spinor
-    # blocks of S vanish exactly, and their inverse's rounding noise (about
-    # 2e-18) leaves entries whose own relative error is of order one.
     spec = LatticeSpec(d=2, L=L)
     entries = dict(build_v1(spec, covariance(spec, 1.0), 0.05))
-    scale = max(map(abs, entries.values()))
     for vector in spec.sites[1:]:
         for key, value in entries.items():
-            assert abs(entries[_moved(key, vector, L)] - value) <= 1e-15 * scale
+            assert entries[_moved(key, vector, L)] == value
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_stencil_holds_no_rounding_noise(L):
+    spec = LatticeSpec(d=2, L=L)
+    values = [abs(v) for _, v in Model.build(spec, covariance(spec, 3.0), 0.05).stencil]
+    assert min(values) >= 1e-12 * max(values)
 
 
 def test_stencil_is_the_origin_part_of_the_kernel():

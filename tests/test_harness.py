@@ -323,6 +323,13 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_covariance_refuses_a_mass_whose_square_underflows(tmp_path, capsys):
+    path = tmp_path / "tiny.cfg"
+    path.write_text("model.m_f = 1e-170\nweights.kappa = 1e-171\n")
+    assert cli.main(["covariance", "--config", str(path)]) == 2
+    assert "m_f^2 underflows" in capsys.readouterr().err
+
+
 def test_cli_exit_code_capacity_error(tmp_path, capsys):
     big = tmp_path / "big.cfg"
     big.write_text("lattice.L = 5\n")
