@@ -262,11 +262,25 @@ class GrassmannElement:
         return f"GrassmannElement({len(self.terms)} terms, max degree {degree})"
 
 
-def exp_series(f: GrassmannElement) -> GrassmannElement:
+def truncated(el: GrassmannElement, bits: int, cap: int | None) -> GrassmannElement:
+    """``el`` without the terms that hold more than ``cap`` of ``bits``
+    (``el`` itself when ``cap`` is None)."""
+    if cap is None:
+        return el
+    out = GrassmannElement()
+    out.terms = {m: c for m, c in el.terms.items() if (m & bits).bit_count() <= cap}
+    return out
+
+
+def exp_series(f: GrassmannElement, cap: int | None = None, bits: int = 0) -> GrassmannElement:
     """Exponential of an even element.
 
     Every even monomial commutes with every other and squares to zero, so
     exp(c + sum t_i) = e^c prod (1 + t_i).  Odd input raises ParityError.
+    With ``cap`` set, each partial product drops the terms that hold more
+    than ``cap`` of ``bits``: the count only adds under products, so the
+    kept terms come out as if the whole product were truncated at the end,
+    bit for bit.
     """
     if not f.is_even():
         raise ParityError("exp_series needs an even element")
@@ -274,7 +288,7 @@ def exp_series(f: GrassmannElement) -> GrassmannElement:
     out = GrassmannElement.one(1.0)
     for m in sorted(f.terms):
         if m:
-            out = out * GrassmannElement({0: 1.0, m: f.terms[m]})
+            out = truncated(out * GrassmannElement({0: 1.0, m: f.terms[m]}), bits, cap)
     return out.scaled(scale)
 
 

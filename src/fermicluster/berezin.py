@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import sys
 
-from .algebra import GrassmannElement, canonicalize, nilpotent_powers
+from .algebra import GrassmannElement, canonicalize, nilpotent_powers, truncated
 # not called here; bench/tracing.py's EXPECTED_COPIES lists this binding
 from .algebra import log1p_nilpotent  # noqa: F401
 from .coeffsys import CoefficientSystem, system_from_element
@@ -195,8 +195,8 @@ def _cheapest_mode(universe: GeneratorUniverse, f: GrassmannElement) -> tuple[in
     return None if best is None else (best[1], best[1] << 1)
 
 
-def _step_logger():
-    """This module's logger if it emits DEBUG records, else None.
+def debug_logger(name: str):
+    """The logger ``name`` if it emits DEBUG records, else None.
 
     A process that never imported :mod:`logging` cannot have turned DEBUG
     on, so the module is looked up rather than imported: importing it
@@ -205,11 +205,12 @@ def _step_logger():
     logging = sys.modules.get("logging")
     if logging is None:
         return None
-    log = logging.getLogger(__name__)
+    log = logging.getLogger(name)
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
-def effective_log_integral(universe: GeneratorUniverse, f: GrassmannElement) -> GrassmannElement:
+def effective_log_integral(universe: GeneratorUniverse, f: GrassmannElement,
+                           eta_cap: int | None = None) -> GrassmannElement:
     """log of the Gaussian integral of exp(f), eliminating one mode at a time.
 
     Requires an even exponent.  Each step integrates a single psi mode:
@@ -229,14 +230,22 @@ def effective_log_integral(universe: GeneratorUniverse, f: GrassmannElement) -> 
     term holds integrate to 1 and are never taken; elimination never adds
     a mode to a term.  Each step is logged at DEBUG level on the
     ``fermicluster.berezin`` logger.
+
+    With ``eta_cap`` set, the result keeps only the terms of eta degree up
+    to the cap, and so does the exponent after every step.  That is exact
+    on the kept terms: eta degrees only add under products, and a step
+    removes psi bits alone.  It can change which mode is cheapest, and so
+    the rounding, not the result.
     """
     if not f.is_even():
         raise ParityError("mode elimination needs an even exponent")
-    log = _step_logger()
-    current = f
+    log = debug_logger(__name__)
+    eta_bits = ~universe.psi_block_mask
+    current = truncated(f, eta_bits, eta_cap)
     while (bits := _cheapest_mode(universe, current)) is not None:
         current, u, v, w = _split_mode(current, *bits)
         current += log_bracket(u, v, w)
+        current = truncated(current, eta_bits, eta_cap)
         if log is not None:
             log.debug("eliminated psi mode %d: |u|=%d |v|=%d |w|=%d, %d terms after",
                       (bits[0].bit_length() - 1) // 2, len(u), len(v), len(w), len(current))

@@ -17,7 +17,18 @@ commute and no interchange signs arise at the polymer level.
 
 Activities come from one route: an anchor recursion peels K0 off the
 restricted integrals.  A run is truncated when it caps the polymer size or
-the eta degree, and exact when it caps neither.
+the eta degree, and exact when it caps neither.  Under an eta degree cap,
+each restricted integral drops the terms past the cap after every
+elimination step and every factor of its exponential: eta degrees only add
+under products and integration removes no eta bit, so that is exact.
+
+In a pair run of the lattice model, every item is charge-neutral (psi-bar
+and eta-bar count +1, psi and eta -1), and the only items with an unbarred eta, psi-bar_x eta_x, sit on
+source sites x.  So a region that holds no source site has a scalar
+restricted integral, which the eta-free items alone give; with a
+translation-invariant eta-free part it depends only on the region's
+translation class.  The pair runs of one experiment share one
+:class:`SourceFreeIntegrals` table and compute it once per class.
 
 Every activity has its psi fields integrated out, so the polymer sum is
 linear algebra over the few eta monomials that products of activities
@@ -34,12 +45,13 @@ import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import GrassmannElement, exp_series, prefix_parity
-from .berezin import LogSeries, effective_log_integral
+from .algebra import GrassmannElement, exp_series, prefix_parity, truncated
+from .berezin import LogSeries, debug_logger, effective_log_integral
 # not called here; bench/tracing.py's EXPECTED_COPIES lists this binding
 from .berezin import integrate_element  # noqa: F401
 from .errors import CapacityError, ParityError
@@ -175,6 +187,26 @@ def _element_1norm(el: GrassmannElement) -> float:
     return sum(abs(c) for c in el.terms.values())
 
 
+class SourceFreeIntegrals:
+    """Z(R) of the regions R that hold no source site, one per translation class.
+
+    One table serves the pair runs of one experiment on a periodic lattice
+    of side ``side``, whose interactions share one eta-free part that is
+    invariant under lattice translations; ``values`` maps a class, as
+    :meth:`representative` gives it, to Z of its representative.
+    """
+
+    def __init__(self, side: int):
+        self.side = side
+        self.values: dict[tuple[Site, ...], GrassmannElement] = {}
+
+    def representative(self, region: SiteSet) -> tuple[Site, ...]:
+        """The least sorted translate of a nonempty ``region`` that moves
+        one of its sites to the origin; equal for every translate."""
+        return min(tuple(sorted(tuple((a - b) % self.side for a, b in zip(site, anchor))
+                                for site in region)) for anchor in region)
+
+
 # ----------------------------------------------------------------- engine
 
 
@@ -182,11 +214,18 @@ class ClusterEngine:
     """Polymer activities and their resummed logarithm for one even exponent f."""
 
     def __init__(self, universe: GeneratorUniverse, f: GrassmannElement,
-                 options: ClusterOptions | None = None):
+                 options: ClusterOptions | None = None,
+                 source_free: SourceFreeIntegrals | None = None):
         if not f.is_even():
             raise ParityError("cluster expansion requires an even interaction")
         self.universe = universe
         self.options = options or ClusterOptions()
+        self.source_free = source_free
+        self._source_sites = frozenset(site for site, _, _ in universe.eta_modes)
+        # eliminations this engine ran, and source-free regions it read
+        # from an entry of ``source_free`` that was already there
+        self.integrals_computed = 0
+        self.integrals_reused = 0
         element = self._capped(f)
 
         psi_block = universe.psi_block_mask
@@ -237,23 +276,63 @@ class ClusterEngine:
         Exact on the kept terms: eta degrees only add under products, and
         integrating psi modes never removes an eta bit.
         """
-        cap = self.options.eta_degree_cap
-        if cap is None:
-            return el
-        eta_bits = ~self.universe.psi_block_mask
-        return GrassmannElement(
-            {mask: c for mask, c in el.terms.items() if (mask & eta_bits).bit_count() <= cap})
+        return truncated(el, ~self.universe.psi_block_mask, self.options.eta_degree_cap)
 
     # -- activities --------------------------------------------------------
 
+    @cached_property
+    def _by_support(self) -> dict[SiteSet, list[tuple[int, complex]]]:
+        """The items of each support, in mask order."""
+        index: dict[SiteSet, list[tuple[int, complex]]] = {}
+        for mask, coeff, sup in self._items:
+            index.setdefault(sup, []).append((mask, coeff))
+        return index
+
+    def _integral(self, region: SiteSet, eta_free: bool = False) -> GrassmannElement:
+        """Z(region) from the items within it (the eta-free ones only, if
+        ``eta_free``), in mask order, capped after each step and factor."""
+        eta_bits = ~self.universe.psi_block_mask
+        terms = sorted((item for sup, items in self._by_support.items() if sup <= region
+                        for item in items if not (eta_free and item[0] & eta_bits)),
+                       key=operator.itemgetter(0))
+        if not terms:
+            return GrassmannElement.one(1.0)
+        self.integrals_computed += 1
+        cap = self.options.eta_degree_cap
+        log = effective_log_integral(self.universe, GrassmannElement(dict(terms)), cap)
+        return exp_series(log, cap, eta_bits)
+
     def _restricted_exp(self, region: SiteSet) -> GrassmannElement:
-        """Z(region): integral of exp(f restricted to supports within the region)."""
+        """Z(region): integral of exp(f restricted to supports within the region).
+
+        In a pair run every item is charge-neutral, psi-bar and eta-bar +1
+        and psi and eta -1, and integration keeps only terms of psi charge
+        0; so a term that survives holds as many eta-bar as eta bits.  A
+        region with no source site holds no item with an unbarred eta (the
+        local sources sit on source sites), so no item with an eta-bar
+        enters a surviving term: its Z is a scalar that the eta-free items
+        alone give.  With a
+        ``source_free`` table, that scalar is computed once per translation
+        class, from the class representative's eta-free items, and read by
+        every later region of the class, in this run and the next.
+
+        Under an eta degree cap, elimination and the exponential drop the
+        terms past the cap after each step and each factor, not only at
+        the end; that is exact, since eta degrees only add under products
+        and integration removes no eta bit.
+        """
         if region not in self._exp_cache:
-            f_region = GrassmannElement(
-                {mask: coeff for mask, coeff, sup in self._items if sup <= region})
-            self._exp_cache[region] = (
-                self._capped(exp_series(effective_log_integral(self.universe, f_region)))
-                if f_region.terms else GrassmannElement.one(1.0))
+            shared = self.source_free
+            if shared is None or not region or region & self._source_sites:
+                z = self._integral(region)
+            else:
+                key = shared.representative(region)
+                if key in shared.values:
+                    self.integrals_reused += 1
+                else:
+                    shared.values[key] = self._integral(frozenset(key), eta_free=True)
+                z = shared.values[key]
+            self._exp_cache[region] = z
         return self._exp_cache[region]
 
     def polymer_activity(self, support: SiteSet) -> GrassmannElement:
@@ -388,6 +467,11 @@ class ClusterEngine:
             else:
                 stack.pop()
         report.exact = not capped and report.exact
+        log = debug_logger(__name__)
+        if log is not None:
+            log.debug("%d candidates, %d restricted integrals computed, "
+                      "%d source-free integrals reused", len(self.candidates),
+                      self.integrals_computed, self.integrals_reused)
         return self.pure_eta + result(), report
 
     def _dense_descent(self, polymers):
@@ -437,8 +521,10 @@ class ClusterEngine:
 
 
 def assemble_b(universe: GeneratorUniverse, f: GrassmannElement,
-               options: ClusterOptions | None = None) -> tuple[LogSeries, ExpansionReport]:
+               options: ClusterOptions | None = None,
+               source_free: SourceFreeIntegrals | None = None,
+               ) -> tuple[LogSeries, ExpansionReport]:
     """Resummed cluster logarithm of the normalized exp(f) integral."""
-    engine = ClusterEngine(universe, f, options)
+    engine = ClusterEngine(universe, f, options, source_free)
     element, report = engine.assemble()
     return LogSeries(universe, element), report

@@ -19,6 +19,7 @@ import numpy as np
 
 from .algebra import GrassmannElement
 from .berezin import LogSeries
+from .clusters import SourceFreeIntegrals
 from .coeffsys import CoefficientSystem
 from .errors import CapacityError, ConfigError
 from .generators import GeneratorUniverse, Site, eta, psi
@@ -324,7 +325,9 @@ class Model:
     psi-bar site is the origin are kept: translation gives the rest.  A
     pair run's interaction is the source entries at its two sites plus
     ``psi_element``, the whole quartic part as one Grassmann element, built
-    on first use and kept for the model's later pair runs.
+    on first use and kept for the model's later pair runs.  Those runs
+    also share ``source_free``, the engine's integrals over the regions
+    that hold no source site.
     """
 
     spec: LatticeSpec
@@ -333,13 +336,15 @@ class Model:
     stencil: CoefficientSystem
     local: CoefficientSystem
     smeared: CoefficientSystem
+    source_free: SourceFreeIntegrals
     _psi_elements: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, spec: LatticeSpec, cov: Covariance, g: float,
               source_g: float | None = None) -> "Model":
         local, smeared = source_kernels(spec, cov, g if source_g is None else source_g)
-        return cls(spec, cov, g, quartic_stencil(spec, cov, g), local, smeared)
+        return cls(spec, cov, g, quartic_stencil(spec, cov, g), local, smeared,
+                   SourceFreeIntegrals(spec.L))
 
     def psi_element(self, max_sites: int | None = None) -> GrassmannElement:
         """-quartic as one element on the psi bits that every

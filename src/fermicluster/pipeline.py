@@ -22,6 +22,8 @@ the full statement as well.
 
 from __future__ import annotations
 
+import cmath
+import math
 import time
 from dataclasses import dataclass, fields
 
@@ -112,20 +114,35 @@ def pair_series(cfg: RunConfig, spec: LatticeSpec, model: Model,
                 y1: Site, y2: Site) -> tuple[LogSeries, ExpansionReport]:
     """Assembled log series with sources restricted to two sites."""
     options = engine_options(cfg)
-    return assemble_b(*model.interaction((y1, y2), options.max_polymer_sites), options)
+    series, report = assemble_b(
+        *model.interaction((y1, y2), options.max_polymer_sites), options, model.source_free)
+    return _finite(series, cfg.m_f, cfg.g), report
 
 
 def oracle_pair_series(model: Model, y1: Site, y2: Site) -> LogSeries:
-    return log_direct(*model.interaction((y1, y2)))
+    return _finite(log_direct(*model.interaction((y1, y2))), model.cov.m_f, model.g)
+
+
+def _finite(series: LogSeries, m_f: float, g: float) -> LogSeries:
+    """``series``, or ConfigError when a coefficient is not finite: the
+    kernels overflowed, as they do when S is huge at a tiny mass."""
+    if not all(map(cmath.isfinite, series.element.terms.values())):
+        raise ConfigError(
+            f"model.m_f = {m_f} with model.g = {g} gives a non-finite log series "
+            f"(the kernels overflow); raise model.m_f or lower model.g")
+    return series
 
 
 def series_deviation(a: LogSeries, b: LogSeries) -> tuple[float, float]:
-    """Worst absolute and worst relative coefficient difference."""
+    """Worst absolute and worst relative coefficient difference; both are
+    infinite when either side holds a non-finite coefficient."""
     worst_abs = 0.0
     worst_rel = 0.0
     for mask in set(a.element.terms) | set(b.element.terms):
         va = a.element.terms.get(mask, 0j)
         vb = b.element.terms.get(mask, 0j)
+        if not (cmath.isfinite(va) and cmath.isfinite(vb)):
+            return math.inf, math.inf
         diff = abs(va - vb)
         worst_abs = max(worst_abs, diff)
         # differences below the absolute floor never count as relative error

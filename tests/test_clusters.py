@@ -2,13 +2,16 @@
 
 import collections
 import itertools
+import logging
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
 from fermicluster import clusters, pipeline
-from fermicluster.algebra import GrassmannElement
+from fermicluster.algebra import GrassmannElement, exp_series
 from fermicluster.berezin import integrate_element, log_direct
 from fermicluster.clusters import (
     ClusterEngine,
@@ -455,3 +458,155 @@ def test_default_pair_runs_take_the_dense_route_and_match_sparse(monkeypatch):
     for target in targets:
         universe, f = model.interaction((origin, target))
         _assert_routes_agree(monkeypatch, universe, f, pipeline.engine_options(cfg))
+
+
+# ------------------------------------------------- shared source-free integrals
+
+PAIR_RUN_CONFIGS = {
+    "default": RunConfig(),
+    "truncated-L3": RunConfig(L=3, m_f=3.0, g=0.05, mode="truncated"),
+    "truncated-L4": RunConfig(L=4, m_f=3.0, g=0.05, mode="truncated"),
+}
+
+
+def _pair_engines(cfg):
+    """The model and the assembled engine of every pair run of ``cfg``."""
+    spec, cov = pipeline.lattice_objects(cfg)
+    model = pipeline.lattice_model(cfg, spec, cov)
+    options = pipeline.engine_options(cfg)
+    engines = []
+    for target in pipeline.representative_targets(spec):
+        universe, f = model.interaction((spec.sites[0], target), options.max_polymer_sites)
+        engine = ClusterEngine(universe, f, options, model.source_free)
+        engine.assemble()
+        engines.append(engine)
+    return model, engines
+
+
+def _region_element(engine, region):
+    """f restricted to the supports within ``region``: every item, sources included."""
+    return GrassmannElement({m: c for m, c, sup in engine._items if sup <= region})
+
+
+@pytest.mark.parametrize("name", PAIR_RUN_CONFIGS)
+def test_shared_source_free_integral_is_the_full_restricted_integral(name):
+    """The charge argument, checked: a region without a source site gets the
+    same Z from its class representative's eta-free items as from all of
+    its own items, the smeared sources away from the source sites included."""
+    _, engines = _pair_engines(PAIR_RUN_CONFIGS[name])
+    checked = with_sources = 0
+    for engine in engines:
+        sources = {site for site, _, _ in engine.universe.eta_modes}
+        for region, shared in engine._exp_cache.items():
+            if not region or region & sources:
+                continue
+            element = _region_element(engine, region)
+            with_sources += any(m >> engine.universe.n_psi_bits for m in element.terms)
+            full = exp_series(clusters.effective_log_integral(engine.universe, element))
+            assert set(shared.terms) == set(full.terms) == {0}
+            assert shared.constant == pytest.approx(full.constant, rel=1e-15, abs=0)
+            checked += 1
+    assert checked >= with_sources > 0
+
+
+def test_capping_inside_elimination_matches_capping_at_the_end():
+    """Every region of the truncated L = 3 pair runs, sources included."""
+    _, engines = _pair_engines(PAIR_RUN_CONFIGS["truncated-L3"])
+    checked = 0
+    for engine in engines:
+        u = engine.universe
+        cap = engine.options.eta_degree_cap
+        for region in engine._exp_cache:
+            element = _region_element(engine, region)
+            if not element.terms:
+                continue
+            full = clusters.effective_log_integral(u, element)
+            in_loop = clusters.effective_log_integral(u, element, cap)
+            assert in_loop.terms == pytest.approx(_eta_capped(u, full, cap).terms,
+                                                  rel=1e-15, abs=0)
+            assert engine._integral(region).terms == pytest.approx(
+                _eta_capped(u, exp_series(full), cap).terms, rel=1e-15, abs=0)
+            checked += 1
+    assert checked == 135
+
+
+@pytest.mark.parametrize("name, eliminations, classes", [
+    ("default", 37, 5), ("truncated-L3", 48, 5), ("truncated-L4", 181, 10)])
+def test_each_source_free_class_is_eliminated_once_per_experiment(
+        monkeypatch, name, eliminations, classes):
+    """Without the shared table the same runs eliminate 45, 135 and 816 times."""
+    calls = []
+    original = clusters.effective_log_integral
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(clusters, "effective_log_integral", counted)
+    model, engines = _pair_engines(PAIR_RUN_CONFIGS[name])
+    assert len(calls) == eliminations
+    assert len(model.source_free.values) == classes
+    assert sum(engine.integrals_computed for engine in engines) == eliminations
+    # later runs read every class that an earlier run computed
+    assert sum(engine.integrals_reused for engine in engines[1:]) > 0
+
+
+def test_translation_class_representative():
+    table = clusters.SourceFreeIntegrals(side=3)
+    pair = f({(0, 1), (2, 1)})
+    translates = {f(((a + t0) % 3, (b + t1) % 3) for a, b in pair)
+                  for t0 in range(3) for t1 in range(3)}
+    assert {table.representative(r) for r in translates} == {((0, 0), (1, 0))}
+    assert table.representative(f({(2, 2)})) == ((0, 0),)
+    assert table.representative(f({(0, 0), (0, 1)})) != table.representative(pair)
+
+
+def test_experiments_in_one_process_match_fresh_processes():
+    """The source-free table belongs to one experiment's model: two
+    different experiments in one process give the bytes of fresh ones."""
+    code = (
+        "import sys\n"
+        "from fermicluster.config import RunConfig\n"
+        "from fermicluster.pipeline import run_experiment\n"
+        "from fermicluster.reports import render_report\n"
+        "configs = [RunConfig(L=3, m_f=3.0, g=0.05, mode='truncated'), RunConfig()]\n"
+        "for i in map(int, sys.argv[1:]):\n"
+        "    sys.stdout.write(render_report(run_experiment(configs[i])[0]))\n"
+    )
+
+    def run(*indices):
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, indices)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    alone = run(0), run(1)
+    assert run(0, 1) == alone[0] + alone[1]
+    assert run(1, 0) == alone[1] + alone[0]
+
+
+def test_each_pair_run_logs_its_integral_counts(caplog):
+    cfg = PAIR_RUN_CONFIGS["truncated-L3"]
+    spec, cov = pipeline.lattice_objects(cfg)
+    model = pipeline.lattice_model(cfg, spec, cov)
+    with caplog.at_level(logging.DEBUG, logger="fermicluster.clusters"):
+        pipeline.run_correlations(cfg, spec, model, False, pipeline.representative_targets(spec))
+    lines = [r.getMessage() for r in caplog.records if r.name == "fermicluster.clusters"]
+    assert lines == [
+        "45 candidates, 14 restricted integrals computed, 31 source-free integrals reused",
+        "45 candidates, 17 restricted integrals computed, 28 source-free integrals reused",
+        "45 candidates, 17 restricted integrals computed, 28 source-free integrals reused",
+    ]
+
+
+def test_a_default_run_leaves_logging_unimported():
+    code = (
+        "import sys\n"
+        "from fermicluster.config import RunConfig\n"
+        "from fermicluster.pipeline import run_experiment\n"
+        "run_experiment(RunConfig(L=3, m_f=3.0, mode='truncated'))\n"
+        "assert 'logging' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -330,6 +330,37 @@ def test_cli_covariance_refuses_a_mass_whose_square_underflows(tmp_path, capsys)
     assert "m_f^2 underflows" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("m_f", [1e-100, 1e-150])
+def test_tiny_mass_fails_fast_on_a_non_finite_series(tmp_path, capsys, m_f):
+    """S is so large that the kernels overflow: at m_f = 1e-100 the rows
+    read NaN, at 1e-150 they read 0.0, and every series coefficient is
+    non-finite at both; the run must refuse instead of reporting them."""
+    cfg = RunConfig(m_f=m_f, kappa=1e-160)
+    with pytest.raises(ConfigError, match=rf"model.m_f = {m_f} with model.g = 0.05"):
+        run_experiment(cfg)
+    path = tmp_path / "tiny.cfg"
+    path.write_text(f"model.m_f = {m_f}\nweights.kappa = 1e-160\n")
+    assert cli.main(["correlate", "--config", str(path)]) == 2
+    assert "non-finite log series" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+def test_series_deviation_fails_on_a_non_finite_coefficient(bad):
+    from fermicluster.algebra import GrassmannElement
+    from fermicluster.berezin import LogSeries
+    from fermicluster.generators import GeneratorUniverse
+    from fermicluster.pipeline import series_deviation
+
+    u = GeneratorUniverse([], [((0,), 0, 0)])
+    finite = LogSeries(u, GrassmannElement({0: 0.5, 0b11: 0.25}))
+    broken = LogSeries(u, GrassmannElement({0: 0.5, 0b11: bad}))
+    assert series_deviation(finite, finite) == (0.0, 0.0)
+    assert series_deviation(finite, broken) == (float("inf"), float("inf"))
+    assert series_deviation(broken, finite) == (float("inf"), float("inf"))
+    assert series_deviation(broken, broken) == (float("inf"), float("inf"))
+
+
 def test_cli_exit_code_capacity_error(tmp_path, capsys):
     big = tmp_path / "big.cfg"
     big.write_text("lattice.L = 5\n")
