@@ -10,7 +10,7 @@ The package provides four layers:
   truncated correlation functions and decay fits.
 """
 
-from .algebra import GrassmannElement, canonicalize, exp_series, log1p_nilpotent
+from .algebra import GrassmannElement, canonicalize, exp_series
 from .errors import CapacityError, ConfigError, FermiClusterError, NormalizationError, ParityError
 from .generators import Family, GeneratorIndex, GeneratorUniverse, eta, psi
 
@@ -27,7 +27,6 @@ __all__ = [
     "canonicalize",
     "exp_series",
     "eta",
-    "log1p_nilpotent",
     "psi",
 ]
 

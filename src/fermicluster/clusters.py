@@ -23,12 +23,14 @@ elimination step and every factor of its exponential: eta degrees only add
 under products and integration removes no eta bit, so that is exact.
 
 In a pair run of the lattice model, every item is charge-neutral (psi-bar
-and eta-bar count +1, psi and eta -1), and the only items with an unbarred eta, psi-bar_x eta_x, sit on
-source sites x.  So a region that holds no source site has a scalar
-restricted integral, which the eta-free items alone give; with a
-translation-invariant eta-free part it depends only on the region's
-translation class.  The pair runs of one experiment share one
-:class:`SourceFreeIntegrals` table and compute it once per class.
+and eta-bar count +1, psi and eta -1), and the only items with an unbarred
+eta, psi-bar_x eta_x, sit on source sites x.  So a region that holds no
+source site has a scalar restricted integral, which the eta-free items
+alone give, and a support that holds none a scalar activity, read off the
+integrals of regions inside it.  With a translation-invariant eta-free
+part, both depend only on the translation class.  The pair runs of one
+experiment share one source-free :class:`ClusterEngine` of that part,
+which computes each once per class.
 
 Every activity has its psi fields integrated out, so the polymer sum is
 linear algebra over the few eta monomials that products of activities
@@ -45,7 +47,6 @@ import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -187,45 +188,31 @@ def _element_1norm(el: GrassmannElement) -> float:
     return sum(abs(c) for c in el.terms.values())
 
 
-class SourceFreeIntegrals:
-    """Z(R) of the regions R that hold no source site, one per translation class.
-
-    One table serves the pair runs of one experiment on a periodic lattice
-    of side ``side``, whose interactions share one eta-free part that is
-    invariant under lattice translations; ``values`` maps a class, as
-    :meth:`representative` gives it, to Z of its representative.
-    """
-
-    def __init__(self, side: int):
-        self.side = side
-        self.values: dict[tuple[Site, ...], GrassmannElement] = {}
-
-    def representative(self, region: SiteSet) -> tuple[Site, ...]:
-        """The least sorted translate of a nonempty ``region`` that moves
-        one of its sites to the origin; equal for every translate."""
-        return min(tuple(sorted(tuple((a - b) % self.side for a, b in zip(site, anchor))
-                                for site in region)) for anchor in region)
-
-
 # ----------------------------------------------------------------- engine
 
 
 class ClusterEngine:
-    """Polymer activities and their resummed logarithm for one even exponent f."""
+    """Polymer activities and their resummed logarithm for one even exponent f.
+
+    ``source_free``, an engine of f's eta-free part under the same options,
+    supplies those items and Z and K0 of every region without a source site.
+    ``side`` declares f translation invariant on a periodic lattice of that
+    side, so Z and K0 are computed once per translation class.
+    """
 
     def __init__(self, universe: GeneratorUniverse, f: GrassmannElement,
                  options: ClusterOptions | None = None,
-                 source_free: SourceFreeIntegrals | None = None):
+                 source_free: ClusterEngine | None = None, side: int | None = None):
         if not f.is_even():
             raise ParityError("cluster expansion requires an even interaction")
         self.universe = universe
         self.options = options or ClusterOptions()
         self.source_free = source_free
+        self.side = side
         self._source_sites = frozenset(site for site, _, _ in universe.eta_modes)
-        # eliminations this engine ran, and source-free regions it read
-        # from an entry of ``source_free`` that was already there
+        # eliminations this engine ran, and those ``source_free`` had run before it
         self.integrals_computed = 0
-        self.integrals_reused = 0
+        self._shared_before = source_free.integrals_computed if source_free else 0
         element = self._capped(f)
 
         psi_block = universe.psi_block_mask
@@ -233,24 +220,32 @@ class ClusterEngine:
         self.pure_eta = GrassmannElement(
             {mask: coeff for mask, coeff in element.terms.items() if not mask & psi_block})
         # the psi-supported monomials in mask order, each with its site
-        # support; no candidate and no restricted region holds one on more
-        # than ``cap`` sites
-        items = [
-            (mask, coeff, frozenset(g.site for g in universe.indices_of(mask & psi_block)))
-            for mask, coeff in sorted(element.terms.items()) if mask & psi_block
-        ]
-        self._items: list[tuple[int, complex, SiteSet]] = [
-            item for item in items if not cap or len(item[2]) <= cap]
+        # support, the eta-free ones as ``source_free`` holds them; no
+        # candidate and no restricted region holds one on more than ``cap`` sites
+        items = [(mask, coeff, frozenset(g.site for g in universe.indices_of(mask & psi_block)))
+                 for mask, coeff in element.terms.items()
+                 if mask & psi_block and (source_free is None or mask & ~psi_block)]
+        self._items: list[tuple[int, complex, SiteSet]] = sorted(
+            [item for item in items if not cap or len(item[2]) <= cap]
+            + (source_free._items if source_free else []), key=operator.itemgetter(0))
+        # the items of each support, in mask order
+        self._by_support: dict[SiteSet, list[tuple[int, complex]]] = {}
+        for mask, coeff, sup in self._items:
+            self._by_support.setdefault(sup, []).append((mask, coeff))
 
         self.candidates = self._candidate_supports()
         self._activity_cache: dict[SiteSet, GrassmannElement] = {}
         self._exp_cache: dict[SiteSet, GrassmannElement] = {}
+        log = debug_logger(__name__) if side is not None else None
+        if log is not None:
+            log.debug("source-free engine: %d items, %d candidates",
+                      len(self._items), len(self.candidates))
 
     # -- support closure ---------------------------------------------------
 
     def _candidate_supports(self) -> list[SiteSet]:
         cap = self.options.max_polymer_sites
-        seeds = list(dict.fromkeys(sup for *_, sup in self._items))
+        seeds = list(self._by_support)
         found: set[SiteSet] = set(seeds)
         frontier = list(found)
         while frontier:
@@ -280,27 +275,26 @@ class ClusterEngine:
 
     # -- activities --------------------------------------------------------
 
-    @cached_property
-    def _by_support(self) -> dict[SiteSet, list[tuple[int, complex]]]:
-        """The items of each support, in mask order."""
-        index: dict[SiteSet, list[tuple[int, complex]]] = {}
-        for mask, coeff, sup in self._items:
-            index.setdefault(sup, []).append((mask, coeff))
-        return index
+    def _key(self, region: SiteSet) -> SiteSet:
+        """``region``, or with ``side`` set the least sorted translate of it
+        that moves one of its sites to the origin: one key per class."""
+        if self.side is None or not region:
+            return region
+        return frozenset(min(
+            tuple(sorted(tuple((a - b) % self.side for a, b in zip(site, anchor))
+                         for site in region)) for anchor in region))
 
-    def _integral(self, region: SiteSet, eta_free: bool = False) -> GrassmannElement:
-        """Z(region) from the items within it (the eta-free ones only, if
-        ``eta_free``), in mask order, capped after each step and factor."""
-        eta_bits = ~self.universe.psi_block_mask
+    def _integral(self, region: SiteSet) -> GrassmannElement:
+        """Z(region) from the items within it, in mask order, capped after
+        each step and factor."""
         terms = sorted((item for sup, items in self._by_support.items() if sup <= region
-                        for item in items if not (eta_free and item[0] & eta_bits)),
-                       key=operator.itemgetter(0))
+                        for item in items), key=operator.itemgetter(0))
         if not terms:
             return GrassmannElement.one(1.0)
         self.integrals_computed += 1
         cap = self.options.eta_degree_cap
         log = effective_log_integral(self.universe, GrassmannElement(dict(terms)), cap)
-        return exp_series(log, cap, eta_bits)
+        return exp_series(log, cap, ~self.universe.psi_block_mask)
 
     def _restricted_exp(self, region: SiteSet) -> GrassmannElement:
         """Z(region): integral of exp(f restricted to supports within the region).
@@ -311,29 +305,22 @@ class ClusterEngine:
         region with no source site holds no item with an unbarred eta (the
         local sources sit on source sites), so no item with an eta-bar
         enters a surviving term: its Z is a scalar that the eta-free items
-        alone give.  With a
-        ``source_free`` table, that scalar is computed once per translation
-        class, from the class representative's eta-free items, and read by
-        every later region of the class, in this run and the next.
+        alone give, and so is K0 of a support with no source site, whose
+        recursion reads only regions inside it.  A ``source_free`` engine
+        supplies both, once per translation class, to every pair run of
+        the experiment.
 
         Under an eta degree cap, elimination and the exponential drop the
         terms past the cap after each step and each factor, not only at
         the end; that is exact, since eta degrees only add under products
         and integration removes no eta bit.
         """
-        if region not in self._exp_cache:
-            shared = self.source_free
-            if shared is None or not region or region & self._source_sites:
-                z = self._integral(region)
-            else:
-                key = shared.representative(region)
-                if key in shared.values:
-                    self.integrals_reused += 1
-                else:
-                    shared.values[key] = self._integral(frozenset(key), eta_free=True)
-                z = shared.values[key]
-            self._exp_cache[region] = z
-        return self._exp_cache[region]
+        if self.source_free is not None and not region & self._source_sites:
+            return self.source_free._restricted_exp(region)
+        key = self._key(region)
+        if key not in self._exp_cache:
+            self._exp_cache[key] = self._integral(key)
+        return self._exp_cache[key]
 
     def polymer_activity(self, support: SiteSet) -> GrassmannElement:
         """K0 on one support, by the anchor recursion on restricted integrals.
@@ -348,15 +335,17 @@ class ClusterEngine:
         support that no connected union of interaction supports covers has
         K0 = 0, and the capped closure holds every such union up to the cap.
         """
-        if support in self._activity_cache:
-            return self._activity_cache[support]
-        anchor = min(support)
-        value = self._restricted_exp(support) - self._restricted_exp(support - {anchor})
+        if self.source_free is not None and not support & self._source_sites:
+            return self.source_free.polymer_activity(support)
+        key = self._key(support)
+        if key in self._activity_cache:
+            return self._activity_cache[key]
+        anchor = min(key)
+        value = self._restricted_exp(key) - self._restricted_exp(key - {anchor})
         for sub in self.candidates:
-            if anchor in sub and sub < support:
-                value = value - self.polymer_activity(sub) * self._restricted_exp(
-                    support - sub)
-        k0 = self._activity_cache[support] = self._capped(value)
+            if anchor in sub and sub < key:
+                value = value - self.polymer_activity(sub) * self._restricted_exp(key - sub)
+        k0 = self._activity_cache[key] = self._capped(value)
         return k0
 
     # -- assembly ------------------------------------------------------------
@@ -469,9 +458,11 @@ class ClusterEngine:
         report.exact = not capped and report.exact
         log = debug_logger(__name__)
         if log is not None:
-            log.debug("%d candidates, %d restricted integrals computed, "
-                      "%d source-free integrals reused", len(self.candidates),
-                      self.integrals_computed, self.integrals_reused)
+            shared = self.source_free.integrals_computed - self._shared_before if (
+                self.source_free) else 0
+            log.debug("%d candidates, %d restricted integrals computed, %d by the "
+                      "source-free engine", len(self.candidates), self.integrals_computed,
+                      shared)
         return self.pure_eta + result(), report
 
     def _dense_descent(self, polymers):
@@ -522,7 +513,7 @@ class ClusterEngine:
 
 def assemble_b(universe: GeneratorUniverse, f: GrassmannElement,
                options: ClusterOptions | None = None,
-               source_free: SourceFreeIntegrals | None = None,
+               source_free: ClusterEngine | None = None,
                ) -> tuple[LogSeries, ExpansionReport]:
     """Resummed cluster logarithm of the normalized exp(f) integral."""
     engine = ClusterEngine(universe, f, options, source_free)

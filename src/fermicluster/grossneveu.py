@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import GrassmannElement
 from .berezin import LogSeries
-from .clusters import SourceFreeIntegrals
+from .clusters import ClusterEngine, ClusterOptions
 from .coeffsys import CoefficientSystem
 from .errors import CapacityError, ConfigError
 from .generators import GeneratorUniverse, Site, eta, psi
@@ -326,8 +326,8 @@ class Model:
     pair run's interaction is the source entries at its two sites plus
     ``psi_element``, the whole quartic part as one Grassmann element, built
     on first use and kept for the model's later pair runs.  Those runs
-    also share ``source_free``, the engine's integrals over the regions
-    that hold no source site.
+    also share :meth:`source_free`, the engine of that part, for Z and K0
+    of the regions that hold no source site.
     """
 
     spec: LatticeSpec
@@ -336,15 +336,14 @@ class Model:
     stencil: CoefficientSystem
     local: CoefficientSystem
     smeared: CoefficientSystem
-    source_free: SourceFreeIntegrals
     _psi_elements: dict = field(default_factory=dict, init=False, repr=False)
+    _source_free: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, spec: LatticeSpec, cov: Covariance, g: float,
               source_g: float | None = None) -> "Model":
         local, smeared = source_kernels(spec, cov, g if source_g is None else source_g)
-        return cls(spec, cov, g, quartic_stencil(spec, cov, g), local, smeared,
-                   SourceFreeIntegrals(spec.L))
+        return cls(spec, cov, g, quartic_stencil(spec, cov, g), local, smeared)
 
     def psi_element(self, max_sites: int | None = None) -> GrassmannElement:
         """-quartic as one element on the psi bits that every
@@ -360,6 +359,16 @@ class Model:
                      if len({gen.site for gen in universe.indices_of(m)}) <= max_sites})
             self._psi_elements[max_sites] = _translated(self.spec, origin)
         return self._psi_elements[max_sites]
+
+    def source_free(self, options: ClusterOptions) -> ClusterEngine:
+        """The engine of ``psi_element`` on the whole lattice under
+        ``options``, built on first use; it computes Z and K0 once per
+        translation class."""
+        if options not in self._source_free:
+            self._source_free[options] = ClusterEngine(
+                universe_for(self.spec, ()), self.psi_element(options.max_polymer_sites),
+                options, side=self.spec.L)
+        return self._source_free[options]
 
     def interaction(self, source_sites: tuple[Site, ...] | None,
                     max_sites: int | None = None) -> tuple[GeneratorUniverse, GrassmannElement]:

@@ -114,8 +114,8 @@ def pair_series(cfg: RunConfig, spec: LatticeSpec, model: Model,
                 y1: Site, y2: Site) -> tuple[LogSeries, ExpansionReport]:
     """Assembled log series with sources restricted to two sites."""
     options = engine_options(cfg)
-    series, report = assemble_b(
-        *model.interaction((y1, y2), options.max_polymer_sites), options, model.source_free)
+    series, report = assemble_b(*model.interaction((y1, y2), options.max_polymer_sites),
+                                options, model.source_free(options))
     return _finite(series, cfg.m_f, cfg.g), report
 
 

@@ -423,6 +423,22 @@ def test_flavor_channels_diagonal_and_equal():
     assert series.element.is_even()
 
 
+def test_free_flavors_factorize():
+    """At g = 0 the N flavors decouple: each flavor's rows are the N = 1 rows.
+    The run also drives the source-free engine with an empty quartic part."""
+    from fermicluster.pipeline import run_experiment
+
+    def rows(n):
+        payload, _ = run_experiment(RunConfig(L=2, N=n, g=0.0, mode="truncated"))
+        return payload["correlations"]
+
+    single = [{k: v for k, v in row.items() if k != "flavor"} for row in rows(1)]
+    both = rows(2)
+    for flavor in range(2):
+        assert [{k: v for k, v in row.items() if k != "flavor"}
+                for row in both if row["flavor"] == flavor] == single
+
+
 def test_correlation_rows_schema(small_cov):
     spec, cov = small_cov
     g = 0.05
