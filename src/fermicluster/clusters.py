@@ -23,14 +23,16 @@ elimination step and every factor of its exponential: eta degrees only add
 under products and integration removes no eta bit, so that is exact.
 
 In a pair run of the lattice model, every item is charge-neutral (psi-bar
-and eta-bar count +1, psi and eta -1), and the only items with an unbarred
-eta, psi-bar_x eta_x, sit on source sites x.  So a region that holds no
-source site has a scalar restricted integral, which the eta-free items
-alone give, and a support that holds none a scalar activity, read off the
-integrals of regions inside it.  With a translation-invariant eta-free
-part, both depend only on the translation class.  The pair runs of one
-experiment share one source-free :class:`ClusterEngine` of that part,
-which computes each once per class.
+and eta-bar count +1, psi and eta -1) and integration keeps only terms of
+psi charge 0, so a surviving term holds as many eta-bar as eta bits.  The
+only items with an unbarred eta, psi-bar_x eta_x, sit on source sites x.
+So a region that holds no source site has a scalar restricted integral,
+which the eta-free items alone give, and a support that holds none a
+scalar activity, read off the integrals of regions inside it.  With a
+translation-invariant eta-free part, both depend only on the translation
+class.  One source-free :class:`ClusterEngine` per experiment owns that
+part, its items, candidates, and each such Z and K0, once per class; a
+pair run's engine takes only its source items and reads the rest.
 
 Every activity has its psi fields integrated out, so the polymer sum is
 linear algebra over the few eta monomials that products of activities
@@ -194,8 +196,10 @@ def _element_1norm(el: GrassmannElement) -> float:
 class ClusterEngine:
     """Polymer activities and their resummed logarithm for one even exponent f.
 
-    ``source_free``, an engine of f's eta-free part under the same options,
-    supplies those items and Z and K0 of every region without a source site.
+    ``source_free``, an engine of the eta-free part under the same options,
+    owns those items, their candidate closure, and Z and K0 of every region
+    without a source site; f then holds only source items, each with its
+    psi part on one site, and the exponent is f plus that engine's items.
     ``side`` declares f translation invariant on a periodic lattice of that
     side, so Z and K0 are computed once per translation class.
     """
@@ -219,14 +223,15 @@ class ClusterEngine:
         cap = self.options.max_polymer_sites
         self.pure_eta = GrassmannElement(
             {mask: coeff for mask, coeff in element.terms.items() if not mask & psi_block})
-        # the psi-supported monomials in mask order, each with its site
-        # support, the eta-free ones as ``source_free`` holds them; no
+        own = [(mask, coeff, frozenset(g.site for g in universe.indices_of(mask & psi_block)))
+               for mask, coeff in element.terms.items() if mask & psi_block]
+        if source_free is not None and any(
+                not mask & ~psi_block or len(sup) != 1 for mask, _, sup in own):
+            raise ValueError("with source_free, f holds only source items, each on one site")
+        # the psi-supported items in mask order, ``source_free``'s included; no
         # candidate and no restricted region holds one on more than ``cap`` sites
-        items = [(mask, coeff, frozenset(g.site for g in universe.indices_of(mask & psi_block)))
-                 for mask, coeff in element.terms.items()
-                 if mask & psi_block and (source_free is None or mask & ~psi_block)]
         self._items: list[tuple[int, complex, SiteSet]] = sorted(
-            [item for item in items if not cap or len(item[2]) <= cap]
+            [item for item in own if not cap or len(item[2]) <= cap]
             + (source_free._items if source_free else []), key=operator.itemgetter(0))
         # the items of each support, in mask order
         self._by_support: dict[SiteSet, list[tuple[int, complex]]] = {}
@@ -247,7 +252,10 @@ class ClusterEngine:
         cap = self.options.max_polymer_sites
         seeds = list(self._by_support)
         found: set[SiteSet] = set(seeds)
-        frontier = list(found)
+        # a one-site support that meets a candidate lies inside it, so source
+        # items add their sites to ``source_free``'s closure and no union
+        frontier = [] if self.source_free else list(found)
+        found.update(self.source_free.candidates if self.source_free else ())
         while frontier:
             nxt = []
             for cand in frontier:
@@ -266,11 +274,8 @@ class ClusterEngine:
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     def _capped(self, el: GrassmannElement) -> GrassmannElement:
-        """``el`` without the terms of eta degree above the cap, if one is set.
-
-        Exact on the kept terms: eta degrees only add under products, and
-        integrating psi modes never removes an eta bit.
-        """
+        """``el`` without the terms of eta degree above the cap, if one is
+        set; exact on the kept terms (module docstring)."""
         return truncated(el, ~self.universe.psi_block_mask, self.options.eta_degree_cap)
 
     # -- activities --------------------------------------------------------
@@ -283,6 +288,10 @@ class ClusterEngine:
         return frozenset(min(
             tuple(sorted(tuple((a - b) % self.side for a, b in zip(site, anchor))
                          for site in region)) for anchor in region))
+
+    def _from_source_free(self, region: SiteSet) -> bool:
+        """Whether ``source_free`` gives Z and K0 of ``region``: it holds no source site."""
+        return self.source_free is not None and not region & self._source_sites
 
     def _integral(self, region: SiteSet) -> GrassmannElement:
         """Z(region) from the items within it, in mask order, capped after
@@ -299,27 +308,13 @@ class ClusterEngine:
     def _restricted_exp(self, region: SiteSet) -> GrassmannElement:
         """Z(region): integral of exp(f restricted to supports within the region).
 
-        In a pair run every item is charge-neutral, psi-bar and eta-bar +1
-        and psi and eta -1, and integration keeps only terms of psi charge
-        0; so a term that survives holds as many eta-bar as eta bits.  A
-        region with no source site holds no item with an unbarred eta (the
-        local sources sit on source sites), so no item with an eta-bar
-        enters a surviving term: its Z is a scalar that the eta-free items
-        alone give, and so is K0 of a support with no source site, whose
-        recursion reads only regions inside it.  A ``source_free`` engine
-        supplies both, once per translation class, to every pair run of
-        the experiment.
-
-        Under an eta degree cap, elimination and the exponential drop the
-        terms past the cap after each step and each factor, not only at
-        the end; that is exact, since eta degrees only add under products
-        and integration removes no eta bit.
+        ``source_free`` gives it for a region without a source site, and an
+        eta degree cap prunes inside elimination (module docstring).
         """
-        if self.source_free is not None and not region & self._source_sites:
-            return self.source_free._restricted_exp(region)
         key = self._key(region)
         if key not in self._exp_cache:
-            self._exp_cache[key] = self._integral(key)
+            self._exp_cache[key] = (self.source_free._restricted_exp(key)
+                                    if self._from_source_free(key) else self._integral(key))
         return self._exp_cache[key]
 
     def polymer_activity(self, support: SiteSet) -> GrassmannElement:
@@ -335,17 +330,19 @@ class ClusterEngine:
         support that no connected union of interaction supports covers has
         K0 = 0, and the capped closure holds every such union up to the cap.
         """
-        if self.source_free is not None and not support & self._source_sites:
-            return self.source_free.polymer_activity(support)
         key = self._key(support)
         if key in self._activity_cache:
             return self._activity_cache[key]
-        anchor = min(key)
-        value = self._restricted_exp(key) - self._restricted_exp(key - {anchor})
-        for sub in self.candidates:
-            if anchor in sub and sub < key:
-                value = value - self.polymer_activity(sub) * self._restricted_exp(key - sub)
-        k0 = self._activity_cache[key] = self._capped(value)
+        if self._from_source_free(key):
+            k0 = self.source_free.polymer_activity(key)
+        else:
+            anchor = min(key)
+            value = self._restricted_exp(key) - self._restricted_exp(key - {anchor})
+            for sub in self.candidates:
+                if anchor in sub and sub < key:
+                    value = value - self.polymer_activity(sub) * self._restricted_exp(key - sub)
+            k0 = self._capped(value)
+        self._activity_cache[key] = k0
         return k0
 
     # -- assembly ------------------------------------------------------------

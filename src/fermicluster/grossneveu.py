@@ -322,12 +322,10 @@ class Model:
     Built once per run.  The quartic density carries coupling g and the
     source couplings carry ``source_g``, which is g itself except for a
     free theory probed with unit sources.  Only the quartic entries whose
-    psi-bar site is the origin are kept: translation gives the rest.  A
-    pair run's interaction is the source entries at its two sites plus
-    ``psi_element``, the whole quartic part as one Grassmann element, built
-    on first use and kept for the model's later pair runs.  Those runs
-    also share :meth:`source_free`, the engine of that part, for Z and K0
-    of the regions that hold no source site.
+    psi-bar site is the origin are kept: translation gives the rest.  The
+    quartic items belong to :meth:`source_free`, one engine per options; a
+    pair run's engine takes only :meth:`sources` and reads the rest from
+    it.  The oracle takes :meth:`interaction`, the whole exponent.
     """
 
     spec: LatticeSpec
@@ -362,25 +360,29 @@ class Model:
 
     def source_free(self, options: ClusterOptions) -> ClusterEngine:
         """The engine of ``psi_element`` on the whole lattice under
-        ``options``, built on first use; it computes Z and K0 once per
-        translation class."""
+        ``options``, built on first use; it keys Z and K0 by translation."""
         if options not in self._source_free:
             self._source_free[options] = ClusterEngine(
                 universe_for(self.spec, ()), self.psi_element(options.max_polymer_sites),
                 options, side=self.spec.L)
         return self._source_free[options]
 
-    def interaction(self, source_sites: tuple[Site, ...] | None,
-                    max_sites: int | None = None) -> tuple[GeneratorUniverse, GrassmannElement]:
-        """The universe and f = -V1 with sources on ``source_sites`` only
-        (None: every site), monomials past ``max_sites`` sites dropped.
-
-        Setting the other sources to zero drops the source entries with an
-        eta elsewhere; the quartic part holds no eta.
+    def sources(self, source_sites: tuple[Site, ...] | None,
+                ) -> tuple[GeneratorUniverse, GrassmannElement]:
+        """The universe and the source part of f = -V1 with sources on
+        ``source_sites`` only (None: every site): setting the others to zero
+        drops the entries with an eta elsewhere.  Each has its psi on one site.
         """
         universe = universe_for(self.spec, source_sites)
         sources = (self.local + self.smeared).with_sources_at(source_sites)
-        return universe, sources.to_element(universe) + self.psi_element(max_sites)
+        return universe, sources.to_element(universe)
+
+    def interaction(self, source_sites: tuple[Site, ...] | None,
+                    ) -> tuple[GeneratorUniverse, GrassmannElement]:
+        """The universe and the whole f = -V1: :meth:`sources` plus the
+        quartic part, which holds no eta."""
+        universe, sources = self.sources(source_sites)
+        return universe, sources + self.psi_element()
 
 
 def build_v1(spec: LatticeSpec, cov: Covariance, g: float,

@@ -4,20 +4,21 @@ Each run builds its interaction once, as a :class:`Model`: the source
 kernels with sources on every site and the quartic stencil, the entries of
 one psi-bar site, which translation carries to every other site.  The
 model's norms read the stencil.  A correlation run restricts the sources
-to the probed pair of sites: its interaction is the source entries at
-those two sites plus the model's psi element, the whole quartic part as
-one Grassmann element, built by the first pair run and shared by the rest.
-Dropping the source entries with an eta elsewhere is exactly setting those
-sources to zero, and it keeps the eta sector small enough for exact work.
-Retained log-series coefficients do not depend on the restriction beyond
-rounding and the engine's branch floor: on 2x2 the oracle returns them bit
-for bit with a third source site added, while the engine moved them by up
-to 2e-14 absolute.  Every pair run, of ``correlate``, ``expand`` and the
-verify checklist alike, goes through :func:`run_correlations`, sources on
-the origin and a target; one target per distance class gives the distance
-table.  The probed-sector norm of the assembled series is a lower bound on
-the full-source norm, so a convergence-bound violation on it would falsify
-the full statement as well.
+to the probed pair of sites.  Its engine takes only their source entries
+and reads the quartic part from the model's source-free engine, built by
+the first pair run; the oracle takes the whole interaction.  Dropping the
+source entries with an eta elsewhere is exactly setting those sources to
+zero, and it keeps the eta sector small enough for exact work.  Retained
+coefficients move only by rounding and the engine's branch floor: a third
+source site moves those of (origin, far corner) by 2.2e-19 absolute in the
+oracle and 6.5e-16 in the engine on exact 2x2 (2.5e-15 for the constant),
+and by 1.9e-10 in the engine on truncated 3x3, m_f = 3 (1.8e-9 for the
+constant), whose floor is 1e-9.  Every pair run, of ``correlate``,
+``expand`` and the verify checklist alike, goes through
+:func:`run_correlations`, sources on the origin and a target; one target
+per distance class gives the distance table.  The probed-sector norm of
+the assembled series is a lower bound on the full-source norm, so a
+convergence-bound violation on it would falsify the full statement as well.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ def pair_series(cfg: RunConfig, spec: LatticeSpec, model: Model,
                 y1: Site, y2: Site) -> tuple[LogSeries, ExpansionReport]:
     """Assembled log series with sources restricted to two sites."""
     options = engine_options(cfg)
-    series, report = assemble_b(*model.interaction((y1, y2), options.max_polymer_sites),
-                                options, model.source_free(options))
+    series, report = assemble_b(*model.sources((y1, y2)), options,
+                                model.source_free(options))
     return _finite(series, cfg.m_f, cfg.g), report
 
 
