@@ -46,8 +46,7 @@ _BLOCK_PAIRS = 1 << 15
 def prefix_parity(a: int) -> int:
     """Mask whose bit j is the parity of the bits of ``a`` above j.
 
-    Covers masks of up to 128 bits, the psi plus eta capacity, and works
-    elementwise on a uint64 array of masks below bit 64.
+    Takes a Python int of any width, or a uint64 array of masks, elementwise.
     """
     x = a >> 1
     x ^= x >> 1
@@ -57,6 +56,10 @@ def prefix_parity(a: int) -> int:
     x ^= x >> 16
     x ^= x >> 32
     x ^= x >> 64
+    shift = 128
+    while not isinstance(x, np.ndarray) and x >> shift:
+        x ^= x >> shift
+        shift <<= 1
     return x
 
 

@@ -22,7 +22,8 @@ from .errors import CapacityError
 Site = tuple[int, ...]
 Mode = tuple[Site, int, int]
 
-#: Hard cap on bit positions per family; one machine word each.
+#: Hard cap on eta bit positions: ``ClusterEngine.eta_sector`` holds eta
+#: masks as uint64.  Psi masks are Python ints of any width.
 FAMILY_BIT_CAPACITY = 64
 
 
@@ -76,11 +77,6 @@ class GeneratorUniverse:
     def __init__(self, psi_modes: Iterable[Mode], eta_modes: Iterable[Mode] = ()):
         self.psi_modes: tuple[Mode, ...] = tuple(sorted(set(self._as_mode(m) for m in psi_modes)))
         self.eta_modes: tuple[Mode, ...] = tuple(sorted(set(self._as_mode(m) for m in eta_modes)))
-        if 2 * len(self.psi_modes) > FAMILY_BIT_CAPACITY:
-            raise CapacityError(
-                f"{len(self.psi_modes)} psi modes need {2 * len(self.psi_modes)} bits, "
-                f"capacity is {FAMILY_BIT_CAPACITY}"
-            )
         if 2 * len(self.eta_modes) > FAMILY_BIT_CAPACITY:
             raise CapacityError(
                 f"{len(self.eta_modes)} eta modes need {2 * len(self.eta_modes)} bits, "

@@ -258,6 +258,7 @@ def _translated(spec: LatticeSpec, origin: GrassmannElement) -> GrassmannElement
     A site owns a fixed run of bits, so a move shifts each generator by
     whole runs and keeps its offset; the coefficient takes the sign of the
     permutation that sorts the moved generators back into canonical order.
+    The moved masks are Python ints, so the psi bits may run past bit 64.
     Terms come move by move, in ``spec.sites`` order.
     """
     if not origin.terms:
@@ -271,7 +272,7 @@ def _translated(spec: LatticeSpec, origin: GrassmannElement) -> GrassmannElement
     moved = moved_site[:, positions // per_site] * per_site + positions % per_site
     k = positions.shape[1]
     inversions = sum(moved[..., i] > moved[..., j] for i in range(k) for j in range(i + 1, k))
-    bits = np.bitwise_or.reduce(np.left_shift(np.uint64(1), moved.astype(np.uint64)), axis=-1)
+    bits = np.bitwise_or.reduce(np.left_shift(1, moved.astype(object)), axis=-1)
     coeffs = np.array(list(origin.terms.values()), dtype=np.complex128)
     values = np.where(inversions & 1, -coeffs, coeffs)
     out = GrassmannElement()

@@ -77,10 +77,11 @@ def engine_options(cfg: RunConfig) -> ClusterOptions:
 
 
 def check_capacity(cfg: RunConfig, spec: LatticeSpec) -> None:
-    """Refuse a lattice whose psi modes do not fit the bit capacity, exact
-    mode where the exact engine and the oracle cannot finish, and a
-    truncation key that exact mode would ignore; before any kernel is built."""
-    universe_for(spec, ())
+    """Refuse a lattice whose pair of source sites has more eta modes than
+    the eta family's bit capacity, exact mode where the exact engine and the
+    oracle cannot finish, and a truncation key that exact mode would ignore;
+    before any kernel is built."""
+    universe_for(spec, spec.sites[:2])
     if cfg.mode != "exact":
         return
     for field in fields(RunConfig):

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,9 +67,13 @@ def test_psi_bits_precede_eta_bits():
 
 def test_capacity_limit():
     too_many = [((i,), 0, 0) for i in range(33)]
-    with pytest.raises(CapacityError):
-        GeneratorUniverse(too_many)
-    GeneratorUniverse(too_many[:32])  # exactly at capacity is fine
+    with pytest.raises(CapacityError, match="33 eta modes need 66 bits"):
+        GeneratorUniverse([], too_many)
+    GeneratorUniverse([], too_many[:32])  # exactly at capacity is fine
+    # psi masks are Python ints of any width
+    wide = GeneratorUniverse([((i,), 0, 0) for i in range(200)], too_many[:32])
+    assert wide.n_psi_bits == 400 and wide.n_bits == 464
+    assert wide.position(psi((199,), bar=False)) == 399
 
 
 def test_mask_roundtrip():
@@ -95,6 +100,28 @@ def test_prefix_parity_matches_inversion_count(a_pos, b_pos):
     seq = sorted(a_pos) + sorted(b_pos)
     expected = 0 if bubble_sign(seq) == 1 else 1
     assert (b & p).bit_count() & 1 == expected
+
+
+def brute_prefix_parity(a):
+    """Bit j set when an odd number of bits of ``a`` lie above j, bit by bit."""
+    return sum(1 << j for j in range(a.bit_length())
+               if sum(a >> q & 1 for q in range(j + 1, a.bit_length())) & 1)
+
+
+def test_prefix_parity_takes_masks_of_any_width():
+    rng = random.Random(5)
+    for width in range(1, 301):
+        a = rng.getrandbits(width) | 1 << (width - 1)
+        assert prefix_parity(a) == brute_prefix_parity(a)
+    assert prefix_parity(1 << 299) == (1 << 299) - 1
+
+
+def test_prefix_parity_works_elementwise_on_a_uint64_array():
+    rng = random.Random(6)
+    masks = [rng.getrandbits(64) for _ in range(200)] + [0, 1, 1 << 63, (1 << 64) - 1]
+    got = prefix_parity(np.array(masks, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [brute_prefix_parity(a) for a in masks]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=8))

@@ -381,9 +381,12 @@ def test_truncated_engine_drops_entries_past_the_site_cap(three_site_universe):
     supported = [(m, c, f(g.site for g in u.indices_of(m & psi_block)))
                  for m, c in sorted(element.terms.items()) if m & psi_block]
     assert any(len(sup) > 2 for *_, sup in supported)
-    # the dropped monomials never enter: handing them back changes nothing
+    # no region holds more than the cap, so the dropped monomials never
+    # enter: handing them back to the index that Z reads changes nothing
     unfiltered = ClusterEngine(u, element, options)
-    unfiltered._items = supported
+    for m, c, sup in supported:
+        if len(sup) > 2:
+            unfiltered._by_support.setdefault(sup, []).append((m, c))
     out, report = filtered.assemble()
     reference, reference_report = unfiltered.assemble()
     assert out.terms == reference.terms

@@ -11,6 +11,7 @@ import pytest
 from fermicluster import grossneveu
 from fermicluster.berezin import log_direct
 from fermicluster.clusters import ClusterOptions, assemble_b
+from fermicluster.coeffsys import CoefficientSystem
 from fermicluster.config import RunConfig
 from fermicluster.errors import CapacityError, ConfigError
 from fermicluster.generators import psi
@@ -347,8 +348,28 @@ def test_psi_element_is_the_capped_quartic_element(L, caps):
         assert max(abs(got.terms[m] - c) for m, c in want.items()) <= 1e-15
 
 
-@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(L=3, m_f=3.0, mode="truncated")],
-                         ids=["exact-2x2", "truncated-3x3"])
+def test_psi_element_moves_the_stencil_past_bit_64():
+    """At L = 5 the psi bits run to 100: the capped psi element's terms with
+    their psi-bar on site x are the quartic entries built at x itself."""
+    spec = LatticeSpec(d=2, L=5)
+    cov = covariance(spec, 3.0)
+    u = universe_for(spec, ())
+    assert u.n_psi_bits == 100
+    got = Model.build(spec, cov, 0.05).psi_element(2)
+    for x in [(0, 0), (2, 3), (4, 1), (4, 4)]:
+        system = CoefficientSystem()
+        grossneveu._add_quartic_at(system, spec, cov, 0.05, x)
+        want = {m: c for m, c in system.scaled(-1).to_element(u).terms.items()
+                if len({gen.site for gen in u.indices_of(m)}) <= 2}
+        at_x = {m: c for m, c in got.terms.items()
+                if all(gen.site == x for gen in u.indices_of(m) if gen.bar)}
+        assert any(m >> 64 for m in want)
+        assert at_x == want
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(L=3, m_f=3.0, mode="truncated"),
+                                 RunConfig(L=5, m_f=3.0, mode="truncated")],
+                         ids=["exact-2x2", "truncated-3x3", "truncated-5x5"])
 def test_translated_pair_has_the_same_two_point_values(cfg):
     spec, cov = lattice_objects(cfg)
     model = lattice_model(cfg, spec, cov)
@@ -437,6 +458,23 @@ def test_free_flavors_factorize():
     for flavor in range(2):
         assert [{k: v for k, v in row.items() if k != "flavor"}
                 for row in both if row["flavor"] == flavor] == single
+
+
+def test_flavor_rows_agree_under_flavor_permutation():
+    """The action is symmetric under a permutation of the flavors, so at
+    g > 0 flavor 1's rows are flavor 0's, up to rounding."""
+    from fermicluster.pipeline import run_experiment
+
+    payload, _ = run_experiment(RunConfig(L=2, N=2, g=0.05, mode="truncated"))
+    split = [[row for row in payload["correlations"] if row["flavor"] == flavor]
+             for flavor in range(2)]
+    assert len(split[0]) == len(split[1]) == 12
+    values = ("re", "im", "abs")
+    for first, second in zip(*split):
+        assert ([v for k, v in first.items() if k not in values + ("flavor",)]
+                == [v for k, v in second.items() if k not in values + ("flavor",)])
+        assert all(abs(first[key] - second[key]) <= 1e-14 for key in values)
+    assert max(abs(row["re"]) for row in split[0]) > 0.1
 
 
 def test_correlation_rows_schema(small_cov):

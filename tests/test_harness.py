@@ -381,11 +381,30 @@ def test_truncated_run_past_bit_capacity_fails_before_any_kernel(tmp_path, monke
     monkeypatch.setattr(grossneveu, "quartic_stencil", no_kernel)
     for module in (grossneveu, pipeline):
         monkeypatch.setattr(module, "covariance", no_covariance)
+    # a pair of source sites holds 2 x 2 spinor x 9 flavors = 36 eta modes
     path = tmp_path / "wide.cfg"
-    path.write_text("lattice.L = 5\nmodel.m_f = 3.0\nrun.mode = truncated\n")
+    path.write_text("lattice.L = 2\nlattice.N = 9\nmodel.m_f = 3.0\nrun.mode = truncated\n")
     for command in ("correlate", "expand"):
         assert cli.main([command, "--config", str(path)]) == 3
-        assert "50 psi modes need 100 bits, capacity is 64" in capsys.readouterr().err
+        assert "36 eta modes need 72 bits, capacity is 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["correlate", "expand"])
+def test_truncated_run_past_the_stencil_budget_fails_before_the_covariance(
+        command, tmp_path, monkeypatch, capsys):
+    from fermicluster import grossneveu, pipeline
+
+    def no_covariance(*args):
+        raise AssertionError("covariance computed before the stencil check")
+
+    for module in (grossneveu, pipeline):
+        monkeypatch.setattr(module, "covariance", no_covariance)
+    path = tmp_path / "huge.cfg"
+    path.write_text("lattice.L = 11\nmodel.m_f = 3.0\nrun.mode = truncated\n")
+    started = time.perf_counter()
+    assert cli.main([command, "--config", str(path)]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert "quartic stencil" in capsys.readouterr().err
 
 
 def test_exact_mode_refuses_more_than_eight_psi_modes(tmp_path, capsys):
