@@ -34,6 +34,24 @@ class.  One source-free :class:`ClusterEngine` per experiment owns that
 part, its items, candidates, and each such Z and K0, once per class; a
 pair run's engine takes only its source items and reads the rest.
 
+A region X that holds source sites, its marks M, is linear in the sources
+once the eta degree is capped at 2: each surviving term is a constant or
+one eta-bar times one eta.  Replace every source item psi_y eta-bar_a by
+one unit probe psi_y eta-bar_y per psi mode y of X, and every psi-bar_b
+eta_c by psi-bar_b eta_b at each psi mode b on a mark, with eta modes on
+the sites of X.  The algebra map phi that sends eta-bar_y to the sum over
+a of K(a, y) eta-bar_a, K the coefficients of the psi_y eta-bar_a items,
+and eta_b to the sum over c of the psi-bar_b eta_c coefficients times
+eta_c, turns the probe exponent into the pair's.  phi acts on eta
+generators alone and keeps eta degrees, so it commutes with psi
+integration, the exponential and the cap, and Z(X) = phi(Z°(X, M)), Z° the
+probe integral.  Z° depends only on the translation class of (X, M), so
+the source-free engine computes it once per marked class, and a pair
+engine under a cap of 2 or less builds Z(X) as the matrix product
+K Z° Λ^T without any elimination.  Exact runs and higher caps integrate
+each source region per pair run: their probe sector would hold far more
+eta monomials than the pair's.
+
 Every activity has its psi fields integrated out, so the polymer sum is
 linear algebra over the few eta monomials that products of activities
 reach.  The descent holds each product as a complex vector over that basis
@@ -196,10 +214,14 @@ def _element_1norm(el: GrassmannElement) -> float:
 class ClusterEngine:
     """Polymer activities and their resummed logarithm for one even exponent f.
 
-    ``source_free``, an engine of the eta-free part under the same options,
-    owns those items, their candidate closure, and Z and K0 of every region
-    without a source site; f then holds only source items, each with its
-    psi part on one site, and the exponent is f plus that engine's items.
+    ``source_free``, an engine of the eta-free part on the same psi modes
+    under the same options, owns those items, their candidate closure, and
+    Z and K0 of every region without a source site; f then holds only
+    source items, each one psi generator times one eta generator of the
+    other kind (psi eta-bar, or psi-bar eta on a source site), and the
+    exponent is f plus that engine's items.  Under an eta degree cap of 2 or
+    less, ``source_free`` gives Z of a region with source sites too, by
+    linear response (module docstring).
     ``side`` declares f translation invariant on a periodic lattice of that
     side, so Z and K0 are computed once per translation class.
     """
@@ -214,9 +236,15 @@ class ClusterEngine:
         self.source_free = source_free
         self.side = side
         self._source_sites = frozenset(site for site, _, _ in universe.eta_modes)
-        # eliminations this engine ran, and those ``source_free`` had run before it
+        self._mode_index = {mode: k for k, mode in enumerate(universe.psi_modes)}
+        # eliminations this engine ran, and those ``source_free`` had run
+        # before it; its marked classes (Z° by class of (region, marks)), and
+        # those this engine read
         self.integrals_computed = 0
         self._shared_before = source_free.integrals_computed if source_free else 0
+        self._marked_cache: dict = {}
+        self._marked_before = len(source_free._marked_cache) if source_free else 0
+        self._marked_read: set = set()
         element = self._capped(f)
 
         psi_block = universe.psi_block_mask
@@ -225,9 +253,11 @@ class ClusterEngine:
             {mask: coeff for mask, coeff in element.terms.items() if not mask & psi_block})
         own = [(mask, coeff, frozenset(g.site for g in universe.indices_of(mask & psi_block)))
                for mask, coeff in element.terms.items() if mask & psi_block]
-        if source_free is not None and any(
-                not mask & ~psi_block or len(sup) != 1 for mask, _, sup in own):
-            raise ValueError("with source_free, f holds only source items, each on one site")
+        # the source items' coefficients, and whether they and ``source_free``
+        # give Z of a region with source sites (module docstring)
+        self._response = self._source_response(own) if source_free else None
+        eta_cap = self.options.eta_degree_cap
+        self._linear = self._response is not None and eta_cap is not None and eta_cap <= 2
         # the psi-supported items in mask order, ``source_free``'s included; no
         # candidate and no restricted region holds one on more than ``cap`` sites
         self._items: list[tuple[int, complex, SiteSet]] = sorted(
@@ -273,6 +303,30 @@ class ClusterEngine:
                     f"polymer support closure exceeded {MAX_CANDIDATES} candidates")
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
+    def _source_response(self, own: list[tuple[int, complex, SiteSet]],
+                         ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+        """The source items as (K, Λ, eta pairs): K[a, y] is the coefficient
+        of psi_y eta-bar_a and Λ[c, b] that of psi-bar_b eta_c, over eta and
+        psi mode indices; entry a * (eta modes) + c of the eta pairs is the
+        mask and sign of eta-bar_a eta_c.  Raises ValueError on any other item, or on a
+        psi-bar eta item off the source sites."""
+        u = self.universe
+        n_psi, n_eta = u.n_psi_bits, len(u.eta_modes)
+        bar = np.zeros((n_eta, len(u.psi_modes)), dtype=np.complex128)
+        unbar = np.zeros_like(bar)
+        for mask, coeff, sup in own:
+            psi_part, eta_part = mask & u.psi_block_mask, mask >> n_psi
+            k, a = psi_part.bit_length() - 1, eta_part.bit_length() - 1
+            # bar bits are even, so a source item has one of each parity
+            if (psi_part.bit_count() != 1 or eta_part.bit_count() != 1 or k % 2 == a % 2
+                    or k % 2 == 0 and not sup <= self._source_sites):
+                raise ValueError("with source_free, f holds only source items: psi eta-bar, "
+                                 "or psi-bar eta on a source site")
+            (bar if k % 2 else unbar)[a // 2, k // 2] = coeff
+        pairs = [(1 << n_psi + 2 * a | 1 << n_psi + 2 * c + 1, 1 if a <= c else -1)
+                 for a in range(n_eta) for c in range(n_eta)]
+        return bar, unbar, pairs
+
     def _capped(self, el: GrassmannElement) -> GrassmannElement:
         """``el`` without the terms of eta degree above the cap, if one is
         set; exact on the kept terms (module docstring)."""
@@ -280,41 +334,129 @@ class ClusterEngine:
 
     # -- activities --------------------------------------------------------
 
+    def _moved(self, sites: SiteSet, anchor: Site) -> tuple[Site, ...]:
+        """``sites`` moved by minus ``anchor``, sorted."""
+        return tuple(sorted(tuple((a - b) % self.side for a, b in zip(site, anchor))
+                            for site in sites))
+
     def _key(self, region: SiteSet) -> SiteSet:
         """``region``, or with ``side`` set the least sorted translate of it
         that moves one of its sites to the origin: one key per class."""
         if self.side is None or not region:
             return region
-        return frozenset(min(
-            tuple(sorted(tuple((a - b) % self.side for a, b in zip(site, anchor))
-                         for site in region)) for anchor in region))
+        return frozenset(min(self._moved(region, anchor) for anchor in region))
+
+    def _marked_integral(self, region: SiteSet, marks: SiteSet,
+                        ) -> tuple[tuple, complex, np.ndarray, list[int]]:
+        """Z°(region, marks) of the module docstring, computed once per
+        translation class of the pair: (class key, constant, C, cols), with
+        C[i, j] the coefficient of eta-bar_i eta_j and row and column i
+        standing for the psi mode of ``region`` at index ``cols[i]``."""
+        anchor = None
+        if self.side is not None:
+            anchor = min(region, key=lambda a: (self._moved(region, a), self._moved(marks, a)))
+            region, marks = (frozenset(self._moved(sites, anchor)) for sites in (region, marks))
+        key = (region, marks)
+        if key not in self._marked_cache:
+            self._marked_cache[key] = self._probe_integral(region, marks)
+        constant, matrix, modes = self._marked_cache[key]
+        if anchor is not None:
+            modes = [(tuple((a + b) % self.side for a, b in zip(site, anchor)), *rest)
+                     for site, *rest in modes]
+        return key, constant, matrix, [self._mode_index[mode] for mode in modes]
+
+    def _probe_integral(self, region: SiteSet, marks: SiteSet,
+                        ) -> tuple[complex, np.ndarray, list]:
+        """Z° on the universe of the psi modes of ``region`` with an eta mode
+        for each: this engine's items within it, psi_y eta-bar_y at every psi
+        mode y and psi-bar_b eta_b at every psi mode b on ``marks``, all of
+        coefficient 1.  The items' psi bits move down to the region's modes
+        in order, which keeps every sign and the masks narrow."""
+        modes = [mode for mode in self.universe.psi_modes if mode[0] in region]
+        probe = GeneratorUniverse(modes, modes)
+        n = probe.n_psi_bits
+        moved_bit = {}
+        for j, mode in enumerate(modes):
+            k = self._mode_index[mode]
+            moved_bit[1 << 2 * k], moved_bit[2 << 2 * k] = 1 << 2 * j, 2 << 2 * j
+        terms = []
+        for mask, coeff in self._items_within(region):
+            moved = 0
+            while mask:
+                low = mask & -mask
+                moved |= moved_bit[low]
+                mask ^= low
+            terms.append((moved, coeff))
+        for j, mode in enumerate(modes):
+            terms.append((2 << 2 * j | 1 << n + 2 * j, 1.0))
+            if mode[0] in marks:
+                terms.append((1 << 2 * j | 2 << n + 2 * j, 1.0))
+        z = self._eliminated(probe, terms)
+        # each term is the constant or, by charge, one eta-bar and one eta
+        matrix = np.zeros((len(modes), len(modes)), dtype=np.complex128)
+        for mask, coeff in z.without_constant().terms.items():
+            eta_part = mask >> n
+            low = (eta_part & -eta_part).bit_length() - 1
+            high = eta_part.bit_length() - 1
+            if low % 2:  # eta_low eta-bar_high = -eta-bar_high eta_low
+                matrix[high // 2, low // 2] = -coeff
+            else:
+                matrix[low // 2, high // 2] = coeff
+        return z.constant, matrix, modes
 
     def _from_source_free(self, region: SiteSet) -> bool:
         """Whether ``source_free`` gives Z and K0 of ``region``: it holds no source site."""
         return self.source_free is not None and not region & self._source_sites
 
-    def _integral(self, region: SiteSet) -> GrassmannElement:
-        """Z(region) from the items within it, in mask order, capped after
-        each step and factor."""
-        terms = sorted((item for sup, items in self._by_support.items() if sup <= region
-                        for item in items), key=operator.itemgetter(0))
+    def _items_within(self, region: SiteSet) -> list[tuple[int, complex]]:
+        return [item for sup, items in self._by_support.items() if sup <= region
+                for item in items]
+
+    def _eliminated(self, universe: GeneratorUniverse,
+                    terms: list[tuple[int, complex]]) -> GrassmannElement:
+        """The integral of exp of ``terms``, in mask order, capped after each
+        step and factor."""
         if not terms:
             return GrassmannElement.one(1.0)
         self.integrals_computed += 1
         cap = self.options.eta_degree_cap
-        log = effective_log_integral(self.universe, GrassmannElement(dict(terms)), cap)
-        return exp_series(log, cap, ~self.universe.psi_block_mask)
+        f = GrassmannElement(dict(sorted(terms, key=operator.itemgetter(0))))
+        return exp_series(effective_log_integral(universe, f, cap), cap,
+                          ~universe.psi_block_mask)
+
+    def _integral(self, region: SiteSet) -> GrassmannElement:
+        """Z(region) from the items within it."""
+        return self._eliminated(self.universe, self._items_within(region))
+
+    def _linear_response(self, region: SiteSet) -> GrassmannElement:
+        """Z(region) = phi(Z°(region, marks)) for a region with source sites,
+        without elimination: the constant, and K C Λ^T over the eta pairs."""
+        key, constant, matrix, cols = self.source_free._marked_integral(
+            region, region & self._source_sites)
+        self._marked_read.add(key)
+        bar, unbar, pairs = self._response
+        z = bar[:, cols] @ matrix @ unbar[:, cols].T
+        terms = {0: constant}
+        for (mask, sign), value in zip(pairs, z.ravel().tolist()):
+            if value:
+                terms[mask] = sign * value
+        return GrassmannElement(terms)
 
     def _restricted_exp(self, region: SiteSet) -> GrassmannElement:
         """Z(region): integral of exp(f restricted to supports within the region).
 
-        ``source_free`` gives it for a region without a source site, and an
-        eta degree cap prunes inside elimination (module docstring).
+        ``source_free`` gives it for a region without a source site, and
+        under an eta cap of 2 or less through its marked classes for the
+        rest; an eta degree cap prunes inside elimination (module docstring).
         """
         key = self._key(region)
         if key not in self._exp_cache:
-            self._exp_cache[key] = (self.source_free._restricted_exp(key)
-                                    if self._from_source_free(key) else self._integral(key))
+            if self._from_source_free(key):
+                self._exp_cache[key] = self.source_free._restricted_exp(key)
+            elif self._linear:
+                self._exp_cache[key] = self._linear_response(key)
+            else:
+                self._exp_cache[key] = self._integral(key)
         return self._exp_cache[key]
 
     def polymer_activity(self, support: SiteSet) -> GrassmannElement:
@@ -455,11 +597,14 @@ class ClusterEngine:
         report.exact = not capped and report.exact
         log = debug_logger(__name__)
         if log is not None:
-            shared = self.source_free.integrals_computed - self._shared_before if (
-                self.source_free) else 0
+            shared = marked = 0
+            if self.source_free:
+                shared = self.source_free.integrals_computed - self._shared_before
+                marked = len(self.source_free._marked_cache) - self._marked_before
             log.debug("%d candidates, %d restricted integrals computed, %d by the "
-                      "source-free engine", len(self.candidates), self.integrals_computed,
-                      shared)
+                      "source-free engine; marked classes: %d computed, %d read",
+                      len(self.candidates), self.integrals_computed, shared, marked,
+                      len(self._marked_read))
         return self.pure_eta + result(), report
 
     def _dense_descent(self, polymers):

@@ -12,7 +12,7 @@ zero, and it keeps the eta sector small enough for exact work.  Retained
 coefficients move only by rounding and the engine's branch floor: a third
 source site moves those of (origin, far corner) by 2.2e-19 absolute in the
 oracle and 6.5e-16 in the engine on exact 2x2 (2.5e-15 for the constant),
-and by 1.9e-10 in the engine on truncated 3x3, m_f = 3 (1.8e-9 for the
+and by 1.9e-10 in the engine on truncated 3x3, m_f = 3 (2.5e-9 for the
 constant), whose floor is 1e-9.  Every pair run, of ``correlate``,
 ``expand`` and the verify checklist alike, goes through
 :func:`run_correlations`, sources on the origin and a target; one target
@@ -78,11 +78,16 @@ def engine_options(cfg: RunConfig) -> ClusterOptions:
 
 def check_capacity(cfg: RunConfig, spec: LatticeSpec) -> None:
     """Refuse a lattice whose pair of source sites has more eta modes than
-    the eta family's bit capacity, exact mode where the exact engine and the
-    oracle cannot finish, and a truncation key that exact mode would ignore;
-    before any kernel is built."""
+    the eta family's bit capacity, or, under an eta cap of 2 or less, whose
+    regions of ``max_diameter`` sites do: the source-free engine integrates
+    them with an eta mode per psi mode (``clusters`` module docstring).
+    Refuse as well exact mode where the exact engine and the oracle cannot
+    finish, and a truncation key that exact mode would ignore; all before
+    any kernel is built."""
     universe_for(spec, spec.sites[:2])
     if cfg.mode != "exact":
+        if cfg.eta_cap <= 2:
+            universe_for(spec, spec.sites[:cfg.max_diameter])
         return
     for field in fields(RunConfig):
         if (field.name in ("max_diameter", "eta_cap", "floor")

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermicluster import grossneveu
 from fermicluster.berezin import log_direct
@@ -384,6 +386,38 @@ def test_translated_pair_has_the_same_two_point_values(cfg):
                 got = truncated_two_point(moved, cfg.g, a, b, alpha, beta)
                 # values that vanish exactly come out as rounding noise
                 assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+@pytest.fixture(scope="module", params=[3, 4], ids=["truncated-3x3", "truncated-4x4"])
+def truncated_model(request):
+    """One truncated model per side (m_f = 3), whose source-free engine keeps
+    its classes across the examples, as across the pair runs of a run."""
+    cfg = RunConfig(L=request.param, m_f=3.0, mode="truncated")
+    spec, cov = lattice_objects(cfg)
+    return cfg, spec, lattice_model(cfg, spec, cov)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_two_point_table_is_invariant_under_translation(truncated_model, data):
+    """A pair and its translate by v give the same two-point table over every
+    spinor pair, within 1e-12 of its largest entry; the translate reads the
+    marked classes of the source regions through translated marks."""
+    cfg, spec, model = truncated_model
+    site = st.tuples(*[st.integers(0, cfg.L - 1)] * spec.d)
+    y1, y2, v = data.draw(site), data.draw(site), data.draw(site)
+
+    def table(a, b):
+        series, _ = pair_series(cfg, spec, model, a, b)
+        return np.array([truncated_two_point(series, cfg.g, a, b, alpha, beta)
+                         for alpha, beta in itertools.product(range(spec.spinor_dim),
+                                                              repeat=2)])
+
+    def moved(y):
+        return tuple((a + b) % cfg.L for a, b in zip(y, v))
+
+    want = table(y1, y2)
+    assert np.abs(table(moved(y1), moved(y2)) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ------------------------------------------------------------ correlations

@@ -389,6 +389,29 @@ def test_truncated_run_past_bit_capacity_fails_before_any_kernel(tmp_path, monke
         assert "36 eta modes need 72 bits, capacity is 64" in capsys.readouterr().err
 
 
+def test_a_probe_universe_past_the_eta_capacity_fails_before_the_covariance(
+        tmp_path, monkeypatch, capsys):
+    from fermicluster import grossneveu, pipeline
+
+    def no_covariance(*args):
+        raise AssertionError("covariance computed before the capacity check")
+
+    for module in (grossneveu, pipeline):
+        monkeypatch.setattr(module, "covariance", no_covariance)
+    # a region of 17 sites holds 17 x 2 spinor = 34 eta modes when it is
+    # integrated with a probe per psi mode; a pair holds 4
+    path = tmp_path / "wide-regions.cfg"
+    path.write_text("lattice.L = 5\nmodel.m_f = 3.0\nrun.mode = truncated\n"
+                    "expansion.max_diameter = 17\n")
+    for command in ("correlate", "expand"):
+        assert cli.main([command, "--config", str(path)]) == 3
+        assert "34 eta modes need 68 bits, capacity is 64" in capsys.readouterr().err
+    spec = grossneveu.LatticeSpec(L=5)
+    pipeline.check_capacity(RunConfig(L=5, mode="truncated", max_diameter=16), spec)
+    # past a cap of 2 each pair run integrates its own source regions
+    pipeline.check_capacity(RunConfig(L=5, mode="truncated", max_diameter=17, eta_cap=3), spec)
+
+
 @pytest.mark.parametrize("command", ["correlate", "expand"])
 def test_truncated_run_past_the_stencil_budget_fails_before_the_covariance(
         command, tmp_path, monkeypatch, capsys):
