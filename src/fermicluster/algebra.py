@@ -14,10 +14,11 @@ per left monomial and the sign of each pair is a single popcount.
 Products take one of two routes.  A product of at least ``VECTOR_MIN_PAIRS``
 pair visits whose masks all lie below bit 64 runs in numpy, one ``uint64``
 per mask: the collision test and sign run over blocks of ``_BLOCK_PAIRS``
-pairs, and the surviving pairs are summed in batches of a sixteenth of a
-block, each merged into running (key, sum, first position) arrays with
-``np.unique`` and ``np.add.at``, so the temporaries of a product stay
-within one block.  Every other product runs a Python loop over every pair,
+pairs, and the surviving pairs merge into running (key, sum, first
+position) arrays with ``np.unique`` and ``np.add.at`` once they number a
+sixteenth of a block and as many as the keys so far: a product merges a
+logarithmic number of times, and its temporaries stay within a block and a
+few times its terms.  Every other product runs a Python loop over every pair,
 which takes masks of any width.
 
 Both routes add each key's pairs in (left, right) order onto a sum that
@@ -139,7 +140,7 @@ def _vector_product(a: dict[int, complex], b: dict[int, complex]) -> dict[int, c
             masks.append(wa[ii] | wb[jj])
             coeffs.append(c)
             pending += len(ii)
-            if pending >= max(1, _BLOCK_PAIRS // 16):
+            if pending >= max(1, _BLOCK_PAIRS // 16, len(keys)):
                 merge()
     if pending:
         merge()

@@ -32,7 +32,8 @@ scalar activity, read off the integrals of regions inside it.  With a
 translation-invariant eta-free part, both depend only on the translation
 class.  One source-free :class:`ClusterEngine` per experiment owns that
 part, its items, candidates, and each such Z and K0, once per class; a
-pair run's engine takes only its source items and reads the rest.
+pair run's engine holds only its source items, and reads the other items
+and its options from the source-free engine.
 
 A region X that holds source sites, its marks M, is linear in the sources
 once the eta degree is capped at 2: each surviving term is a constant or
@@ -214,14 +215,14 @@ def _element_1norm(el: GrassmannElement) -> float:
 class ClusterEngine:
     """Polymer activities and their resummed logarithm for one even exponent f.
 
-    ``source_free``, an engine of the eta-free part on the same psi modes
-    under the same options, owns those items, their candidate closure, and
-    Z and K0 of every region without a source site; f then holds only
-    source items, each one psi generator times one eta generator of the
-    other kind (psi eta-bar, or psi-bar eta on a source site), and the
-    exponent is f plus that engine's items.  Under an eta degree cap of 2 or
-    less, ``source_free`` gives Z of a region with source sites too, by
-    linear response (module docstring).
+    ``source_free``, an engine of the eta-free part on the same psi modes,
+    owns those items, their candidate closure, and Z and K0 of every region
+    without a source site; f then holds only source items, each one psi
+    generator times one eta generator of the other kind (psi eta-bar, or
+    psi-bar eta on a source site), the exponent is f plus that engine's
+    items, and the options are that engine's (others raise ValueError).
+    Under an eta degree cap of 2 or less, ``source_free`` gives Z of a
+    region with source sites too, by linear response (module docstring).
     ``side`` declares f translation invariant on a periodic lattice of that
     side, so Z and K0 are computed once per translation class.
     """
@@ -231,6 +232,10 @@ class ClusterEngine:
                  source_free: ClusterEngine | None = None, side: int | None = None):
         if not f.is_even():
             raise ParityError("cluster expansion requires an even interaction")
+        if source_free is not None:
+            if options not in (None, source_free.options):
+                raise ValueError("with source_free, the options are source_free's")
+            options = source_free.options
         self.universe = universe
         self.options = options or ClusterOptions()
         self.source_free = source_free
@@ -258,15 +263,12 @@ class ClusterEngine:
         self._response = self._source_response(own) if source_free else None
         eta_cap = self.options.eta_degree_cap
         self._linear = self._response is not None and eta_cap is not None and eta_cap <= 2
-        # the psi-supported items in mask order, ``source_free``'s included; no
-        # candidate and no restricted region holds one on more than ``cap`` sites
-        self._items: list[tuple[int, complex, SiteSet]] = sorted(
-            [item for item in own if not cap or len(item[2]) <= cap]
-            + (source_free._items if source_free else []), key=operator.itemgetter(0))
-        # the items of each support, in mask order
+        # this engine's own psi-supported items by support; no candidate and
+        # no restricted region holds one on more than ``cap`` sites
         self._by_support: dict[SiteSet, list[tuple[int, complex]]] = {}
-        for mask, coeff, sup in self._items:
-            self._by_support.setdefault(sup, []).append((mask, coeff))
+        for mask, coeff, sup in own:
+            if not cap or len(sup) <= cap:
+                self._by_support.setdefault(sup, []).append((mask, coeff))
 
         self.candidates = self._candidate_supports()
         self._activity_cache: dict[SiteSet, GrassmannElement] = {}
@@ -274,7 +276,7 @@ class ClusterEngine:
         log = debug_logger(__name__) if side is not None else None
         if log is not None:
             log.debug("source-free engine: %d items, %d candidates",
-                      len(self._items), len(self.candidates))
+                      sum(map(len, self._by_support.values())), len(self.candidates))
 
     # -- support closure ---------------------------------------------------
 
@@ -339,12 +341,20 @@ class ClusterEngine:
         return tuple(sorted(tuple((a - b) % self.side for a, b in zip(site, anchor))
                             for site in sites))
 
-    def _key(self, region: SiteSet) -> SiteSet:
-        """``region``, or with ``side`` set the least sorted translate of it
-        that moves one of its sites to the origin: one key per class."""
+    def _class(self, region: SiteSet, marks: SiteSet = frozenset(),
+               ) -> tuple[Site | None, SiteSet, SiteSet]:
+        """The anchor a in ``region`` whose move by -a gives the least sorted
+        (region, marks), and both moved by -a, one per translation class;
+        without ``side``, no anchor and both as they are."""
         if self.side is None or not region:
-            return region
-        return frozenset(min(self._moved(region, anchor) for anchor in region))
+            return None, region, marks
+        anchor = min(region, key=lambda a: (self._moved(region, a), self._moved(marks, a)))
+        region, marks = (frozenset(self._moved(sites, anchor)) for sites in (region, marks))
+        return anchor, region, marks
+
+    def _key(self, region: SiteSet) -> SiteSet:
+        """``region``'s representative in its translation class: one key per class."""
+        return self._class(region)[1]
 
     def _marked_integral(self, region: SiteSet, marks: SiteSet,
                         ) -> tuple[tuple, complex, np.ndarray, list[int]]:
@@ -352,10 +362,7 @@ class ClusterEngine:
         translation class of the pair: (class key, constant, C, cols), with
         C[i, j] the coefficient of eta-bar_i eta_j and row and column i
         standing for the psi mode of ``region`` at index ``cols[i]``."""
-        anchor = None
-        if self.side is not None:
-            anchor = min(region, key=lambda a: (self._moved(region, a), self._moved(marks, a)))
-            region, marks = (frozenset(self._moved(sites, anchor)) for sites in (region, marks))
+        anchor, region, marks = self._class(region, marks)
         key = (region, marks)
         if key not in self._marked_cache:
             self._marked_cache[key] = self._probe_integral(region, marks)
@@ -409,8 +416,10 @@ class ClusterEngine:
         return self.source_free is not None and not region & self._source_sites
 
     def _items_within(self, region: SiteSet) -> list[tuple[int, complex]]:
-        return [item for sup, items in self._by_support.items() if sup <= region
-                for item in items]
+        """The items within ``region``, ``source_free``'s included."""
+        own = [item for sup, items in self._by_support.items() if sup <= region
+               for item in items]
+        return own + self.source_free._items_within(region) if self.source_free else own
 
     def _eliminated(self, universe: GeneratorUniverse,
                     terms: list[tuple[int, complex]]) -> GrassmannElement:
@@ -423,10 +432,6 @@ class ClusterEngine:
         f = GrassmannElement(dict(sorted(terms, key=operator.itemgetter(0))))
         return exp_series(effective_log_integral(universe, f, cap), cap,
                           ~universe.psi_block_mask)
-
-    def _integral(self, region: SiteSet) -> GrassmannElement:
-        """Z(region) from the items within it."""
-        return self._eliminated(self.universe, self._items_within(region))
 
     def _linear_response(self, region: SiteSet) -> GrassmannElement:
         """Z(region) = phi(Z°(region, marks)) for a region with source sites,
@@ -456,7 +461,7 @@ class ClusterEngine:
             elif self._linear:
                 self._exp_cache[key] = self._linear_response(key)
             else:
-                self._exp_cache[key] = self._integral(key)
+                self._exp_cache[key] = self._eliminated(self.universe, self._items_within(key))
         return self._exp_cache[key]
 
     def polymer_activity(self, support: SiteSet) -> GrassmannElement:
@@ -530,7 +535,8 @@ class ClusterEngine:
             wide[rows[hit], j * r + cols[hit]] = np.where(odd, -cs[t], cs[t])[hit]
         return basis, wide
 
-    def assemble(self) -> tuple[GrassmannElement, ExpansionReport]:
+    def assemble(self) -> tuple[LogSeries, ExpansionReport]:
+        """The resummed cluster logarithm of the normalized exp(f) integral."""
         opts = self.options
         capped = opts.max_polymer_sites is not None or opts.eta_degree_cap is not None
         report = ExpansionReport(mode="truncated" if capped else "exact")
@@ -605,7 +611,7 @@ class ClusterEngine:
                       "source-free engine; marked classes: %d computed, %d read",
                       len(self.candidates), self.integrals_computed, shared, marked,
                       len(self._marked_read))
-        return self.pure_eta + result(), report
+        return LogSeries(self.universe, self.pure_eta + result()), report
 
     def _dense_descent(self, polymers):
         """Descent operations on basis vectors, or None past the entry budget.
@@ -651,13 +657,3 @@ class ClusterEngine:
                 total.terms[mask] = total.terms.get(mask, 0j) + coeff
 
         return GrassmannElement.one(1.0), children, add, lambda: total
-
-
-def assemble_b(universe: GeneratorUniverse, f: GrassmannElement,
-               options: ClusterOptions | None = None,
-               source_free: ClusterEngine | None = None,
-               ) -> tuple[LogSeries, ExpansionReport]:
-    """Resummed cluster logarithm of the normalized exp(f) integral."""
-    engine = ClusterEngine(universe, f, options, source_free)
-    element, report = engine.assemble()
-    return LogSeries(universe, element), report

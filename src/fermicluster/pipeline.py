@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, fields
 
 from .berezin import LogSeries, log_direct
-from .clusters import ClusterOptions, ExpansionReport, assemble_b
+from .clusters import ClusterEngine, ClusterOptions, ExpansionReport
 from .coeffsys import CoefficientSystem
 from .config import RunConfig
 from .errors import CapacityError, ConfigError
@@ -120,9 +120,9 @@ def lattice_model(cfg: RunConfig, spec: LatticeSpec, cov: Covariance) -> Model:
 def pair_series(cfg: RunConfig, spec: LatticeSpec, model: Model,
                 y1: Site, y2: Site) -> tuple[LogSeries, ExpansionReport]:
     """Assembled log series with sources restricted to two sites."""
-    options = engine_options(cfg)
-    series, report = assemble_b(*model.sources((y1, y2)), options,
-                                model.source_free(options))
+    engine = ClusterEngine(*model.sources((y1, y2)),
+                           source_free=model.source_free(engine_options(cfg)))
+    series, report = engine.assemble()
     return _finite(series, cfg.m_f, cfg.g), report
 
 

@@ -238,6 +238,26 @@ def test_vector_and_loop_routes_agree_bit_for_bit(monkeypatch, lowest_bit, n_bit
         assert repr(list(vector.terms.values())) == repr(list(loop.terms.values()))
 
 
+def test_merges_wait_for_as_many_pairs_as_keys(monkeypatch):
+    """At 64 pairs a block, the 60 x 60 product of masks on bits 0-5 by masks
+    on bits 6-11 keeps all 3,600 pairs as distinct terms, one 60-pair block
+    per left row.  Merging after every row would call np.unique 60 times;
+    waiting for as many pairs as keys merges after rows 1, 2, 4, 8, 16 and 32
+    and at the end, 7 times, and the sums stay those of the loop route."""
+    monkeypatch.setattr(algebra, "_BLOCK_PAIRS", 64)
+    rng = random.Random(60)
+    a, b = (GrassmannElement({m << shift: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                              for m in range(1, 61)}) for shift in (0, 6))
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
+    vector, loop = both_routes(monkeypatch, a, b)
+    assert len(calls) == 7
+    assert len(vector.terms) == 3600
+    assert list(vector.terms.items()) == list(loop.terms.items())
+    assert repr(list(vector.terms.values())) == repr(list(loop.terms.values()))
+
+
 def test_cancelled_key_keeps_its_first_position_on_both_routes(monkeypatch):
     a = GrassmannElement({0b01: 1.0, 0b10: 1.0, 0: 1.0})
     b = GrassmannElement({0b10: 1.0, 0b01: 1.0, 0b11: 1.0})

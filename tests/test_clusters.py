@@ -1,6 +1,7 @@
 """Cluster engine tests: Ursell factors, activities, and the resummed log."""
 
 import collections
+import dataclasses
 import itertools
 import logging
 import math
@@ -17,7 +18,6 @@ from fermicluster.clusters import (
     ClusterEngine,
     ClusterOptions,
     _components,
-    assemble_b,
     ursell_factor,
 )
 from fermicluster.coeffsys import CoefficientSystem
@@ -160,7 +160,7 @@ def test_single_polymer_reproduces_log1p():
     u = GeneratorUniverse([((0,), 0, 0)])
     system = CoefficientSystem()
     system.add((psi((0,), bar=True), psi((0,))), (), 0.3)
-    series, report = assemble_b(u, system.to_element(u), ClusterOptions(n_max=40))
+    series, report = ClusterEngine(u, system.to_element(u), ClusterOptions(n_max=40)).assemble()
     assert report.exact
     assert series.constant == pytest.approx(math.log(1.3), rel=1e-12)
 
@@ -170,7 +170,7 @@ def test_disjoint_polymers_add_logs():
     system = CoefficientSystem()
     system.add((psi((0,), bar=True), psi((0,))), (), 0.25)
     system.add((psi((5,), bar=True), psi((5,))), (), -0.4)
-    series, report = assemble_b(u, system.to_element(u), ClusterOptions(n_max=60))
+    series, report = ClusterEngine(u, system.to_element(u), ClusterOptions(n_max=60)).assemble()
     assert report.exact
     expected = math.log(1.25) + math.log(0.6)
     assert series.constant == pytest.approx(expected, rel=1e-12)
@@ -217,7 +217,7 @@ def test_assembly_matches_direct_log(three_site_universe, seed):
     rng = random.Random(seed)
     element = _random_even_system(rng, sites, eta_sites).to_element(u)
     oracle = log_direct(u, element)
-    series, report = assemble_b(u, element, ClusterOptions(n_max=40, floor=1e-16))
+    series, report = ClusterEngine(u, element, ClusterOptions(n_max=40, floor=1e-16)).assemble()
     assert report.exact
     diff = series.element - oracle.element
     scale = max(_max_abs(oracle.element), 1e-30)
@@ -294,9 +294,10 @@ def test_disjoint_systems_factorize():
 
     part_a = quartic_block(sites_a)
     part_b = quartic_block(sites_b)
-    whole, _ = assemble_b(u, (part_a + part_b).to_element(u), ClusterOptions(n_max=40))
-    only_a, _ = assemble_b(u, part_a.to_element(u), ClusterOptions(n_max=40))
-    only_b, _ = assemble_b(u, part_b.to_element(u), ClusterOptions(n_max=40))
+    options = ClusterOptions(n_max=40)
+    whole, _ = ClusterEngine(u, (part_a + part_b).to_element(u), options).assemble()
+    only_a, _ = ClusterEngine(u, part_a.to_element(u), options).assemble()
+    only_b, _ = ClusterEngine(u, part_b.to_element(u), options).assemble()
     diff = whole.element - (only_a.element + only_b.element)
     assert _max_abs(diff) < 1e-12
 
@@ -306,7 +307,7 @@ def test_odd_system_rejected():
     system = CoefficientSystem()
     system.add((psi((0,), bar=True),), (), 0.5)
     with pytest.raises(ParityError):
-        assemble_b(u, system.to_element(u))
+        ClusterEngine(u, system.to_element(u))
 
 
 def test_single_quadratic_activity_is_plain_coefficient():
@@ -323,7 +324,7 @@ def test_truncated_mode_never_reports_exact(three_site_universe):
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(2), sites, eta_sites)
     for options in (ClusterOptions(max_polymer_sites=3), ClusterOptions(eta_degree_cap=4)):
-        _, report = assemble_b(u, system.to_element(u), options)
+        _, report = ClusterEngine(u, system.to_element(u), options).assemble()
         assert report.mode == "truncated"
         assert not report.exact
 
@@ -331,12 +332,13 @@ def test_truncated_mode_never_reports_exact(three_site_universe):
 def test_eta_cap_exact_on_retained_sector(three_site_universe):
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(31), sites, eta_sites, n_source=8)
-    full, _ = assemble_b(u, system.to_element(u), ClusterOptions(n_max=40, floor=1e-16))
-    capped, _ = assemble_b(
+    full, _ = ClusterEngine(u, system.to_element(u),
+                            ClusterOptions(n_max=40, floor=1e-16)).assemble()
+    capped, _ = ClusterEngine(
         u,
         system.to_element(u),
         ClusterOptions(n_max=40, floor=1e-16, eta_degree_cap=2),
-    )
+    ).assemble()
     psi_block = u.psi_block_mask
     assert max((m & ~psi_block).bit_count() for m in full.element.terms) > 2
     for mask, coeff in full.element.terms.items():
@@ -352,7 +354,7 @@ def test_small_n_max_reports_inexact():
     u = GeneratorUniverse([((0,), 0, 0)])
     system = CoefficientSystem()
     system.add((psi((0,), bar=True), psi((0,))), (), 0.5)
-    series, report = assemble_b(u, system.to_element(u), ClusterOptions(n_max=3))
+    series, report = ClusterEngine(u, system.to_element(u), ClusterOptions(n_max=3)).assemble()
     assert not report.exact
     assert report.tail > 0
     # three terms of log(1+x)
@@ -363,7 +365,7 @@ def test_small_n_max_reports_inexact():
 def test_report_dict_round_trip(three_site_universe):
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(4), sites, eta_sites)
-    _, report = assemble_b(u, system.to_element(u), ClusterOptions(n_max=30))
+    _, report = ClusterEngine(u, system.to_element(u), ClusterOptions(n_max=30)).assemble()
     payload = report.as_dict()
     assert payload["mode"] == "exact"
     assert payload["polymer_count"] >= 1
@@ -376,7 +378,7 @@ def test_truncated_engine_drops_entries_past_the_site_cap(three_site_universe):
     element = _random_even_system(random.Random(3), sites, eta_sites).to_element(u)
     options = ClusterOptions(max_polymer_sites=2, eta_degree_cap=2)
     filtered = ClusterEngine(u, element, options)
-    assert all(len(sup) <= 2 for *_, sup in filtered._items)
+    assert all(len(sup) <= 2 for sup in filtered._by_support)
     psi_block = u.psi_block_mask
     supported = [(m, c, f(g.site for g in u.indices_of(m & psi_block)))
                  for m, c in sorted(element.terms.items()) if m & psi_block]
@@ -389,7 +391,7 @@ def test_truncated_engine_drops_entries_past_the_site_cap(three_site_universe):
             unfiltered._by_support.setdefault(sup, []).append((m, c))
     out, report = filtered.assemble()
     reference, reference_report = unfiltered.assemble()
-    assert out.terms == reference.terms
+    assert out.element.terms == reference.element.terms
     assert report == reference_report
 
 
@@ -436,7 +438,7 @@ def _assemble_by_route(monkeypatch, dense, universe, f, options):
 def _assert_routes_agree(monkeypatch, universe, f, options):
     dense, dense_report = _assemble_by_route(monkeypatch, True, universe, f, options)
     sparse, sparse_report = _assemble_by_route(monkeypatch, False, universe, f, options)
-    assert _max_abs(dense - sparse) < 1e-14
+    assert _max_abs(dense.element - sparse.element) < 1e-14
     for field in ("polymer_count", "cluster_count", "clusters_visited", "n_reached",
                   "exact"):
         assert getattr(dense_report, field) == getattr(sparse_report, field), field
@@ -502,7 +504,7 @@ def _source_sites(engine):
 
 def _region_element(engine, region):
     """f restricted to the supports within ``region``: every item, sources included."""
-    return GrassmannElement({m: c for m, c, sup in engine._items if sup <= region})
+    return GrassmannElement(dict(engine._items_within(region)))
 
 
 @pytest.mark.parametrize("name", PAIR_RUN_CONFIGS)
@@ -564,7 +566,7 @@ def test_capping_inside_elimination_matches_capping_at_the_end():
             in_loop = clusters.effective_log_integral(u, element, cap)
             assert in_loop.terms == pytest.approx(_eta_capped(u, full, cap).terms,
                                                   rel=1e-15, abs=0)
-            assert engine._integral(region).terms == pytest.approx(
+            assert engine._eliminated(u, engine._items_within(region)).terms == pytest.approx(
                 _eta_capped(u, exp_series(full), cap).terms, rel=1e-15, abs=0)
             checked += 1
     assert checked == 135
@@ -631,11 +633,11 @@ def test_source_free_engine_gives_the_series_constant(g):
     cfg = RunConfig(g=g)
     spec, cov = pipeline.lattice_objects(cfg)
     model = pipeline.lattice_model(cfg, spec, cov)
-    element, report = model.source_free(pipeline.engine_options(cfg)).assemble()
-    assert set(element.terms) == {0} and report.exact
+    free, report = model.source_free(pipeline.engine_options(cfg)).assemble()
+    assert set(free.element.terms) == {0} and report.exact
     for target in pipeline.representative_targets(spec):
         series, _ = pipeline.pair_series(cfg, spec, model, spec.sites[0], target)
-        assert element.constant == pytest.approx(series.element.constant, rel=1e-10, abs=0)
+        assert free.constant == pytest.approx(series.constant, rel=1e-10, abs=0)
 
 
 def test_an_engine_with_a_source_free_engine_takes_only_source_items():
@@ -663,6 +665,41 @@ def test_an_engine_with_a_source_free_engine_takes_only_source_items():
             ClusterEngine(universe, GrassmannElement({item: 1.0}), options, source_free)
 
 
+@pytest.mark.parametrize("name", PAIR_RUN_CONFIGS)
+def test_a_pair_engine_indexes_only_its_own_source_items(name):
+    """A pair engine keeps no copy of the quartic items: its support index
+    holds exactly its source items, each on one site and with one psi bit,
+    and it reads every other item from the source-free engine."""
+    spec, model, options = _model(PAIR_RUN_CONFIGS[name])
+    source_free = model.source_free(options)
+    for target in pipeline.representative_targets(spec):
+        universe, sources = model.sources((spec.sites[0], target))
+        engine = ClusterEngine(universe, sources, source_free=source_free)
+        held = [item for items in engine._by_support.values() for item in items]
+        assert dict(held) == sources.terms and len(held) == len(sources.terms)
+        assert all(len(sup) == 1 for sup in engine._by_support)
+        assert all((mask & universe.psi_block_mask).bit_count() == 1 for mask, _ in held)
+        everywhere = frozenset(site for site, _, _ in universe.psi_modes)
+        assert (len(engine._items_within(everywhere))
+                == len(held) + len(source_free._items_within(everywhere)))
+
+
+def test_a_pair_engine_runs_under_its_source_free_engines_options():
+    """Options that differ from the source-free engine's would mix two caps
+    in one expansion (3-site polymers over a 2-site closure, say), so they
+    raise; without options a pair engine takes the source-free engine's."""
+    spec, model, options = _model(PAIR_RUN_CONFIGS["truncated-L3"])
+    source_free = model.source_free(options)
+    universe, sources = model.sources((spec.sites[0], spec.sites[1]))
+    assert ClusterEngine(universe, sources, source_free=source_free).options == options
+    assert ClusterEngine(universe, sources, options, source_free).options == options
+    for other in (dataclasses.replace(options, max_polymer_sites=3),
+                  dataclasses.replace(options, eta_degree_cap=4),
+                  dataclasses.replace(options, floor=options.floor / 2), ClusterOptions()):
+        with pytest.raises(ValueError, match="options"):
+            ClusterEngine(universe, sources, other, source_free)
+
+
 SHORTCUT_RUNS = {
     "default": (RunConfig(), None),
     "truncated-L3": (PAIR_RUN_CONFIGS["truncated-L3"], None),
@@ -686,9 +723,9 @@ def test_source_items_add_only_their_sites_to_the_source_free_closure(name):
     _, full_engines = _pair_engines(cfg, shared=False, pairs=pairs)
     for engine, full in zip(engines, full_engines):
         assert engine.candidates == full.candidates
-        assert engine._items == full._items
-        element, _ = engine.assemble()
-        full_element, _ = full.assemble()
+        everywhere = frozenset(site for site, _, _ in engine.universe.psi_modes)
+        assert sorted(engine._items_within(everywhere)) == sorted(full._items_within(everywhere))
+        element, full_element = engine.assemble()[0].element, full.assemble()[0].element
         if cfg.mode == "exact":
             assert element.terms == full_element.terms
             continue
@@ -721,7 +758,7 @@ def test_linear_response_gives_every_source_region_its_integral(name):
         for region, z in list(engine._exp_cache.items()):
             if not region & _source_sites(engine):
                 continue
-            expected = engine._integral(region)
+            expected = engine._eliminated(engine.universe, engine._items_within(region))
             scale = max(abs(c) for c in expected.terms.values())
             assert len(expected) > 1
             for mask in set(z.terms) | set(expected.terms):
@@ -769,7 +806,8 @@ def test_a_third_source_site_keeps_the_retained_coefficients():
                 if all(g.site in pair for g in key[1])}
 
     for run in (lambda sites: log_direct(*model.interaction(sites)),
-                lambda sites: assemble_b(*model.sources(sites), options, source_free)[0]):
+                lambda sites: ClusterEngine(*model.sources(sites), source_free=source_free)
+                .assemble()[0]):
         two, three = retained(run(pair)), retained(run(triple))
         assert len(two) > 1 and set(two) == set(three)
         assert max(abs(two[key] - three[key]) for key in two) <= 1e-14
