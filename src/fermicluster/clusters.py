@@ -56,16 +56,16 @@ eta monomials than the pair's.
 Every activity has its psi fields integrated out, so the polymer sum is
 linear algebra over the few eta monomials that products of activities
 reach.  The descent holds each product as a complex vector over that basis
-and each activity as one small matrix, built once per run; an eta degree
-cap simply leaves the higher monomials out of the basis.  Only when the
-matrices would pass ``DENSE_MAX_ENTRIES`` entries does the descent multiply
-sparse elements instead.
+and each activity as one sparse matrix, built once per run; an eta degree
+cap simply leaves the higher monomials out of the basis.  A node's
+children are one matrix product with the matrices laid out dense while
+they hold at most ``DENSE_MAX_ENTRIES`` entries, and one bincount over
+their entries past that.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -83,8 +83,8 @@ SiteSet = frozenset[Site]
 
 #: Largest polymer support closure the engine builds before giving up.
 MAX_CANDIDATES = 4096
-#: Most matrix entries (basis size squared times live polymers) the dense
-#: eta-sector descent holds; past it the descent multiplies sparse elements.
+#: Most matrix entries (basis size squared times live polymers) the descent
+#: lays out dense for its matrix products; past it, it sums sparse entries.
 DENSE_MAX_ENTRIES = 1 << 20
 
 
@@ -495,35 +495,33 @@ class ClusterEngine:
     # -- assembly ------------------------------------------------------------
 
     def eta_sector(self, activities: Sequence[GrassmannElement]
-                   ) -> tuple[np.ndarray, np.ndarray] | None:
-        """The activities as dense matrices over the eta monomials they reach.
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The activities as sparse matrices over the eta monomials they reach.
 
         The basis is the closure of {0} under ``m | k`` for every activity
         mask k disjoint from m, without the masks of eta degree above the
         cap, shifted down by ``n_psi_bits``; basis[0] is the empty mask.
         Row m of matrix j holds ``e_m * activities[j]`` restricted to the
         basis: cell (m, m | k) gets c_k with the product's sign, and no cell
-        gets more than one term since k = column & ~row.  The matrices sit
-        side by side in one basis-by-(len(activities) x basis) array, so a
-        row vector times a slice of it is every product of a descent node.
-        Returns None when the matrices would hold more than
-        DENSE_MAX_ENTRIES entries.
+        gets more than one term since k = column & ~row.  Returns the basis
+        and the entries (rows, j * r + columns, values) of every matrix j, r
+        the basis size, from starts[j] to starts[j + 1]: the matrices side by
+        side in one basis-by-(len(activities) x basis) array, so a row vector
+        times a slice of it is every product of a descent node.
         """
         shift = self.universe.n_psi_bits
         cap = self.options.eta_degree_cap
         keys = sorted({m >> shift for k0 in activities for m in k0.terms} - {0})
-        limit = math.isqrt(DENSE_MAX_ENTRIES // max(1, len(activities)))
         # after key i, ``found`` holds the unions of disjoint keys up to i
         found = {0}
         for k in keys:
             found |= {m | k for m in found
                       if not m & k and (cap is None or (m | k).bit_count() <= cap)}
-            if len(found) > limit:
-                return None
         basis = np.array(sorted(found), dtype=np.uint64)
         r = len(basis)
         parity = prefix_parity(basis)
-        wide = np.zeros((r, len(activities) * r), dtype=np.complex128)
+        # an empty first part, so that the running entry counts are the starts
+        parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=np.complex128),)]
         for j, k0 in enumerate(activities):
             ks = np.array([m >> shift for m in k0.terms], dtype=np.uint64)
             cs = np.array(list(k0.terms.values()), dtype=np.complex128)
@@ -531,12 +529,18 @@ class ClusterEngine:
             target = basis[rows] | ks[t]
             cols = np.searchsorted(basis, target).clip(max=r - 1)
             hit = basis[cols] == target
+            rows, t, cols = rows[hit], t[hit], cols[hit]
             odd = np.bitwise_count(ks[t] & parity[rows]) & 1
-            wide[rows[hit], j * r + cols[hit]] = np.where(odd, -cs[t], cs[t])[hit]
-        return basis, wide
+            parts.append((rows, j * r + cols, np.where(odd, -cs[t], cs[t])))
+        starts = np.cumsum([len(rows) for rows, _, _ in parts])
+        return basis, *map(np.concatenate, zip(*parts)), starts
 
     def assemble(self) -> tuple[LogSeries, ExpansionReport]:
-        """The resummed cluster logarithm of the normalized exp(f) integral."""
+        """The resummed cluster logarithm of the normalized exp(f) integral.
+
+        Each product is a complex vector over the eta sector basis, and a
+        node's children are that vector times the matrices of polymers start..
+        """
         opts = self.options
         capped = opts.max_polymer_sites is not None or opts.eta_degree_cap is not None
         report = ExpansionReport(mode="truncated" if capped else "exact")
@@ -549,8 +553,28 @@ class ClusterEngine:
         report.polymer_count = len(polymers)
 
         shrinking = all(norm <= 1.0 for _, _, norm in polymers)
-        one, children, add, result = (
-            self._dense_descent(polymers) or self._sparse_descent(polymers))
+        basis, rows, cols, values, starts = self.eta_sector([k0 for _, k0, _ in polymers])
+        r, n = len(basis), len(polymers)
+        kernel = "matmul" if r * r * n <= DENSE_MAX_ENTRIES else "bincount"
+        if kernel == "matmul":
+            wide = np.zeros((r, n * r), dtype=np.complex128)
+            wide[rows, cols] = values
+
+            def products(v, start):
+                return v @ wide[:, start * r:]
+        else:
+            slots = (2 * cols[:, None] + [0, 1]).ravel()  # real, then imaginary part
+
+            def products(v, start):
+                first = starts[start]
+                weights = (v[rows[first:]] * values[first:]).view(np.float64)
+                sums = np.bincount(slots[2 * first:], weights, 2 * n * r)
+                return sums[2 * start * r:].view(np.complex128)
+
+        def children(v, start):
+            block = products(v, start).reshape(-1, r)
+            return enumerate(zip(block, np.abs(block).sum(axis=1).tolist()), start)
+
         # polymer j's sites as a bitmask, the polymers it overlaps (itself
         # included) and the sites that polymers j.. cover
         site_bit = {site: 1 << b for b, site in enumerate(
@@ -561,9 +585,12 @@ class ClusterEngine:
         reach = list(itertools.accumulate(reversed(sites), operator.or_))[::-1]
         memo: dict = {}
 
+        one = np.zeros(r, dtype=np.complex128)
+        one[0] = 1.0
+        total = np.zeros(r, dtype=np.complex128)
         # pre-order walk; a frame is (multiset as (index, copies) pairs, its
         # site components, weight, children still to visit)
-        stack = [((), [], 1.0, enumerate(children(one, 0)))]
+        stack = [((), [], 1.0, children(one, 0))]
         if opts.n_max < 1:  # the root already sits at the depth cap
             report.tail, report.exact, stack = 1.0, False, []
         while stack:
@@ -585,7 +612,7 @@ class ClusterEngine:
                 if len(parts) == 1:
                     rho = _ursell(sub, adj, memo)
                     if rho:
-                        add(product, rho * sub_weight)
+                        total += rho * sub_weight * product
                         report.cluster_count += 1
                 if depth >= opts.n_max:
                     report.tail = max(report.tail, norm1)
@@ -596,7 +623,7 @@ class ClusterEngine:
                 # extension disconnected, so the whole branch contributes zero
                 if len(parts) >= 2 and any(not comp & reach[j] for comp in parts):
                     continue
-                stack.append((sub, parts, sub_weight, enumerate(children(product, j), j)))
+                stack.append((sub, parts, sub_weight, children(product, j)))
                 break
             else:
                 stack.pop()
@@ -608,52 +635,10 @@ class ClusterEngine:
                 shared = self.source_free.integrals_computed - self._shared_before
                 marked = len(self.source_free._marked_cache) - self._marked_before
             log.debug("%d candidates, %d restricted integrals computed, %d by the "
-                      "source-free engine; marked classes: %d computed, %d read",
+                      "source-free engine; marked classes: %d computed, %d read; "
+                      "eta sector: r = %d, %d entries, %s",
                       len(self.candidates), self.integrals_computed, shared, marked,
-                      len(self._marked_read))
-        return LogSeries(self.universe, self.pure_eta + result()), report
-
-    def _dense_descent(self, polymers):
-        """Descent operations on basis vectors, or None past the entry budget.
-
-        A product is a complex vector over the eta sector basis; a node's
-        children are that vector times the matrices of polymers start..
-        """
-        sector = self.eta_sector([k0 for _, k0, _ in polymers])
-        if sector is None:
-            return None
-        basis, wide = sector
-        r = len(basis)
-        one = np.zeros(r, dtype=np.complex128)
-        one[0] = 1.0
-        acc = np.zeros(r, dtype=np.complex128)
-
-        def children(v, start):
-            block = (v @ wide[:, start * r:]).reshape(-1, r)
-            return zip(block, np.abs(block).sum(axis=1).tolist())
-
-        def add(v, factor):
-            nonlocal acc
-            acc += factor * v
-
-        def result():
-            shift = self.universe.n_psi_bits
-            return GrassmannElement(
-                {int(m) << shift: c for m, c in zip(basis, acc.tolist())})
-
-        return one, children, add, result
-
-    def _sparse_descent(self, polymers):
-        """Descent operations on sparse elements, capped after each product."""
-        total = GrassmannElement()
-
-        def children(product, start):
-            for _, k0, _ in polymers[start:]:
-                new_product = self._capped(product * k0)
-                yield new_product, _element_1norm(new_product)
-
-        def add(product, factor):
-            for mask, coeff in product.scaled(factor).terms.items():
-                total.terms[mask] = total.terms.get(mask, 0j) + coeff
-
-        return GrassmannElement.one(1.0), children, add, lambda: total
+                      len(self._marked_read), r, len(values), kernel)
+        shift = self.universe.n_psi_bits
+        result = GrassmannElement({int(m) << shift: c for m, c in zip(basis, total.tolist())})
+        return LogSeries(self.universe, self.pure_eta + result), report

@@ -8,7 +8,9 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from fermicluster import clusters, pipeline
@@ -407,14 +409,20 @@ def test_sector_matrices_are_products_with_each_activity(three_site_universe, se
     system = _random_even_system(random.Random(seed), sites, eta_sites, n_source=8)
     engine = ClusterEngine(u, system.to_element(u), ClusterOptions(eta_degree_cap=eta_cap))
     activities = [k0 for k0 in map(engine.polymer_activity, engine.candidates) if k0.terms]
-    basis, wide = engine.eta_sector(activities)
+    basis, rows, cols, values, starts = engine.eta_sector(activities)
     shift = u.n_psi_bits
     masks = [int(m) << shift for m in basis]
     r = len(masks)
     assert masks[0] == 0 and r > 1
-    assert wide.shape == (r, len(activities) * r)
+    assert starts[0] == 0 and starts[-1] == len(values) == len(rows) == len(cols)
+    assert len(starts) == len(activities) + 1
     for j, k0 in enumerate(activities):
-        matrix = wide[:, j * r:(j + 1) * r]
+        part = slice(starts[j], starts[j + 1])
+        cells = list(zip(rows[part].tolist(), (cols[part] - j * r).tolist()))
+        assert all(0 <= column < r for _, column in cells)
+        assert len(set(cells)) == len(cells)  # no (row, column) pair repeats
+        matrix = np.zeros((r, r), dtype=np.complex128)
+        matrix[rows[part], cols[part] - j * r] = values[part]
         for row, m in enumerate(masks):
             product = reference_product(u, GrassmannElement({m: 1.0}), k0)
             assert all(mask in masks for mask, c in product.items()
@@ -422,22 +430,18 @@ def test_sector_matrices_are_products_with_each_activity(three_site_universe, se
             assert matrix[row].tolist() == [product.get(n, 0j) for n in masks]
 
 
-def _assemble_by_route(monkeypatch, dense, universe, f, options):
-    """``assemble`` on the dense eta-sector route or on the sparse one."""
+def _assemble_by_route(monkeypatch, dense, *engine_args):
+    """``assemble`` of ``ClusterEngine(*engine_args)`` with every descent
+    node's children from the matmul kernel on the dense eta-sector array, or
+    from the bincount kernel on the sector's entries."""
     with monkeypatch.context() as patch:
-        if dense:
-            def no_sparse(self, polymers):
-                raise AssertionError("dense route fell back to sparse products")
-
-            patch.setattr(ClusterEngine, "_sparse_descent", no_sparse)
-        else:
-            patch.setattr(clusters, "DENSE_MAX_ENTRIES", 0)
-        return ClusterEngine(universe, f, options).assemble()
+        patch.setattr(clusters, "DENSE_MAX_ENTRIES", 1 << 62 if dense else 0)
+        return ClusterEngine(*engine_args).assemble()
 
 
-def _assert_routes_agree(monkeypatch, universe, f, options):
-    dense, dense_report = _assemble_by_route(monkeypatch, True, universe, f, options)
-    sparse, sparse_report = _assemble_by_route(monkeypatch, False, universe, f, options)
+def _assert_routes_agree(monkeypatch, *engine_args):
+    dense, dense_report = _assemble_by_route(monkeypatch, True, *engine_args)
+    sparse, sparse_report = _assemble_by_route(monkeypatch, False, *engine_args)
     assert _max_abs(dense.element - sparse.element) < 1e-14
     for field in ("polymer_count", "cluster_count", "clusters_visited", "n_reached",
                   "exact"):
@@ -454,7 +458,7 @@ def test_dense_and_sparse_descents_agree(three_site_universe, monkeypatch, seed,
     _assert_routes_agree(monkeypatch, u, system.to_element(u), options)
 
 
-def test_default_pair_runs_take_the_dense_route_and_match_sparse(monkeypatch):
+def test_default_pair_runs_take_the_dense_route_and_match_sparse(monkeypatch, caplog):
     cfg = RunConfig()
     spec, cov = pipeline.lattice_objects(cfg)
     model = pipeline.lattice_model(cfg, spec, cov)
@@ -464,6 +468,9 @@ def test_default_pair_runs_take_the_dense_route_and_match_sparse(monkeypatch):
     for target in targets:
         universe, f = model.interaction((origin, target))
         _assert_routes_agree(monkeypatch, universe, f, pipeline.engine_options(cfg))
+        with caplog.at_level(logging.DEBUG, logger="fermicluster.clusters"):
+            ClusterEngine(universe, f, pipeline.engine_options(cfg)).assemble()
+        assert caplog.records[-1].getMessage().endswith(" entries, matmul")
 
 
 # ------------------------------------------------------ source-free engine
@@ -496,6 +503,37 @@ def _pair_engines(cfg, shared=True, pairs=None):
         engine.assemble()
         engines.append(engine)
     return source_free, engines
+
+
+def test_linear_response_pair_runs_agree_on_both_kernels(monkeypatch):
+    """The truncated L = 3 pair runs read their source regions from the
+    source-free engine by linear response; both descent kernels agree there."""
+    spec, model, options = _model(PAIR_RUN_CONFIGS["truncated-L3"])
+    source_free = model.source_free(options)
+    for target in pipeline.representative_targets(spec):
+        _assert_routes_agree(monkeypatch, *model.sources((spec.sites[0], target)), options,
+                             source_free)
+
+
+def test_a_past_budget_pair_assembles_on_the_bincount_kernel_in_little_memory(caplog):
+    """Two flavors under an eta cap of 8: the dense array of the pair's eta
+    sector would take 122 MB, and the descent over its entries far less."""
+    cfg = RunConfig(L=2, N=2, m_f=3.0, eta_cap=8, mode="truncated")
+    spec, model, options = _model(cfg)
+    pair = (spec.sites[0], pipeline.representative_targets(spec)[1])
+    engine = ClusterEngine(*model.sources(pair), options, model.source_free(options))
+    for support in engine.candidates:  # the eliminations stay out of the trace
+        engine.polymer_activity(support)
+    tracemalloc.start()
+    try:
+        with caplog.at_level(logging.DEBUG, logger="fermicluster.clusters"):
+            engine.assemble()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caplog.records[-1].getMessage().endswith(
+        "eta sector: r = 875, 38484 entries, bincount")
+    assert peak < 32 * 2**20
 
 
 def _source_sites(engine):
@@ -858,11 +896,11 @@ def test_each_pair_run_logs_its_integral_counts(caplog):
     assert lines == [
         "source-free engine: 369 items, 45 candidates",
         "45 candidates, 0 restricted integrals computed, 14 by the source-free engine; "
-        "marked classes: 9 computed, 9 read",
+        "marked classes: 9 computed, 9 read; eta sector: r = 5, 258 entries, matmul",
         "45 candidates, 0 restricted integrals computed, 1 by the source-free engine; "
-        "marked classes: 1 computed, 10 read",
+        "marked classes: 1 computed, 10 read; eta sector: r = 17, 903 entries, matmul",
         "45 candidates, 0 restricted integrals computed, 1 by the source-free engine; "
-        "marked classes: 1 computed, 10 read",
+        "marked classes: 1 computed, 10 read; eta sector: r = 17, 903 entries, matmul",
     ]
 
 
