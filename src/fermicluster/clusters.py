@@ -519,21 +519,22 @@ class ClusterEngine:
                       if not m & k and (cap is None or (m | k).bit_count() <= cap)}
         basis = np.array(sorted(found), dtype=np.uint64)
         r = len(basis)
-        parity = prefix_parity(basis)
-        # an empty first part, so that the running entry counts are the starts
-        parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=np.complex128),)]
-        for j, k0 in enumerate(activities):
-            ks = np.array([m >> shift for m in k0.terms], dtype=np.uint64)
-            cs = np.array(list(k0.terms.values()), dtype=np.complex128)
-            rows, t = np.nonzero((basis[:, None] & ks[None, :]) == 0)
-            target = basis[rows] | ks[t]
-            cols = np.searchsorted(basis, target).clip(max=r - 1)
-            hit = basis[cols] == target
-            rows, t, cols = rows[hit], t[hit], cols[hit]
-            odd = np.bitwise_count(ks[t] & parity[rows]) & 1
-            parts.append((rows, j * r + cols, np.where(odd, -cs[t], cs[t])))
-        starts = np.cumsum([len(rows) for rows, _, _ in parts])
-        return basis, *map(np.concatenate, zip(*parts)), starts
+        # every activity's terms side by side, broadcast against the basis
+        # at once; a stable sort by activity keeps each matrix's entries in
+        # (row, term) order
+        ks = np.array([m >> shift for k0 in activities for m in k0.terms], dtype=np.uint64)
+        cs = np.array([c for k0 in activities for c in k0.terms.values()], dtype=np.complex128)
+        owner = np.repeat(np.arange(len(activities)), [len(k0.terms) for k0 in activities])
+        rows, t = np.nonzero((basis[:, None] & ks[None, :]) == 0)
+        target = basis[rows] | ks[t]
+        cols = np.searchsorted(basis, target).clip(max=r - 1)
+        hit = basis[cols] == target
+        rows, t, cols = rows[hit], t[hit], cols[hit]
+        order = np.argsort(owner[t], kind="stable")
+        rows, t, cols = rows[order], t[order], cols[order]
+        odd = np.bitwise_count(ks[t] & prefix_parity(basis)[rows]) & 1
+        starts = np.concatenate(([0], np.cumsum(np.bincount(owner[t], minlength=len(activities)))))
+        return basis, rows, owner[t] * r + cols, np.where(odd, -cs[t], cs[t]), starts
 
     def assemble(self) -> tuple[LogSeries, ExpansionReport]:
         """The resummed cluster logarithm of the normalized exp(f) integral.

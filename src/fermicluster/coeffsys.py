@@ -105,14 +105,17 @@ def system_from_element(universe: GeneratorUniverse, element: GrassmannElement) 
     """Kernel with one entry per canonical monomial of ``element``.
 
     Canonical masks list psi generators before eta generators, so the split
-    introduces no extra sign.
+    introduces no extra sign.  Each mask gives its own key, so every value
+    is stored as :meth:`CoefficientSystem.add` would store it alone.
     """
     out = CoefficientSystem()
     for mask, value in element.terms.items():
         gens = universe.indices_of(mask)
         zs = tuple(g for g in gens if g.family == Family.PSI)
         ws = tuple(g for g in gens if g.family == Family.ETA)
-        out.add(zs, ws, value)
+        value = 0j + complex(value)
+        if value != 0:
+            out.entries[(zs, ws)] = value
     return out
 
 

@@ -23,7 +23,7 @@ from .clusters import ClusterEngine, ClusterOptions
 from .coeffsys import CoefficientSystem
 from .errors import CapacityError, ConfigError
 from .generators import GeneratorUniverse, Site, eta, psi
-from .weights import TorusMetric, WeightSystem, coeff_norm
+from .weights import TorusMetric
 
 
 @dataclass(frozen=True)
@@ -237,43 +237,97 @@ def check_stencil(spec: LatticeSpec) -> None:
             f"lower lattice.L or lattice.N")
 
 
-def quartic_stencil(spec: LatticeSpec, cov: Covariance, g: float) -> CoefficientSystem:
-    """The quartic entries whose psi-bar site is the origin ``spec.sites[0]``.
+def _coords(spec: LatticeSpec) -> np.ndarray:
+    """The sites' coordinates, one row per site in ``spec.sites`` order."""
+    return np.indices((spec.L,) * spec.d).reshape(spec.d, -1).T
 
-    S and the action are translation invariant, so the kernel at any other
-    site is this stencil moved there: 1/L^d of ``quartic_kernel``.
+
+def _site_index(spec: LatticeSpec, coords: np.ndarray) -> np.ndarray:
+    """Index in ``spec.sites`` of each coordinate row (last axis), taken mod L."""
+    return (coords % spec.L) @ spec.L ** np.arange(spec.d - 1, -1, -1)
+
+
+def _between(spec: LatticeSpec) -> np.ndarray:
+    """``[x, y]``: the index of the displacement y - x, so S(x, y) = row[it]."""
+    coords = _coords(spec)
+    return _site_index(spec, coords[None, :, :] - coords[:, None, :])
+
+
+def quartic_stencil(spec: LatticeSpec, row: np.ndarray, g: float,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The origin's part of -quartic, from S's origin row ``row[y] = S(0, y)``.
+
+    The quartic entries whose psi-bar site is the origin are (0, 0, y, y')
+    carrying -g^2 S(0,y) S(0,y'), as ``_add_quartic_at`` lists them.  This
+    is the element that ``.scaled(-1).to_element(universe)`` makes of them,
+    built in numpy: one row of ascending psi bit positions per monomial and
+    its coefficient, in the same order and with the same coefficient bits.
+    Complex products are spelled out in real arithmetic, the operations of
+    Python's complex multiply.  (``to_element`` would move a mask whose sum
+    reached exactly 0 part-way to the end; no such sum arises on the
+    lattices tested.)  S and the action are translation invariant,
+    so the element at any other site is this one moved there
+    (``_translated``).
     """
-    system = CoefficientSystem()
-    if g != 0:
-        _add_quartic_at(system, spec, cov, g, spec.sites[0])
-    return system
+    sd, N = spec.spinor_dim, spec.N
+    if g == 0:
+        return np.zeros((0, 4), dtype=np.intp), np.zeros(0, dtype=np.complex128)
+    # the entries in (y, y', alpha, beta, alpha', beta', a, a') order
+    shape = (spec.n_sites, spec.n_sites) + (sd,) * 4 + (N, N)
+    y, yp, al, be, alp, bep, a, ap = np.indices(shape).reshape(len(shape), -1)
+    # (-g^2) S(0, y), then times S(0, y'); the flavors share the value
+    left_re, left_im = -(g * g) * row.real, -(g * g) * row.imag
+    s1_re, s1_im = left_re[:, None, :, :, None, None], left_im[:, None, :, :, None, None]
+    s2_re, s2_im = row.real[None, :, None, None, :, :], row.imag[None, :, None, None, :, :]
+    product = np.empty(shape[:6], dtype=np.complex128)
+    product.real = s1_re * s2_re - s1_im * s2_im
+    product.imag = s1_re * s2_im + s1_im * s2_re
+    values = np.broadcast_to(product[..., None, None], shape).ravel()
+    positions = np.stack([2 * (al * N + a), 2 * (alp * N + ap),
+                          2 * ((y * sd + be) * N + a) + 1,
+                          2 * ((yp * sd + bep) * N + ap) + 1], axis=1)
+    # a repeated generator gives no term
+    keep = (values != 0) & (positions[:, 0] != positions[:, 1]) & (
+        positions[:, 2] != positions[:, 3])
+    positions, values = positions[keep], values[keep]
+    inversions = sum(positions[:, i] > positions[:, j]
+                     for i in range(4) for j in range(i + 1, 4))
+    # the stored value, scaled by -1 and signed by the sorting permutation
+    values = np.where(inversions & 1, values, -values)
+    positions = np.sort(positions, axis=1)
+    # repeated masks merge as ``_vector_product`` merges them: each sum
+    # added in stream order onto 0j, the masks in order of first occurrence
+    _, first, group = np.unique(positions, axis=0, return_index=True, return_inverse=True)
+    sums = np.zeros(len(first), dtype=np.complex128)
+    np.add.at(sums, group.ravel(), values)
+    order = np.argsort(first)
+    kept = order[sums[order] != 0]
+    return positions[first[kept]], sums[kept]
 
 
-def _translated(spec: LatticeSpec, origin: GrassmannElement) -> GrassmannElement:
-    """The sum of ``origin`` moved by every lattice vector, on the psi bits
-    of ``universe_for(spec, ...)``.
+def _translated(spec: LatticeSpec, positions: np.ndarray,
+                coeffs: np.ndarray) -> GrassmannElement:
+    """The sum of the origin element ``positions, coeffs`` moved by every
+    lattice vector, on the psi bits of ``universe_for(spec, ...)``.
 
-    ``origin`` holds psi monomials whose psi-bar generators all sit on the
-    origin, each of the same degree, so no two moves give the same mask.
-    A site owns a fixed run of bits, so a move shifts each generator by
-    whole runs and keeps its offset; the coefficient takes the sign of the
-    permutation that sorts the moved generators back into canonical order.
-    The moved masks are Python ints, so the psi bits may run past bit 64.
-    Terms come move by move, in ``spec.sites`` order.
+    Each row of ``positions`` lists the ascending bit positions of a psi
+    monomial whose psi-bar generators all sit on the origin, each of the
+    same degree, so no two moves give the same mask.  A site owns a fixed
+    run of bits, so a move shifts each generator by whole runs and keeps
+    its offset; the coefficient takes the sign of the permutation that
+    sorts the moved generators back into canonical order.  The moved masks
+    are Python ints, so the psi bits may run past bit 64.  Terms come move
+    by move, in ``spec.sites`` order.
     """
-    if not origin.terms:
+    if not len(coeffs):
         return GrassmannElement()
     per_site = 2 * spec.spinor_dim * spec.N
-    positions = np.array([[p for p in range(m.bit_length()) if m >> p & 1]
-                          for m in origin.terms])
-    index = {s: i for i, s in enumerate(spec.sites)}
-    moved_site = np.array([[index[tuple((a + b) % spec.L for a, b in zip(s, t))]
-                            for s in spec.sites] for t in spec.sites])
+    coords = _coords(spec)
+    moved_site = _site_index(spec, coords[:, None, :] + coords[None, :, :])
     moved = moved_site[:, positions // per_site] * per_site + positions % per_site
     k = positions.shape[1]
     inversions = sum(moved[..., i] > moved[..., j] for i in range(k) for j in range(i + 1, k))
     bits = np.bitwise_or.reduce(np.left_shift(1, moved.astype(object)), axis=-1)
-    coeffs = np.array(list(origin.terms.values()), dtype=np.complex128)
     values = np.where(inversions & 1, -coeffs, coeffs)
     out = GrassmannElement()
     out.terms = dict(zip(bits.ravel().tolist(), values.ravel().tolist()))
@@ -318,31 +372,38 @@ def source_kernels(spec: LatticeSpec, cov: Covariance, g: float,
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """S, the quartic stencil and the source kernels for one (lattice, m_f, g).
+    """S's origin row, the origin's quartic element and the couplings for
+    one (lattice, m_f, g).
 
-    Built once per run.  The quartic density carries coupling g and the
-    source couplings carry ``source_g``, which is g itself except for a
-    free theory probed with unit sources.  Only the quartic entries whose
-    psi-bar site is the origin are kept: translation gives the rest.  The
-    quartic items belong to :meth:`source_free`, one engine per options; a
-    pair run's engine takes only :meth:`sources` and reads the rest from
-    it.  The oracle takes :meth:`interaction`, the whole exponent.
+    Built once per run.  S and the action are translation invariant, so
+    the origin row ``row[y] = S(0, y)``, a sites x spinor x spinor array,
+    fixes the whole model: ``stencil`` (the element of the quartic entries
+    whose psi-bar site is the origin, from :func:`quartic_stencil`), the
+    sources of any sites (:meth:`sources`) and the norms
+    (:func:`model_norms`) are numpy arrays over it, and translation gives
+    the quartic density of the other sites.  The quartic density carries
+    coupling g and the source couplings carry ``source_g``, which is g
+    itself except for a free theory probed with unit sources.  The quartic
+    items belong to :meth:`source_free`, one engine per options; a pair
+    run's engine takes only :meth:`sources` and reads the rest from it.
+    The oracle takes :meth:`interaction`, the whole exponent.
     """
 
     spec: LatticeSpec
     cov: Covariance
     g: float
-    stencil: CoefficientSystem
-    local: CoefficientSystem
-    smeared: CoefficientSystem
+    source_g: float
+    row: np.ndarray
+    stencil: tuple[np.ndarray, np.ndarray]
     _psi_elements: dict = field(default_factory=dict, init=False, repr=False)
     _source_free: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, spec: LatticeSpec, cov: Covariance, g: float,
               source_g: float | None = None) -> "Model":
-        local, smeared = source_kernels(spec, cov, g if source_g is None else source_g)
-        return cls(spec, cov, g, quartic_stencil(spec, cov, g), local, smeared)
+        row = cov.table[tuple((-_coords(spec) % spec.L).T)]
+        return cls(spec, cov, g, g if source_g is None else source_g, row,
+                   quartic_stencil(spec, row, g))
 
     def psi_element(self, max_sites: int | None = None) -> GrassmannElement:
         """-quartic as one element on the psi bits that every
@@ -350,13 +411,12 @@ class Model:
         than ``max_sites`` sites; a site count does not change under
         translation, so the stencil is capped before it is moved."""
         if max_sites not in self._psi_elements:
-            universe = universe_for(self.spec, ())
-            origin = self.stencil.scaled(-1).to_element(universe)
+            positions, coeffs = self.stencil
             if max_sites:
-                origin = GrassmannElement(
-                    {m: c for m, c in origin.terms.items()
-                     if len({gen.site for gen in universe.indices_of(m)}) <= max_sites})
-            self._psi_elements[max_sites] = _translated(self.spec, origin)
+                sites = positions // (2 * self.spec.spinor_dim * self.spec.N)
+                keep = 1 + (np.diff(sites, axis=1) != 0).sum(axis=1) <= max_sites
+                positions, coeffs = positions[keep], coeffs[keep]
+            self._psi_elements[max_sites] = _translated(self.spec, positions, coeffs)
         return self._psi_elements[max_sites]
 
     def source_free(self, options: ClusterOptions) -> ClusterEngine:
@@ -371,12 +431,43 @@ class Model:
     def sources(self, source_sites: tuple[Site, ...] | None,
                 ) -> tuple[GeneratorUniverse, GrassmannElement]:
         """The universe and the source part of f = -V1 with sources on
-        ``source_sites`` only (None: every site): setting the others to zero
-        drops the entries with an eta elsewhere.  Each has its psi on one site.
+        ``source_sites`` only (None: every site).  Each term has its psi on
+        one site.
+
+        The terms are those that ``source_kernels`` and ``to_element`` give
+        the sources left after setting the others to zero, in the same order
+        and with the same coefficient bits: first psi-bar J at each source
+        site x, then -(psi Jbar) carrying -g S(x, y) for each source site x
+        and each y, both in ``spec.sites`` order, spinor before flavor.
         """
-        universe = universe_for(self.spec, source_sites)
-        sources = (self.local + self.smeared).with_sources_at(source_sites)
-        return universe, sources.to_element(universe)
+        spec = self.spec
+        universe = universe_for(spec, source_sites)
+        if self.source_g == 0:
+            return universe, GrassmannElement()
+        sd, N = spec.spinor_dim, spec.N
+        marked = _marked(spec, source_sites)
+        # the universe lists the eta modes of the source sites in site order
+        eta_block = np.cumsum(marked) - 1
+        xs = np.flatnonzero(marked)
+        x, al, a = np.indices((len(xs), sd, N)).reshape(3, -1)
+        x = xs[x]
+        local_psi = 2 * ((x * sd + al) * N + a)
+        local_eta = universe.n_psi_bits + 2 * ((eta_block[x] * sd + al) * N + a) + 1
+        x, y, al, be, a = np.indices((len(xs), spec.n_sites, sd, sd, N)).reshape(5, -1)
+        x = xs[x]
+        value = self.source_g * self.row[_between(spec)[x, y], al, be]
+        keep = value != 0
+        smeared_psi = 2 * ((y * sd + be) * N + a) + 1
+        smeared_eta = universe.n_psi_bits + 2 * ((eta_block[x] * sd + al) * N + a)
+        psi_bits = np.concatenate((local_psi, smeared_psi[keep])).astype(object)
+        eta_bits = np.concatenate((local_eta, smeared_eta[keep])).astype(object)
+        masks = np.left_shift(1, psi_bits) | np.left_shift(1, eta_bits)
+        # a smeared entry is stored as -value, then added onto 0j
+        values = np.concatenate((np.full(len(local_psi), complex(self.source_g)),
+                                 0.0 - value[keep]))
+        out = GrassmannElement()
+        out.terms = dict(zip(masks.tolist(), values.tolist()))
+        return universe, out
 
     def interaction(self, source_sites: tuple[Site, ...] | None,
                     ) -> tuple[GeneratorUniverse, GrassmannElement]:
@@ -384,6 +475,14 @@ class Model:
         quartic part, which holds no eta."""
         universe, sources = self.sources(source_sites)
         return universe, sources + self.psi_element()
+
+
+def _marked(spec: LatticeSpec, source_sites: tuple[Site, ...] | None) -> np.ndarray:
+    """Whether each site, in ``spec.sites`` order, holds sources (None: all)."""
+    marked = np.full(spec.n_sites, source_sites is None)
+    if source_sites is not None:
+        marked[_site_index(spec, np.array(source_sites, dtype=np.intp).reshape(-1, spec.d))] = True
+    return marked
 
 
 def build_v1(spec: LatticeSpec, cov: Covariance, g: float,
@@ -398,27 +497,48 @@ def model_norms(model: Model, kappa: float, h1: float = 4.0, h2: float = 1.0,
                 source_sites: tuple[Site, ...] | None = None) -> dict:
     """Weighted kernel norms of the interaction pieces and the run gate.
 
-    A free model (g = 0) has no interaction: probe sources are not part of
-    V1, so every norm is zero.  The quartic norm is the stencil's: every
-    pin site of the full kernel gives the same bucket under translation,
-    the origin-pinned one is the stencil's whole, and the stencil's other
-    buckets are partial sums of buckets of that same value.
+    The values that ``coeff_norm`` gives the stored kernels, computed in
+    numpy from S's origin row; they agree up to rounding.  A free model
+    (g = 0) has no interaction: probe sources are not part of V1, so every
+    norm is zero.  Every pin site of the full quartic kernel gives the same
+    bucket under translation, the origin's psi-bar pin its whole:
+    g^2 N^2 h1^4 sum_{y, y'} e^{kappa T(0, y, y')} A(y) A(y'), with
+    A(y) = sum |S(0, y)| over the spinor pair and T the tree length of
+    {0, y, y'}.  Like ``coeff_norm``, it counts the entries that repeat a
+    generator.  A source pin p holds the local entries at p and the smeared
+    entries -g S(x, y) with x = p, or with y = p and another source site x;
+    a norm is the largest pin.
     """
     if kappa >= model.cov.m_f:
         raise ConfigError("report mass must stay below the fermion mass")
-    weights = WeightSystem(kappa=kappa, h1=h1, h2=h2, metric=model.spec.metric)
-
-    def norm(system: CoefficientSystem) -> float:
-        if model.g == 0:
-            return 0.0
-        return coeff_norm(system.with_sources_at(source_sites), weights)
-
-    v_norm = norm(model.stencil)
-    local_norm = norm(model.local)
-    smeared_norm = norm(model.smeared)
+    if model.g == 0:
+        v_norm = local_norm = smeared_norm = sources_norm = 0.0
+    else:
+        spec = model.spec
+        sd, N, L = spec.spinor_dim, spec.N, spec.L
+        coords = _coords(spec)
+        r = np.sqrt((np.minimum(coords, L - coords) ** 2).sum(axis=1))
+        between = _between(spec)
+        # the two shortest sides of the triangle 0, y, y'
+        sides = np.sort(np.stack(np.broadcast_arrays(
+            r[:, None], r[None, :], r[between])), axis=0)
+        tree = sides[0] + sides[1]
+        a = np.abs(model.row).sum(axis=(1, 2))
+        v_norm = float(model.g ** 2 * N ** 2 * h1 ** 4 * (a @ np.exp(kappa * tree) @ a))
+        marked = _marked(spec, source_sites)
+        g = abs(model.source_g)
+        local = marked * (sd * N * h1 * h2 * g)
+        # by displacement z, the smeared mass of the entries from x to x + z
+        mass = N * h1 * h2 * g * np.exp(kappa * r) * a
+        toward = mass[between]
+        np.fill_diagonal(toward, 0.0)
+        smeared = marked * mass.sum() + marked @ toward
+        local_norm = float(local.max())
+        smeared_norm = float(smeared.max())
+        sources_norm = float((local + smeared).max())
     # The norm adds up per degree class, and the quartic (4, 0) class never
     # meets the (1, 1) class of the sources, so v1's norm splits exactly.
-    v1_norm = v_norm + norm(model.local + model.smeared)
+    v1_norm = v_norm + sources_norm
     return {
         "v_norm": v_norm,
         "source_local_norm": local_norm,

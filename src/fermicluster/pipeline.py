@@ -1,14 +1,15 @@
 """Experiment orchestration: covariance, expansion, norms, correlations, fits.
 
-Each run builds its interaction once, as a :class:`Model`: the source
-kernels with sources on every site and the quartic stencil, the entries of
-one psi-bar site, which translation carries to every other site.  The
-model's norms read the stencil.  A correlation run restricts the sources
-to the probed pair of sites.  Its engine takes only their source entries
-and reads the quartic part from the model's source-free engine, built by
-the first pair run; the oracle takes the whole interaction.  Dropping the
-source entries with an eta elsewhere is exactly setting those sources to
-zero, and it keeps the eta sector small enough for exact work.  Retained
+Each run builds its interaction once, as a :class:`Model`: S's origin
+row, and from it in numpy the quartic stencil, the element of the entries
+of one psi-bar site, which translation carries to every other site.  The
+model's norms and the sources of any sites are numpy arrays over the same
+row.  A correlation run restricts the sources to the probed pair of sites.
+Its engine takes only their source terms and reads the quartic part from
+the model's source-free engine, built by the first pair run; the oracle
+takes the whole interaction.  Dropping the source terms with an eta
+elsewhere is exactly setting those sources to zero, and it keeps the eta
+sector small enough for exact work.  Retained
 coefficients move only by rounding and the engine's branch floor: a third
 source site moves those of (origin, far corner) by 2.2e-19 absolute in the
 oracle and 6.5e-16 in the engine on exact 2x2 (2.5e-15 for the constant),
@@ -182,12 +183,10 @@ class CorrelationResult:
 def merged_coefficients(series_list: list[LogSeries]) -> CoefficientSystem:
     """Union of per-run kernels; shared entries keep their first value."""
     out = CoefficientSystem()
-    seen = set()
     for series in series_list:
         for key, value in series.coefficients():
-            if key not in seen and key != ((), ()):
-                seen.add(key)
-                out.add(key[0], key[1], value)
+            if key != ((), ()):
+                out.entries.setdefault(key, value)
     return out
 
 

@@ -317,11 +317,33 @@ def test_v1_is_translation_invariant(L):
             assert entries[_moved(key, vector, L)] == value
 
 
+def _bits(terms: dict) -> list:
+    """Terms in order, each coefficient as the float.hex of its two parts."""
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in terms.items()]
+
+
+def _stencil_terms(model: Model) -> dict:
+    positions, coeffs = model.stencil
+    return {sum(1 << int(p) for p in row): c for row, c in zip(positions, coeffs.tolist())}
+
+
+def _origin_entries(spec, cov, g) -> CoefficientSystem:
+    system = CoefficientSystem()
+    if g != 0:
+        grossneveu._add_quartic_at(system, spec, cov, g, spec.sites[0])
+    return system
+
+
 @pytest.mark.parametrize("L", [3, 4])
 def test_stencil_holds_no_rounding_noise(L):
+    # the stored entries are -g^2 S(0, y) S(0, y'), so their magnitudes span
+    # the square of the row's span; the element sums them
     spec = LatticeSpec(d=2, L=L)
-    values = [abs(v) for _, v in Model.build(spec, covariance(spec, 3.0), 0.05).stencil]
-    assert min(values) >= 1e-12 * max(values)
+    model = Model.build(spec, covariance(spec, 3.0), 0.05)
+    row = np.abs(model.row[model.row != 0])
+    assert row.min() ** 2 >= 1e-12 * row.max() ** 2
+    values = np.abs(model.stencil[1])
+    assert values.min() >= 1e-12 * values.max()
 
 
 def test_stencil_is_the_origin_part_of_the_kernel():
@@ -329,9 +351,76 @@ def test_stencil_is_the_origin_part_of_the_kernel():
     cov = covariance(spec, 3.0)
     origin = spec.sites[0]
     full = quartic_kernel(spec, cov, 0.05)
-    stencil = list(Model.build(spec, cov, 0.05).stencil)
-    assert stencil == [(key, v) for key, v in full if key[0][0].site == origin]
-    assert len(full) == spec.n_sites * len(stencil)
+    entries = _origin_entries(spec, cov, 0.05)
+    assert list(entries) == [(key, v) for key, v in full if key[0][0].site == origin]
+    assert len(full) == spec.n_sites * len(entries)
+    want = entries.scaled(-1).to_element(universe_for(spec, ()))
+    assert _bits(_stencil_terms(Model.build(spec, cov, 0.05))) == _bits(want.terms)
+
+
+@pytest.mark.parametrize("d, L, N", [(2, 2, 1), (2, 3, 1), (2, 4, 1), (2, 5, 1), (3, 2, 1),
+                                     (3, 3, 1), (2, 2, 2), (2, 3, 2)])
+@pytest.mark.parametrize("m_f, g", [(1.0, 0.05), (3.0, 0.05), (3.0, 0.0)])
+def test_origin_element_has_the_bits_of_the_entry_route(d, L, N, m_f, g):
+    """The stencil is the element of the origin's quartic entries: the same
+    terms in the same order with the same coefficient bits, past bit 64 too
+    (d = 2 at L = 5 and d = 3 at L = 3)."""
+    spec = LatticeSpec(d=d, L=L, N=N)
+    cov = covariance(spec, m_f)
+    want = _origin_entries(spec, cov, g).scaled(-1).to_element(universe_for(spec, ()))
+    got = _stencil_terms(Model.build(spec, cov, g))
+    assert _bits(got) == _bits(want.terms)
+    assert bool(got) == (g != 0)
+
+
+@pytest.mark.parametrize("d, L, N", [(2, 2, 1), (2, 3, 1), (2, 5, 1), (3, 2, 1), (3, 3, 1),
+                                     (2, 3, 2)])
+@pytest.mark.parametrize("g, source_g", [(0.05, None), (0.0, 1.0), (0.0, None)])
+def test_sources_have_the_bits_of_the_entry_route(d, L, N, g, source_g):
+    spec = LatticeSpec(d=d, L=L, N=N)
+    cov = covariance(spec, 3.0)
+    model = Model.build(spec, cov, g, source_g=source_g)
+    local, smeared = source_kernels(spec, cov, model.source_g)
+    pairs = [(spec.sites[0], spec.sites[0]), (spec.sites[0], spec.sites[-1]),
+             (spec.sites[-1], spec.sites[1])]
+    # every site's sources fit the eta bits at the smaller lattices only
+    wide = 2 * spec.n_sites * spec.spinor_dim * N > 64
+    for sites in pairs + ([] if wide else [None]):
+        universe, got = model.sources(sites)
+        want = (local + smeared).with_sources_at(sites).to_element(universe)
+        assert _bits(got.terms) == _bits(want.terms), sites
+        assert universe.eta_modes == universe_for(spec, sites).eta_modes
+
+
+def _norms_by_coefficient_systems(model, kappa, source_sites):
+    """``model_norms`` read off the stored kernels by ``coeff_norm``."""
+    spec, cov = model.spec, model.cov
+    weights = WeightSystem(kappa=kappa, h1=4.0, h2=1.0, metric=spec.metric)
+    local, smeared = source_kernels(spec, cov, model.source_g)
+
+    def norm(system):
+        return coeff_norm(system.with_sources_at(source_sites), weights) if model.g else 0.0
+
+    v_norm = norm(_origin_entries(spec, cov, model.g))
+    local_norm, smeared_norm = norm(local), norm(smeared)
+    return {"v_norm": v_norm, "source_local_norm": local_norm,
+            "source_smeared_norm": smeared_norm,
+            "v1_norm": v_norm + norm(local + smeared),
+            "v1_triangle_bound": v_norm + local_norm + smeared_norm}
+
+
+@pytest.mark.parametrize("d, L, N", [(2, 2, 1), (2, 3, 1), (2, 4, 1), (3, 2, 1), (3, 3, 1),
+                                     (2, 3, 2)])
+@pytest.mark.parametrize("kappa", [0.5, 1.0])
+def test_model_norms_match_the_coefficient_systems(d, L, N, kappa):
+    spec = LatticeSpec(d=d, L=L, N=N)
+    model = Model.build(spec, covariance(spec, 3.0), 0.05)
+    for sites in (None, (spec.sites[0], spec.sites[-1]), (spec.sites[1], spec.sites[1])):
+        norms = model_norms(model, kappa=kappa, source_sites=sites)
+        want = _norms_by_coefficient_systems(model, kappa, sites)
+        for key, value in want.items():
+            assert norms[key] == pytest.approx(value, rel=1e-13, abs=0), (key, sites)
+        assert norms["gate_sixteenth"] == (norms["v1_norm"] < 1.0 / 16.0)
 
 
 @pytest.mark.parametrize("L, caps", [(2, [None]), (3, [2, None])])

@@ -185,17 +185,25 @@ def test_zero_coupling_run_equals_covariance():
 
 @pytest.mark.parametrize("g", [0.05, 0.0])
 def test_run_builds_each_kernel_once(monkeypatch, g):
-    # the three pair runs share the model's kernels and its one psi element;
-    # the full quartic kernel is never built
+    # the three pair runs share the model's stencil and its one psi element;
+    # no kernel is built entry by entry
     from fermicluster import grossneveu
+    from fermicluster.coeffsys import CoefficientSystem
 
     calls = []
-    for name in ("quartic_kernel", "quartic_stencil", "source_kernels", "_translated"):
+    for name in ("quartic_stencil", "_translated"):
         original = getattr(grossneveu, name)
         monkeypatch.setattr(grossneveu, name,
                             lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+
+    def per_entry(*args):
+        raise AssertionError("a kernel built entry by entry")
+
+    for name in ("quartic_kernel", "source_kernels", "_add_quartic_at"):
+        monkeypatch.setattr(grossneveu, name, per_entry)
+    monkeypatch.setattr(CoefficientSystem, "add", per_entry)
     run_experiment(RunConfig(g=g, mode="truncated"))
-    assert sorted(calls) == ["_translated", "quartic_stencil", "source_kernels"]
+    assert sorted(calls) == ["_translated", "quartic_stencil"]
 
 
 def test_truncated_run_flags_inexactness():
