@@ -57,14 +57,24 @@ Every activity has its psi fields integrated out, so the polymer sum is
 linear algebra over the few eta monomials that products of activities
 reach.  The descent holds each product as a complex vector over that basis
 and each activity as one sparse matrix, built once per run; an eta degree
-cap simply leaves the higher monomials out of the basis.  A node's
-children are one matrix product with the matrices laid out dense while
-they hold at most ``DENSE_MAX_ENTRIES`` entries, and one bincount over
-their entries past that.
+cap simply leaves the higher monomials out of the basis.  The descent
+goes one depth at a time and takes the children of a chunk of nodes, at
+most ``CHUNK_ENTRIES`` child entries, in one kernel call; numpy drops the
+zero and below-floor children, and Python visits only the rest.  Under an
+eta cap of 2 or less, every truncated run's default, the kernel is
+rank-one.  Activity j is s_j + t_j, s_j its constant and t_j its part of
+eta degree 2, and a nonempty basis monomial times t_j has eta degree 4 or
+vanishes, so the cap drops it: a product v has the children
+s_j v + v_0 t_j, O(n r) work per node for n polymers over r monomials, and
+no matrix product.  Exact runs and higher caps take a chunk's children
+from one matrix product with the matrices laid out dense while they hold
+at most ``DENSE_MAX_ENTRIES`` entries, and from one bincount over their
+entries past that.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import asdict, dataclass
@@ -86,6 +96,10 @@ MAX_CANDIDATES = 4096
 #: Most matrix entries (basis size squared times live polymers) the descent
 #: lays out dense for its matrix products; past it, it sums sparse entries.
 DENSE_MAX_ENTRIES = 1 << 20
+#: Most child entries (nodes, times children, times basis size) the descent
+#: computes in one step; larger chunks save little time and raise a run's
+#: peak memory.
+CHUNK_ENTRIES = 1 << 11
 
 
 # ------------------------------------------------------------ graph helpers
@@ -172,6 +186,14 @@ def ursell_factor(supports: Sequence[SiteSet]) -> int:
     return _ursell(counts, adj, {})
 
 
+def _descent_kernel(eta_cap: int | None, r: int, n: int) -> str:
+    """The kernel that takes the descent's children over r monomials and n
+    polymers (module docstring)."""
+    if eta_cap is not None and eta_cap <= 2:
+        return "rank-one"
+    return "matmul" if r * r * n <= DENSE_MAX_ENTRIES else "bincount"
+
+
 # ---------------------------------------------------------------- options
 
 
@@ -250,6 +272,7 @@ class ClusterEngine:
         self._marked_cache: dict = {}
         self._marked_before = len(source_free._marked_cache) if source_free else 0
         self._marked_read: set = set()
+        self._classes: dict = {}  # _class by (region, marks)
         element = self._capped(f)
 
         psi_block = universe.psi_block_mask
@@ -348,9 +371,11 @@ class ClusterEngine:
         without ``side``, no anchor and both as they are."""
         if self.side is None or not region:
             return None, region, marks
-        anchor = min(region, key=lambda a: (self._moved(region, a), self._moved(marks, a)))
-        region, marks = (frozenset(self._moved(sites, anchor)) for sites in (region, marks))
-        return anchor, region, marks
+        if (region, marks) not in self._classes:
+            anchor = min(region, key=lambda a: (self._moved(region, a), self._moved(marks, a)))
+            self._classes[region, marks] = anchor, *(
+                frozenset(self._moved(sites, anchor)) for sites in (region, marks))
+        return self._classes[region, marks]
 
     def _key(self, region: SiteSet) -> SiteSet:
         """``region``'s representative in its translation class: one key per class."""
@@ -540,7 +565,8 @@ class ClusterEngine:
         """The resummed cluster logarithm of the normalized exp(f) integral.
 
         Each product is a complex vector over the eta sector basis, and a
-        node's children are that vector times the matrices of polymers start..
+        node's children are that vector times the matrices of its last
+        polymer and those after it, taken a chunk of nodes at a time.
         """
         opts = self.options
         capped = opts.max_polymer_sites is not None or opts.eta_degree_cap is not None
@@ -556,78 +582,107 @@ class ClusterEngine:
         shrinking = all(norm <= 1.0 for _, _, norm in polymers)
         basis, rows, cols, values, starts = self.eta_sector([k0 for _, k0, _ in polymers])
         r, n = len(basis), len(polymers)
-        kernel = "matmul" if r * r * n <= DENSE_MAX_ENTRIES else "bincount"
-        if kernel == "matmul":
+        kernel = _descent_kernel(opts.eta_degree_cap, r, n)
+        if kernel == "rank-one":
+            # activity j acts as s_j 1 + t_j, and t_j only raises the empty
+            # monomial: ``top`` holds row 0 of each matrix without its diagonal
+            top = np.zeros((n, r), dtype=np.complex128)
+            top[np.divmod(cols[rows == 0], r)] = values[rows == 0]
+            s, top[:, 0] = top[:, 0].copy(), 0.0
+
+            def products(v, start):
+                return s[start:, None] * v[:, None, :] + v[:, :1, None] * top[start:]
+        elif kernel == "matmul":
             wide = np.zeros((r, n * r), dtype=np.complex128)
             wide[rows, cols] = values
 
             def products(v, start):
-                return v @ wide[:, start * r:]
+                return (v @ wide[:, start * r:]).reshape(len(v), n - start, r)
         else:
             slots = (2 * cols[:, None] + [0, 1]).ravel()  # real, then imaginary part
 
             def products(v, start):
-                first = starts[start]
-                weights = (v[rows[first:]] * values[first:]).view(np.float64)
-                sums = np.bincount(slots[2 * first:], weights, 2 * n * r)
-                return sums[2 * start * r:].view(np.complex128)
-
-        def children(v, start):
-            block = products(v, start).reshape(-1, r)
-            return enumerate(zip(block, np.abs(block).sum(axis=1).tolist()), start)
+                begin, width = starts[start], 2 * (n - start) * r
+                weights = np.ascontiguousarray(v[:, rows[begin:]] * values[begin:])
+                slot = slots[2 * begin:] - 2 * start * r + width * np.arange(len(v))[:, None]
+                sums = np.bincount(slot.ravel(), weights.view(np.float64).ravel(), len(v) * width)
+                return sums.view(np.complex128).reshape(len(v), n - start, r)
 
         # polymer j's sites as a bitmask, the polymers it overlaps (itself
-        # included) and the sites that polymers j.. cover
+        # included), through the polymers on each site, and the sites that
+        # polymers j.. cover
         site_bit = {site: 1 << b for b, site in enumerate(
             sorted({site for support, _, _ in polymers for site in support}))}
         sites = [sum(site_bit[site] for site in support) for support, _, _ in polymers]
-        adj = [sum(1 << k for k, other in enumerate(sites) if mask & other)
-               for mask in sites]
+        on_site = dict.fromkeys(site_bit, 0)
+        for j, (support, _, _) in enumerate(polymers):
+            for site in support:
+                on_site[site] |= 1 << j
+        adj = [functools.reduce(operator.or_, map(on_site.get, support))
+               for support, _, _ in polymers]
         reach = list(itertools.accumulate(reversed(sites), operator.or_))[::-1]
         memo: dict = {}
 
-        one = np.zeros(r, dtype=np.complex128)
-        one[0] = 1.0
         total = np.zeros(r, dtype=np.complex128)
-        # pre-order walk; a frame is (multiset as (index, copies) pairs, its
-        # site components, weight, children still to visit)
-        stack = [((), [], 1.0, children(one, 0))]
+        # one depth at a time: a level holds its nodes' products and, per
+        # node, its multiset as (index, copies) pairs, its site components,
+        # weight and first child
+        vectors = np.eye(1, r, dtype=np.complex128)
+        nodes = [((), [], 1.0, 0)] if n else []
         if opts.n_max < 1:  # the root already sits at the depth cap
-            report.tail, report.exact, stack = 1.0, False, []
-        while stack:
-            counts, comps, weight, pending = stack[-1]
-            for j, (product, norm1) in pending:
-                if norm1 == 0.0:
-                    continue
-                if norm1 < opts.floor:
-                    report.tail = max(report.tail, norm1)
+            report.tail, report.exact, nodes = 1.0, False, []
+        depth = 0
+        while nodes:
+            depth += 1
+            # in order of first child, a chunk's children start at its first node's
+            first = np.array([node[3] for node in nodes])
+            order = np.argsort(first, kind="stable")
+            first, nodes = first[order], [nodes[i] for i in order]
+            size = max(1, CHUNK_ENTRIES // ((n - first[0]) * r))
+            next_vectors, next_nodes = [], []
+            for lo in range(0, len(nodes), size):
+                start = first[lo]
+                block = products(vectors[order[lo:lo + size]], start)
+                norms = np.abs(block).sum(axis=2)
+                norms[np.arange(start, n) < first[lo:lo + size, None]] = 0.0
+                live = norms != 0.0  # NaN children stay, so an overflow still shows
+                low = live & (norms < opts.floor)
+                if low.any():
+                    report.tail = max(report.tail, float(norms[low].max()))
                     if shrinking:
-                        continue
-                copies = counts[-1][1] + 1 if counts and counts[-1][0] == j else 1
-                sub = (*counts[:len(counts) - (copies > 1)], (j, copies))
-                sub_weight = weight / copies
-                depth = len(stack)
-                report.n_reached = max(report.n_reached, depth)
-                report.clusters_visited += 1
-                parts = _merged(comps, sites[j])
-                if len(parts) == 1:
-                    rho = _ursell(sub, adj, memo)
-                    if rho:
-                        total += rho * sub_weight * product
-                        report.cluster_count += 1
-                if depth >= opts.n_max:
-                    report.tail = max(report.tail, norm1)
-                    if norm1 >= opts.floor:
-                        report.exact = False
-                    continue
-                # a component no remaining polymer can reach keeps every
-                # extension disconnected, so the whole branch contributes zero
-                if len(parts) >= 2 and any(not comp & reach[j] for comp in parts):
-                    continue
-                stack.append((sub, parts, sub_weight, children(product, j)))
-                break
-            else:
-                stack.pop()
+                        live &= ~low
+                at, child = np.nonzero(live)
+                coeffs = np.zeros(len(at))
+                descend = []
+                for k, (i, j, norm1) in enumerate(zip(
+                        (at + lo).tolist(), (child + start).tolist(), norms[at, child].tolist())):
+                    counts, comps, weight, _ = nodes[i]
+                    copies = counts[-1][1] + 1 if counts and counts[-1][0] == j else 1
+                    sub = (*counts[:len(counts) - (copies > 1)], (j, copies))
+                    sub_weight = weight / copies
+                    parts = _merged(comps, sites[j])
+                    if len(parts) == 1:
+                        rho = _ursell(sub, adj, memo)
+                        if rho:
+                            coeffs[k] = rho * sub_weight
+                            report.cluster_count += 1
+                    if depth >= opts.n_max:
+                        report.tail = max(report.tail, norm1)
+                        if norm1 >= opts.floor:
+                            report.exact = False
+                    # a component no remaining polymer can reach keeps every
+                    # extension disconnected, so the whole branch contributes zero
+                    elif len(parts) == 1 or all(comp & reach[j] for comp in parts):
+                        descend.append(k)
+                        next_nodes.append((sub, parts, sub_weight, j))
+                if len(at):
+                    report.n_reached = depth
+                    report.clusters_visited += len(at)
+                    kids = block[at, child]
+                    total += (coeffs[:, None] * kids).sum(axis=0)
+                    next_vectors.append(kids[descend])
+            nodes = next_nodes
+            vectors = np.concatenate(next_vectors) if next_nodes else None
         report.exact = not capped and report.exact
         log = debug_logger(__name__)
         if log is not None:

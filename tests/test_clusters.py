@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -430,23 +431,33 @@ def test_sector_matrices_are_products_with_each_activity(three_site_universe, se
             assert matrix[row].tolist() == [product.get(n, 0j) for n in masks]
 
 
-def _assemble_by_route(monkeypatch, dense, *engine_args):
+def _assemble_by_route(monkeypatch, route, *engine_args):
     """``assemble`` of ``ClusterEngine(*engine_args)`` with every descent
-    node's children from the matmul kernel on the dense eta-sector array, or
-    from the bincount kernel on the sector's entries."""
+    node's children from one kernel: ``matmul`` on the dense eta-sector
+    array, ``bincount`` on the sector's entries, or ``rank-one`` on each
+    activity's constant and first row."""
     with monkeypatch.context() as patch:
-        patch.setattr(clusters, "DENSE_MAX_ENTRIES", 1 << 62 if dense else 0)
+        patch.setattr(clusters, "_descent_kernel", lambda eta_cap, r, n: route)
         return ClusterEngine(*engine_args).assemble()
 
 
-def _assert_routes_agree(monkeypatch, *engine_args):
-    dense, dense_report = _assemble_by_route(monkeypatch, True, *engine_args)
-    sparse, sparse_report = _assemble_by_route(monkeypatch, False, *engine_args)
-    assert _max_abs(dense.element - sparse.element) < 1e-14
+def _assert_reports_agree(report, other):
     for field in ("polymer_count", "cluster_count", "clusters_visited", "n_reached",
                   "exact"):
-        assert getattr(dense_report, field) == getattr(sparse_report, field), field
-    assert abs(dense_report.tail - sparse_report.tail) < 1e-15
+        assert getattr(report, field) == getattr(other, field), field
+    assert abs(report.tail - other.tail) < 1e-15
+
+
+def _assert_routes_agree(monkeypatch, *engine_args):
+    """The bincount kernel, and under an eta cap of 2 or less the rank-one
+    kernel, give the matmul kernel's series within 1e-14 and its counters."""
+    cap = ClusterEngine(*engine_args).options.eta_degree_cap
+    routes = ["bincount"] + (["rank-one"] if cap is not None and cap <= 2 else [])
+    dense, dense_report = _assemble_by_route(monkeypatch, "matmul", *engine_args)
+    for route in routes:
+        series, report = _assemble_by_route(monkeypatch, route, *engine_args)
+        assert _max_abs(dense.element - series.element) < 1e-14, route
+        _assert_reports_agree(dense_report, report)
 
 
 @pytest.mark.parametrize("eta_cap", [None, 2], ids=["exact", "truncated"])
@@ -456,6 +467,19 @@ def test_dense_and_sparse_descents_agree(three_site_universe, monkeypatch, seed,
     system = _random_even_system(random.Random(seed), sites, eta_sites, n_source=8)
     options = ClusterOptions(n_max=40, floor=1e-16, eta_degree_cap=eta_cap)
     _assert_routes_agree(monkeypatch, u, system.to_element(u), options)
+
+
+@pytest.mark.parametrize("eta_cap", [None, 2], ids=["exact", "truncated"])
+def test_an_engine_without_polymers_walks_no_descent(three_site_universe, eta_cap):
+    """Pure eta items make no polymer: the series is those items, and the
+    descent visits nothing."""
+    _, _, u = three_site_universe
+    f_eta = GrassmannElement({u.bit(eta((0,), bar=True)) | u.bit(eta((2,))): 0.5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series, report = ClusterEngine(u, f_eta, ClusterOptions(eta_degree_cap=eta_cap)).assemble()
+    assert series.element.terms == f_eta.terms
+    assert (report.polymer_count, report.clusters_visited, report.tail) == (0, 0, 0.0)
 
 
 def test_default_pair_runs_take_the_dense_route_and_match_sparse(monkeypatch, caplog):
@@ -507,12 +531,27 @@ def _pair_engines(cfg, shared=True, pairs=None):
 
 def test_linear_response_pair_runs_agree_on_both_kernels(monkeypatch):
     """The truncated L = 3 pair runs read their source regions from the
-    source-free engine by linear response; both descent kernels agree there."""
+    source-free engine by linear response; every descent kernel agrees there."""
     spec, model, options = _model(PAIR_RUN_CONFIGS["truncated-L3"])
     source_free = model.source_free(options)
     for target in pipeline.representative_targets(spec):
         _assert_routes_agree(monkeypatch, *model.sources((spec.sites[0], target)), options,
                              source_free)
+
+
+@pytest.mark.parametrize("name", ["default", "truncated-L3"])
+def test_a_chunk_of_one_node_walks_like_the_default_chunk(monkeypatch, name):
+    """Chunks only group the kernel calls of one depth: taking each node's
+    children alone gives the same counters and series."""
+    spec, model, options = _model(PAIR_RUN_CONFIGS[name])
+    pair = (spec.sites[0], pipeline.representative_targets(spec)[-1])
+    engine_args = (*model.sources(pair), options, model.source_free(options))
+    series, report = ClusterEngine(*engine_args).assemble()
+    with monkeypatch.context() as patch:
+        patch.setattr(clusters, "CHUNK_ENTRIES", 1)
+        alone, alone_report = ClusterEngine(*engine_args).assemble()
+    assert _max_abs(series.element - alone.element) < 1e-14
+    _assert_reports_agree(report, alone_report)
 
 
 def test_a_past_budget_pair_assembles_on_the_bincount_kernel_in_little_memory(caplog):
@@ -896,12 +935,27 @@ def test_each_pair_run_logs_its_integral_counts(caplog):
     assert lines == [
         "source-free engine: 369 items, 45 candidates",
         "45 candidates, 0 restricted integrals computed, 14 by the source-free engine; "
-        "marked classes: 9 computed, 9 read; eta sector: r = 5, 258 entries, matmul",
+        "marked classes: 9 computed, 9 read; eta sector: r = 5, 258 entries, rank-one",
         "45 candidates, 0 restricted integrals computed, 1 by the source-free engine; "
-        "marked classes: 1 computed, 10 read; eta sector: r = 17, 903 entries, matmul",
+        "marked classes: 1 computed, 10 read; eta sector: r = 17, 903 entries, rank-one",
         "45 candidates, 0 restricted integrals computed, 1 by the source-free engine; "
-        "marked classes: 1 computed, 10 read; eta sector: r = 17, 903 entries, matmul",
+        "marked classes: 1 computed, 10 read; eta sector: r = 17, 903 entries, rank-one",
     ]
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(L=4, m_f=3.0, mode="truncated"),
+    RunConfig(L=3, N=2, m_f=3.0, mode="truncated"),
+    RunConfig(d=3, L=3, m_f=3.0, mode="truncated"),
+], ids=["L4", "N2", "d3"])
+def test_every_truncated_pair_run_takes_the_rank_one_kernel(caplog, cfg):
+    """Under the default eta cap of 2, every pair run's descent takes its
+    children from the rank-one kernel, so no truncated descent calls BLAS."""
+    with caplog.at_level(logging.DEBUG, logger="fermicluster.clusters"):
+        payload, _ = pipeline.run_experiment(cfg)
+    kernels = [r.getMessage().rsplit(", ", 1)[1] for r in caplog.records
+               if "eta sector" in r.getMessage()]
+    assert kernels == ["rank-one"] * payload["expansion"]["runs"]
 
 
 def test_a_default_run_leaves_logging_unimported():
