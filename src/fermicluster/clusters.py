@@ -35,23 +35,26 @@ part, its items, candidates, and each such Z and K0, once per class; a
 pair run's engine holds only its source items, and reads the other items
 and its options from the source-free engine.
 
-A region X that holds source sites, its marks M, is linear in the sources
-once the eta degree is capped at 2: each surviving term is a constant or
-one eta-bar times one eta.  Replace every source item psi_y eta-bar_a by
-one unit probe psi_y eta-bar_y per psi mode y of X, and every psi-bar_b
-eta_c by psi-bar_b eta_b at each psi mode b on a mark, with eta modes on
-the sites of X.  The algebra map phi that sends eta-bar_y to the sum over
-a of K(a, y) eta-bar_a, K the coefficients of the psi_y eta-bar_a items,
-and eta_b to the sum over c of the psi-bar_b eta_c coefficients times
-eta_c, turns the probe exponent into the pair's.  phi acts on eta
-generators alone and keeps eta degrees, so it commutes with psi
-integration, the exponential and the cap, and Z(X) = phi(Z°(X, M)), Z° the
-probe integral.  Z° depends only on the translation class of (X, M), so
-the source-free engine computes it once per marked class, and a pair
-engine under a cap of 2 or less builds Z(X) as the matrix product
-K Z° Λ^T without any elimination.  Exact runs and higher caps integrate
-each source region per pair run: their probe sector would hold far more
-eta monomials than the pair's.
+A region X that holds source sites is linear in the sources once the eta
+degree is capped at 2: each surviving term is a constant or one eta-bar
+times one eta.  Replace the source items by unit probes psi_y eta-bar_y and
+psi-bar_y eta_y at every psi mode y of X, with eta modes on its sites.  The
+algebra map phi that sends eta-bar_y to the sum over a of K(a, y) eta-bar_a
+and eta_y to the sum over c of Λ(c, y) eta_c, K and Λ the coefficients of
+the psi_y eta-bar_a and psi-bar_y eta_c items, turns the probe exponent
+into the pair's; Λ vanishes off the source sites, so the probes there map
+to zero.  phi acts on eta generators alone and keeps eta degrees, so it
+commutes with psi integration, the exponential, the cap and the anchor
+recursion: K0(X) = phi(K0°(X)), K0° the probe activity and Z° the probe
+integral.  Under the cap each Z° and K0° is a pair (s, T) of a constant
+and a matrix over X's psi modes, T[i, j] the coefficient of eta-bar_i
+eta_j, and (s1, T1)(s2, T2) = (s1 s2, s1 T2 + s2 T1) exactly, since T1 T2
+has eta degree 4.  s is the source-free Z or K0 and T° depends only on X's
+translation class, so the source-free engine computes T° once per region
+class, and a pair engine under a cap of 2 or less takes each activity as
+s(X) + K T°(X) Λ^T: no elimination, Grassmann product or eta-sector
+matrix.  Exact runs and higher caps integrate each source region per pair
+run: their probe sector would hold far more eta monomials than the pair's.
 
 Every activity has its psi fields integrated out, so the polymer sum is
 linear algebra over the few eta monomials that products of activities
@@ -66,10 +69,12 @@ rank-one.  Activity j is s_j + t_j, s_j its constant and t_j its part of
 eta degree 2, and a nonempty basis monomial times t_j has eta degree 4 or
 vanishes, so the cap drops it: a product v has the children
 s_j v + v_0 t_j, O(n r) work per node for n polymers over r monomials, and
-no matrix product.  Exact runs and higher caps take a chunk's children
-from one matrix product with the matrices laid out dense while they hold
-at most ``DENSE_MAX_ENTRIES`` entries, and from one bincount over their
-entries past that.
+no matrix product; a linear pair run has s_j and t_j from its mapped
+activities, over the empty monomial and the eta-bar eta pairs they reach.
+Exact runs and higher caps take a chunk's children from one matrix product
+with the matrices laid out dense while they hold at most
+``DENSE_MAX_ENTRIES`` entries, and from one bincount over their entries
+past that.
 """
 
 from __future__ import annotations
@@ -243,8 +248,8 @@ class ClusterEngine:
     generator times one eta generator of the other kind (psi eta-bar, or
     psi-bar eta on a source site), the exponent is f plus that engine's
     items, and the options are that engine's (others raise ValueError).
-    Under an eta degree cap of 2 or less, ``source_free`` gives Z of a
-    region with source sites too, by linear response (module docstring).
+    Under an eta degree cap of 2 or less, ``source_free`` gives K0 of a
+    support with source sites too, by linear response (module docstring).
     ``side`` declares f translation invariant on a periodic lattice of that
     side, so Z and K0 are computed once per translation class.
     """
@@ -265,14 +270,17 @@ class ClusterEngine:
         self._source_sites = frozenset(site for site, _, _ in universe.eta_modes)
         self._mode_index = {mode: k for k, mode in enumerate(universe.psi_modes)}
         # eliminations this engine ran, and those ``source_free`` had run
-        # before it; its marked classes (Z° by class of (region, marks)), and
-        # those this engine read
+        # before it; its probe integrals and activities (matrices of Z° and
+        # T° by region class), the activity classes ``source_free`` held
+        # before it and those it read; its Ursell memos by adjacency
         self.integrals_computed = 0
         self._shared_before = source_free.integrals_computed if source_free else 0
-        self._marked_cache: dict = {}
-        self._marked_before = len(source_free._marked_cache) if source_free else 0
-        self._marked_read: set = set()
-        self._classes: dict = {}  # _class by (region, marks)
+        self._probe_cache: dict = {}
+        self._probe_activities: dict = {}
+        self._probe_before = len(source_free._probe_activities) if source_free else 0
+        self._probe_read: set = set()
+        self._ursell_memos: dict = {}
+        self._classes: dict = {}  # _class by region
         element = self._capped(f)
 
         psi_block = universe.psi_block_mask
@@ -282,7 +290,7 @@ class ClusterEngine:
         own = [(mask, coeff, frozenset(g.site for g in universe.indices_of(mask & psi_block)))
                for mask, coeff in element.terms.items() if mask & psi_block]
         # the source items' coefficients, and whether they and ``source_free``
-        # give Z of a region with source sites (module docstring)
+        # give K0 of a support with source sites (module docstring)
         self._response = self._source_response(own) if source_free else None
         eta_cap = self.options.eta_degree_cap
         self._linear = self._response is not None and eta_cap is not None and eta_cap <= 2
@@ -329,12 +337,13 @@ class ClusterEngine:
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     def _source_response(self, own: list[tuple[int, complex, SiteSet]],
-                         ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-        """The source items as (K, Λ, eta pairs): K[a, y] is the coefficient
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The source items as (K, Λ, masks, signs): K[a, y] is the coefficient
         of psi_y eta-bar_a and Λ[c, b] that of psi-bar_b eta_c, over eta and
-        psi mode indices; entry a * (eta modes) + c of the eta pairs is the
-        mask and sign of eta-bar_a eta_c.  Raises ValueError on any other item, or on a
-        psi-bar eta item off the source sites."""
+        psi mode indices; masks[a, c] is the eta mask of eta-bar_a eta_c,
+        shifted down by ``n_psi_bits``, and signs[a, c] its sign as a product
+        in that order.  Raises ValueError on any other item, or on a psi-bar
+        eta item off the source sites."""
         u = self.universe
         n_psi, n_eta = u.n_psi_bits, len(u.eta_modes)
         bar = np.zeros((n_eta, len(u.psi_modes)), dtype=np.complex128)
@@ -348,9 +357,10 @@ class ClusterEngine:
                 raise ValueError("with source_free, f holds only source items: psi eta-bar, "
                                  "or psi-bar eta on a source site")
             (bar if k % 2 else unbar)[a // 2, k // 2] = coeff
-        pairs = [(1 << n_psi + 2 * a | 1 << n_psi + 2 * c + 1, 1 if a <= c else -1)
-                 for a in range(n_eta) for c in range(n_eta)]
-        return bar, unbar, pairs
+        masks = np.array([[1 << 2 * a | 2 << 2 * c for c in range(n_eta)]
+                          for a in range(n_eta)], dtype=np.uint64)
+        order = np.arange(n_eta)
+        return bar, unbar, masks, np.where(order[:, None] <= order, 1.0, -1.0)
 
     def _capped(self, el: GrassmannElement) -> GrassmannElement:
         """``el`` without the terms of eta degree above the cap, if one is
@@ -364,46 +374,41 @@ class ClusterEngine:
         return tuple(sorted(tuple((a - b) % self.side for a, b in zip(site, anchor))
                             for site in sites))
 
-    def _class(self, region: SiteSet, marks: SiteSet = frozenset(),
-               ) -> tuple[Site | None, SiteSet, SiteSet]:
+    def _class(self, region: SiteSet) -> tuple[Site | None, SiteSet]:
         """The anchor a in ``region`` whose move by -a gives the least sorted
-        (region, marks), and both moved by -a, one per translation class;
-        without ``side``, no anchor and both as they are."""
+        region, and the region moved by -a, one per translation class;
+        without ``side``, no anchor and the region as it is."""
         if self.side is None or not region:
-            return None, region, marks
-        if (region, marks) not in self._classes:
-            anchor = min(region, key=lambda a: (self._moved(region, a), self._moved(marks, a)))
-            self._classes[region, marks] = anchor, *(
-                frozenset(self._moved(sites, anchor)) for sites in (region, marks))
-        return self._classes[region, marks]
+            return None, region
+        if region not in self._classes:
+            anchor = min(region, key=lambda a: self._moved(region, a))
+            self._classes[region] = anchor, frozenset(self._moved(region, anchor))
+        return self._classes[region]
 
     def _key(self, region: SiteSet) -> SiteSet:
         """``region``'s representative in its translation class: one key per class."""
         return self._class(region)[1]
 
-    def _marked_integral(self, region: SiteSet, marks: SiteSet,
-                        ) -> tuple[tuple, complex, np.ndarray, list[int]]:
-        """Z°(region, marks) of the module docstring, computed once per
-        translation class of the pair: (class key, constant, C, cols), with
-        C[i, j] the coefficient of eta-bar_i eta_j and row and column i
+    def _probe(self, cache: dict, build, region: SiteSet) -> tuple[SiteSet, np.ndarray, list[int]]:
+        """``build`` of ``region``'s class key, computed once per class in
+        ``cache``: (class key, matrix, cols), row and column i of the matrix
         standing for the psi mode of ``region`` at index ``cols[i]``."""
-        anchor, region, marks = self._class(region, marks)
-        key = (region, marks)
-        if key not in self._marked_cache:
-            self._marked_cache[key] = self._probe_integral(region, marks)
-        constant, matrix, modes = self._marked_cache[key]
+        anchor, key = self._class(region)
+        if key not in cache:
+            cache[key] = build(key)
+        matrix, modes = cache[key]
         if anchor is not None:
             modes = [(tuple((a + b) % self.side for a, b in zip(site, anchor)), *rest)
                      for site, *rest in modes]
-        return key, constant, matrix, [self._mode_index[mode] for mode in modes]
+        return key, matrix, [self._mode_index[mode] for mode in modes]
 
-    def _probe_integral(self, region: SiteSet, marks: SiteSet,
-                        ) -> tuple[complex, np.ndarray, list]:
-        """Z° on the universe of the psi modes of ``region`` with an eta mode
-        for each: this engine's items within it, psi_y eta-bar_y at every psi
-        mode y and psi-bar_b eta_b at every psi mode b on ``marks``, all of
-        coefficient 1.  The items' psi bits move down to the region's modes
-        in order, which keeps every sign and the masks narrow."""
+    def _probe_integral(self, region: SiteSet) -> tuple[np.ndarray, list]:
+        """T of Z°(region) = (s, T) of the module docstring, and the psi modes
+        of ``region`` it stands on: the integral on the universe of those
+        modes with an eta mode for each, of this engine's items within
+        ``region``, psi_y eta-bar_y and psi-bar_y eta_y at every psi mode y,
+        all of coefficient 1.  The items' psi bits move down to the region's
+        modes in order, which keeps every sign and the masks narrow."""
         modes = [mode for mode in self.universe.psi_modes if mode[0] in region]
         probe = GeneratorUniverse(modes, modes)
         n = probe.n_psi_bits
@@ -419,10 +424,8 @@ class ClusterEngine:
                 moved |= moved_bit[low]
                 mask ^= low
             terms.append((moved, coeff))
-        for j, mode in enumerate(modes):
-            terms.append((2 << 2 * j | 1 << n + 2 * j, 1.0))
-            if mode[0] in marks:
-                terms.append((1 << 2 * j | 2 << n + 2 * j, 1.0))
+        for j in range(len(modes)):
+            terms += [(2 << 2 * j | 1 << n + 2 * j, 1.0), (1 << 2 * j | 2 << n + 2 * j, 1.0)]
         z = self._eliminated(probe, terms)
         # each term is the constant or, by charge, one eta-bar and one eta
         matrix = np.zeros((len(modes), len(modes)), dtype=np.complex128)
@@ -434,7 +437,37 @@ class ClusterEngine:
                 matrix[high // 2, low // 2] = -coeff
             else:
                 matrix[low // 2, high // 2] = coeff
-        return z.constant, matrix, modes
+        return matrix, modes
+
+    def _probe_activity(self, region: SiteSet) -> tuple[np.ndarray, list]:
+        """T° of K0°(region) = (s, T°), and the psi modes of ``region`` it
+        stands on: :meth:`polymer_activity`'s anchor recursion on (s, T)
+        pairs, with s from this engine's Z and K0.  The probes sit on every
+        site, so the supports inside ``region`` are its candidates and its
+        single sites."""
+        modes = [mode for mode in self.universe.psi_modes if mode[0] in region]
+        at = {self._mode_index[mode]: i for i, mode in enumerate(modes)}
+
+        def placed(cache, build, part):  # T of ``part``, over ``region``'s modes
+            matrix = np.zeros((len(modes), len(modes)), dtype=np.complex128)
+            if part:
+                _, t, cols = self._probe(cache, build, part)
+                index = [at[col] for col in cols]
+                matrix[np.ix_(index, index)] = t
+            return matrix
+
+        def z(part):
+            return placed(self._probe_cache, self._probe_integral, part)
+
+        anchor = min(region)
+        t = z(region) - z(region - {anchor})
+        for sub in dict.fromkeys([frozenset([anchor]), *self.candidates]):
+            if anchor in sub and sub < region:
+                rest = region - sub
+                t -= (self.polymer_activity(sub).constant * z(rest)
+                      + self._restricted_exp(rest).constant
+                      * placed(self._probe_activities, self._probe_activity, sub))
+        return t, modes
 
     def _from_source_free(self, region: SiteSet) -> bool:
         """Whether ``source_free`` gives Z and K0 of ``region``: it holds no source site."""
@@ -458,33 +491,16 @@ class ClusterEngine:
         return exp_series(effective_log_integral(universe, f, cap), cap,
                           ~universe.psi_block_mask)
 
-    def _linear_response(self, region: SiteSet) -> GrassmannElement:
-        """Z(region) = phi(Z°(region, marks)) for a region with source sites,
-        without elimination: the constant, and K C Λ^T over the eta pairs."""
-        key, constant, matrix, cols = self.source_free._marked_integral(
-            region, region & self._source_sites)
-        self._marked_read.add(key)
-        bar, unbar, pairs = self._response
-        z = bar[:, cols] @ matrix @ unbar[:, cols].T
-        terms = {0: constant}
-        for (mask, sign), value in zip(pairs, z.ravel().tolist()):
-            if value:
-                terms[mask] = sign * value
-        return GrassmannElement(terms)
-
     def _restricted_exp(self, region: SiteSet) -> GrassmannElement:
         """Z(region): integral of exp(f restricted to supports within the region).
 
-        ``source_free`` gives it for a region without a source site, and
-        under an eta cap of 2 or less through its marked classes for the
-        rest; an eta degree cap prunes inside elimination (module docstring).
+        ``source_free`` gives it for a region without a source site; an
+        eta degree cap prunes inside elimination (module docstring).
         """
         key = self._key(region)
         if key not in self._exp_cache:
             if self._from_source_free(key):
                 self._exp_cache[key] = self.source_free._restricted_exp(key)
-            elif self._linear:
-                self._exp_cache[key] = self._linear_response(key)
             else:
                 self._exp_cache[key] = self._eliminated(self.universe, self._items_within(key))
         return self._exp_cache[key]
@@ -561,6 +577,31 @@ class ClusterEngine:
         starts = np.concatenate(([0], np.cumsum(np.bincount(owner[t], minlength=len(activities)))))
         return basis, rows, owner[t] * r + cols, np.where(odd, -cs[t], cs[t]), starts
 
+    def _mapped_polymers(self) -> tuple[list[SiteSet], np.ndarray, np.ndarray, np.ndarray]:
+        """A linear pair run's polymers (module docstring): their supports,
+        constants s (``source_free``'s K0), parts of eta degree 2 over the
+        basis, and the basis, shifted down by ``n_psi_bits``: the empty mask
+        and every eta-bar eta pair some part reaches, in mask order."""
+        free = self.source_free
+        bar, unbar, masks, signs = self._response
+        s = np.array([free.polymer_activity(support).constant for support in self.candidates],
+                     dtype=np.complex128)
+        t = np.zeros((len(s), *masks.shape), dtype=np.complex128)
+        for j, support in enumerate(self.candidates):
+            if support & self._source_sites:
+                key, matrix, cols = free._probe(free._probe_activities, free._probe_activity,
+                                                support)
+                self._probe_read.add(key)
+                t[j] = signs * (bar[:, cols] @ matrix @ unbar[:, cols].T)
+        live = np.abs(s) + np.abs(t).sum(axis=(1, 2)) > 0.0
+        t = t[live]
+        reached = (t != 0).any(axis=0)
+        order = np.argsort(masks[reached])
+        top = np.zeros((len(t), 1 + len(order)), dtype=np.complex128)
+        top[:, 1:] = t[:, reached][:, order]
+        basis = np.insert(masks[reached][order], 0, 0)
+        return [sup for sup, keep in zip(self.candidates, live) if keep], s[live], top, basis
+
     def assemble(self) -> tuple[LogSeries, ExpansionReport]:
         """The resummed cluster logarithm of the normalized exp(f) integral.
 
@@ -571,24 +612,32 @@ class ClusterEngine:
         opts = self.options
         capped = opts.max_polymer_sites is not None or opts.eta_degree_cap is not None
         report = ExpansionReport(mode="truncated" if capped else "exact")
-        polymers: list[tuple[SiteSet, GrassmannElement, float]] = []
-        for support in self.candidates:
-            k0 = self.polymer_activity(support)
-            norm = _element_1norm(k0)
-            if norm > 0.0:
-                polymers.append((support, k0, norm))
-        report.polymer_count = len(polymers)
-
-        shrinking = all(norm <= 1.0 for _, _, norm in polymers)
-        basis, rows, cols, values, starts = self.eta_sector([k0 for _, k0, _ in polymers])
-        r, n = len(basis), len(polymers)
-        kernel = _descent_kernel(opts.eta_degree_cap, r, n)
+        if self._linear:
+            supports, s, top, basis = self._mapped_polymers()
+            norms = np.abs(s) + np.abs(top).sum(axis=1)
+            kernel, entries = "rank-one", np.count_nonzero(s) + np.count_nonzero(top)
+        else:
+            supports, activities, norms = [], [], []
+            for support in self.candidates:
+                k0 = self.polymer_activity(support)
+                norm = _element_1norm(k0)
+                if norm > 0.0:
+                    supports.append(support)
+                    activities.append(k0)
+                    norms.append(norm)
+            basis, rows, cols, values, starts = self.eta_sector(activities)
+            kernel = _descent_kernel(opts.eta_degree_cap, len(basis), len(supports))
+            entries = len(values)
+            if kernel == "rank-one":
+                # activity j acts as s_j 1 + t_j, and t_j only raises the empty
+                # monomial: ``top`` holds row 0 of each matrix without its diagonal
+                top = np.zeros((len(supports), len(basis)), dtype=np.complex128)
+                top[np.divmod(cols[rows == 0], len(basis))] = values[rows == 0]
+                s, top[:, 0] = top[:, 0].copy(), 0.0
+        r, n = len(basis), len(supports)
+        report.polymer_count = n
+        shrinking = bool(np.all(np.less_equal(norms, 1.0)))
         if kernel == "rank-one":
-            # activity j acts as s_j 1 + t_j, and t_j only raises the empty
-            # monomial: ``top`` holds row 0 of each matrix without its diagonal
-            top = np.zeros((n, r), dtype=np.complex128)
-            top[np.divmod(cols[rows == 0], r)] = values[rows == 0]
-            s, top[:, 0] = top[:, 0].copy(), 0.0
 
             def products(v, start):
                 return s[start:, None] * v[:, None, :] + v[:, :1, None] * top[start:]
@@ -612,16 +661,17 @@ class ClusterEngine:
         # included), through the polymers on each site, and the sites that
         # polymers j.. cover
         site_bit = {site: 1 << b for b, site in enumerate(
-            sorted({site for support, _, _ in polymers for site in support}))}
-        sites = [sum(site_bit[site] for site in support) for support, _, _ in polymers]
+            sorted({site for support in supports for site in support}))}
+        sites = [sum(site_bit[site] for site in support) for support in supports]
         on_site = dict.fromkeys(site_bit, 0)
-        for j, (support, _, _) in enumerate(polymers):
+        for j, support in enumerate(supports):
             for site in support:
                 on_site[site] |= 1 << j
-        adj = [functools.reduce(operator.or_, map(on_site.get, support))
-               for support, _, _ in polymers]
+        adj = [functools.reduce(operator.or_, map(on_site.get, support)) for support in supports]
         reach = list(itertools.accumulate(reversed(sites), operator.or_))[::-1]
-        memo: dict = {}
+        # rho^T depends on the multiset and adj alone, so the pair runs of an
+        # experiment share one memo per adjacency
+        memo = (self.source_free or self)._ursell_memos.setdefault(tuple(adj), {})
 
         total = np.zeros(r, dtype=np.complex128)
         # one depth at a time: a level holds its nodes' products and, per
@@ -686,15 +736,17 @@ class ClusterEngine:
         report.exact = not capped and report.exact
         log = debug_logger(__name__)
         if log is not None:
-            shared = marked = 0
+            shared = probed = 0
             if self.source_free:
                 shared = self.source_free.integrals_computed - self._shared_before
-                marked = len(self.source_free._marked_cache) - self._marked_before
+                probed = len(self.source_free._probe_activities) - self._probe_before
             log.debug("%d candidates, %d restricted integrals computed, %d by the "
-                      "source-free engine; marked classes: %d computed, %d read; "
-                      "eta sector: r = %d, %d entries, %s",
-                      len(self.candidates), self.integrals_computed, shared, marked,
-                      len(self._marked_read), r, len(values), kernel)
+                      "source-free engine; probe classes: %d computed, %d read; "
+                      "%d of %d polymers meet the sources; eta sector: r = %d, "
+                      "%d entries, %s", len(self.candidates), self.integrals_computed,
+                      shared, probed, len(self._probe_read),
+                      sum(1 for support in supports if support & self._source_sites), n,
+                      r, entries, kernel)
         shift = self.universe.n_psi_bits
         result = GrassmannElement({int(m) << shift: c for m, c in zip(basis, total.tolist())})
         return LogSeries(self.universe, self.pure_eta + result), report

@@ -530,13 +530,19 @@ def _pair_engines(cfg, shared=True, pairs=None):
 
 
 def test_linear_response_pair_runs_agree_on_both_kernels(monkeypatch):
-    """The truncated L = 3 pair runs read their source regions from the
-    source-free engine by linear response; every descent kernel agrees there."""
+    """The truncated L = 3 pair runs map their activities by linear response
+    and always take the rank-one kernel.  Their engines without the
+    source-free engine build every activity, so every descent kernel runs
+    there and agrees, and the linear-response series agrees with the
+    matmul kernel's within 1e-14."""
     spec, model, options = _model(PAIR_RUN_CONFIGS["truncated-L3"])
     source_free = model.source_free(options)
     for target in pipeline.representative_targets(spec):
-        _assert_routes_agree(monkeypatch, *model.sources((spec.sites[0], target)), options,
-                             source_free)
+        pair = (spec.sites[0], target)
+        _assert_routes_agree(monkeypatch, *model.interaction(pair), options)
+        dense, _ = _assemble_by_route(monkeypatch, "matmul", *model.interaction(pair), options)
+        series, _ = ClusterEngine(*model.sources(pair), options, source_free).assemble()
+        assert _max_abs(dense.element - series.element) < 1e-14
 
 
 @pytest.mark.parametrize("name", ["default", "truncated-L3"])
@@ -650,13 +656,14 @@ def test_capping_inside_elimination_matches_capping_at_the_end():
 
 
 @pytest.mark.parametrize("name, eliminations, classes", [
-    ("default", 37, 5), ("truncated-L3", 16, 5), ("truncated-L4", 31, 10)])
+    ("default", 37, 5), ("truncated-L3", 10, 5), ("truncated-L4", 20, 10)])
 def test_each_source_free_class_is_eliminated_once_per_experiment(
         monkeypatch, name, eliminations, classes):
     """Without the source-free engine the same runs eliminate 45, 135 and 816
-    times, and without its marked classes 37, 48 and 181.  Under a cap of 2
-    the source-free engine runs every elimination: one per unmarked class and
-    one per marked class."""
+    times, without its probes 37, 48 and 181, and with one probe per class of
+    (region, source sites) 37, 16 and 31.  Under a cap of 2 the source-free
+    engine runs every elimination: one per class without probes and one per
+    region class with them."""
     calls = []
     original = clusters.effective_log_integral
 
@@ -668,16 +675,16 @@ def test_each_source_free_class_is_eliminated_once_per_experiment(
     source_free, engines = _pair_engines(PAIR_RUN_CONFIGS[name])
     assert len(calls) == eliminations
     assert len([key for key in source_free._exp_cache if key]) == classes
-    marked = len(source_free._marked_cache)
-    assert source_free.integrals_computed == classes + marked
+    probed = len(source_free._probe_cache)
+    assert source_free.integrals_computed == classes + probed
     assert (source_free.integrals_computed
             + sum(engine.integrals_computed for engine in engines)) == eliminations
     if PAIR_RUN_CONFIGS[name].mode == "truncated":
         assert all(engine.integrals_computed == 0 for engine in engines)
     else:
-        assert marked == 0
-    # the first run computes every unmarked class and later runs read them all
-    assert all(engine._shared_before - engine._marked_before == classes
+        assert probed == 0
+    # the first run computes every class and later runs read them all
+    assert all(engine._shared_before == source_free.integrals_computed
                for engine in engines[1:])
 
 
@@ -791,10 +798,10 @@ def test_source_items_add_only_their_sites_to_the_source_free_closure(name):
     """A pair engine's candidates are the source-free engine's plus its
     one-site source supports: the closure an engine of the whole
     interaction runs gives the same list, and the same items and series.
-    Capped runs read source regions by linear response, so their series
-    agree within 1e-12 of the largest coefficient past the constant;
-    measured: 6.4e-16 on truncated L = 3, 2.4e-15 on L = 4, 9.4e-18 off the
-    origin, 0 at g = 0."""
+    Capped runs map their source-meeting activities by linear response, so
+    their series agree within 1e-12 of the largest coefficient past the
+    constant; measured: 8.5e-16 on truncated L = 3, 1.1e-15 on L = 4,
+    8.5e-16 off the origin, 0 at g = 0."""
     cfg, pairs = SHORTCUT_RUNS[name]
     _, engines = _pair_engines(cfg, pairs=pairs)
     _, full_engines = _pair_engines(cfg, shared=False, pairs=pairs)
@@ -821,27 +828,72 @@ LINEAR_RESPONSE_RUNS = {
 }
 
 
+def _mapped_terms(engine, constant, matrix, cols):
+    """constant + K matrix Λ^T as the pair engine's Grassmann terms, the
+    matrix over the psi modes at ``cols``."""
+    bar, unbar, masks, signs = engine._response
+    products = signs * (bar[:, cols] @ matrix @ unbar[:, cols].T)
+    shift = engine.universe.n_psi_bits
+    return {0: constant, **{int(m) << shift: c for m, c in
+                            zip(masks.ravel().tolist(), products.ravel().tolist()) if c}}
+
+
+def _assert_terms_close(terms, expected, scale):
+    for mask in set(terms) | set(expected):
+        assert abs(terms.get(mask, 0j) - expected.get(mask, 0j)) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("name", LINEAR_RESPONSE_RUNS)
 def test_linear_response_gives_every_source_region_its_integral(name):
-    """Under a cap of 2, every region with a source site that a pair run
-    reads comes from the source-free engine's marked classes; each equals
-    the pair engine's own elimination within 1e-12 of the region's largest
-    coefficient.  Measured: 2.2e-19 at worst."""
+    """Under a cap of 2, a pair run eliminates nothing and maps each activity
+    that meets the sources from the source-free engine's probe activity of
+    its region class.  Against the same pair's engine without the
+    source-free engine: every source region that engine integrates equals
+    its probe integral mapped, every source-meeting activity equals the
+    mapped one, both within 1e-12 of the largest coefficient of the
+    region's integral (K0 is a difference of products of those), and the
+    series agree within 1e-12 of their largest coefficient past the
+    constant, with the same counters.  Measured: 1.1e-16, 1.1e-16 and
+    9.5e-14 at worst, all on L2-N2."""
     cfg, pairs = LINEAR_RESPONSE_RUNS[name]
-    _, engines = _pair_engines(cfg, pairs=pairs)
-    checked = 0
-    for engine in engines:
-        assert engine._linear and engine.integrals_computed == 0
-        for region, z in list(engine._exp_cache.items()):
-            if not region & _source_sites(engine):
-                continue
-            expected = engine._eliminated(engine.universe, engine._items_within(region))
-            scale = max(abs(c) for c in expected.terms.values())
-            assert len(expected) > 1
-            for mask in set(z.terms) | set(expected.terms):
-                assert abs(z.terms.get(mask, 0j) - expected.terms.get(mask, 0j)) <= 1e-12 * scale
-            checked += 1
-    assert checked > 0
+    source_free, engines = _pair_engines(cfg, pairs=pairs)
+    _, full_engines = _pair_engines(cfg, shared=False, pairs=pairs)
+    regions = activities = 0
+    for engine, full in zip(engines, full_engines):
+        assert engine._linear and engine.integrals_computed == 0 and not engine._exp_cache
+        sources = _source_sites(engine)
+        for region, z in full._exp_cache.items():
+            if region & sources:
+                regions += 1
+                _, matrix, cols = source_free._probe(
+                    source_free._probe_cache, source_free._probe_integral, region)
+                constant = source_free._restricted_exp(region).constant
+                _assert_terms_close(_mapped_terms(engine, constant, matrix, cols), z.terms,
+                                    max(map(abs, z.terms.values())))
+        supports, s, top, basis = engine._mapped_polymers()
+        assert supports == full.candidates
+        shift = engine.universe.n_psi_bits
+        for support, constant, row in zip(supports, s.tolist(), top.tolist()):
+            if support & sources:
+                activities += 1
+                mapped = {0: constant, **{int(m) << shift: c for m, c in zip(basis, row) if c}}
+                scale = max(map(abs, full._restricted_exp(support).terms.values()))
+                _assert_terms_close(mapped, full.polymer_activity(support).terms, scale)
+        (series, report), (expected, expected_report) = engine.assemble(), full.assemble()
+        _assert_reports_agree(report, expected_report)
+        _assert_terms_close(series.element.terms, expected.element.terms,
+                            max(abs(c) for m, c in expected.element.terms.items() if m))
+    assert regions and activities
+
+
+@pytest.mark.parametrize("name", PAIR_RUN_CONFIGS)
+def test_the_pair_runs_of_an_experiment_share_one_ursell_memo(name):
+    """rho^T depends on the multiset and the adjacency alone, and every pair
+    run here keeps the same supports, so they all fill one memo, which the
+    source-free engine holds."""
+    source_free, engines = _pair_engines(PAIR_RUN_CONFIGS[name])
+    assert len(source_free._ursell_memos) == 1
+    assert not any(engine._ursell_memos for engine in engines)
 
 
 def test_higher_caps_and_exact_runs_integrate_source_regions_per_pair():
@@ -849,7 +901,7 @@ def test_higher_caps_and_exact_runs_integrate_source_regions_per_pair():
     like exact ones, eliminate each source region in the pair engine."""
     for cfg in (RunConfig(), RunConfig(L=3, m_f=3.0, mode="truncated", eta_cap=4)):
         source_free, engines = _pair_engines(cfg)
-        assert not source_free._marked_cache
+        assert not source_free._probe_cache
         assert all(not engine._linear and engine.integrals_computed for engine in engines)
 
 
@@ -934,12 +986,15 @@ def test_each_pair_run_logs_its_integral_counts(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "fermicluster.clusters"]
     assert lines == [
         "source-free engine: 369 items, 45 candidates",
-        "45 candidates, 0 restricted integrals computed, 14 by the source-free engine; "
-        "marked classes: 9 computed, 9 read; eta sector: r = 5, 258 entries, rank-one",
-        "45 candidates, 0 restricted integrals computed, 1 by the source-free engine; "
-        "marked classes: 1 computed, 10 read; eta sector: r = 17, 903 entries, rank-one",
-        "45 candidates, 0 restricted integrals computed, 1 by the source-free engine; "
-        "marked classes: 1 computed, 10 read; eta sector: r = 17, 903 entries, rank-one",
+        "45 candidates, 0 restricted integrals computed, 10 by the source-free engine; "
+        "probe classes: 5 computed, 5 read; 9 of 45 polymers meet the sources; "
+        "eta sector: r = 5, 78 entries, rank-one",
+        "45 candidates, 0 restricted integrals computed, 0 by the source-free engine; "
+        "probe classes: 0 computed, 5 read; 17 of 45 polymers meet the sources; "
+        "eta sector: r = 17, 183 entries, rank-one",
+        "45 candidates, 0 restricted integrals computed, 0 by the source-free engine; "
+        "probe classes: 0 computed, 5 read; 17 of 45 polymers meet the sources; "
+        "eta sector: r = 17, 183 entries, rank-one",
     ]
 
 
