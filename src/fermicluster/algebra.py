@@ -281,19 +281,43 @@ def exp_series(f: GrassmannElement, cap: int | None = None, bits: int = 0) -> Gr
 
     Every even monomial commutes with every other and squares to zero, so
     exp(c + sum t_i) = e^c prod (1 + t_i).  Odd input raises ParityError.
-    With ``cap`` set, each partial product drops the terms that hold more
-    than ``cap`` of ``bits``: the count only adds under products, so the
-    kept terms come out as if the whole product were truncated at the end,
-    bit for bit.
+    With ``cap`` set (at least 0), each partial product drops the terms
+    that hold more than ``cap`` of ``bits``: the count only adds under
+    products, so the kept terms come out as if the whole product were
+    truncated at the end, bit for bit.
+
+    Each factor (1 + c m), in mask order, folds straight into a dict of the
+    partial product, without building an element or calling ``__mul__``:
+    the pairs are visited in the product's (left, right) order, a key past
+    the cap is never inserted, and exact zeros drop after each factor.  So
+    the terms, their order and their signed zeros are those of the
+    product ``out * GrassmannElement({0: 1.0, m: c})`` truncated after each
+    factor, which the tests keep as the reference.
     """
     if not f.is_even():
         raise ParityError("exp_series needs an even element")
     scale = cmath.exp(f.constant) if f.constant.imag else math.exp(f.constant.real)
-    out = GrassmannElement.one(1.0)
+    one = complex(1.0)
+    out = {0: one}
     for m in sorted(f.terms):
-        if m:
-            out = truncated(out * GrassmannElement({0: 1.0, m: f.terms[m]}), bits, cap)
-    return out.scaled(scale)
+        if not m:
+            continue
+        c = complex(f.terms[m])
+        room = None if cap is None else cap - (m & bits).bit_count()
+        acc: dict[int, complex] = {}
+        for ma, ca in out.items():
+            acc[ma] = acc.get(ma, 0j) + ca * one  # inf * 0j parts turn NaN, as in a product
+            if c != 0 and not ma & m and (room is None or (ma & bits).bit_count() <= room):
+                p = ca * c
+                if (m & prefix_parity(ma)).bit_count() & 1:
+                    p = -p
+                acc[ma | m] = acc.get(ma | m, 0j) + p
+        if 0 in acc.values():
+            acc = {k: v for k, v in acc.items() if v != 0}
+        out = acc
+    el = GrassmannElement()
+    el.terms = out
+    return el.scaled(scale)
 
 
 def nilpotent_powers(r: GrassmannElement) -> list[GrassmannElement]:

@@ -63,11 +63,15 @@ and each activity as one sparse matrix, built once per run; an eta degree
 cap simply leaves the higher monomials out of the basis.  The descent
 goes one depth at a time and takes the children of a chunk of nodes, at
 most ``CHUNK_ENTRIES`` child entries, in one kernel call; numpy drops the
-zero and below-floor children, and Python visits only the rest.  Under an
-eta cap of 2 or less, every truncated run's default, the kernel is
-rank-one.  Activity j is s_j + t_j, s_j its constant and t_j its part of
-eta degree 2, and a nonempty basis monomial times t_j has eta degree 4 or
-vanishes, so the cap drops it: a product v has the children
+zero and below-floor children, and Python visits only the rest.  A chunk
+only groups the kernel calls of a depth and moves nothing but rounding.
+Each chunk costs a fixed dozen numpy calls, so it holds as many nodes as
+fit, 15 of the widest nodes of an exact 2x2 run, at the price of a
+chunk-sized buffer or two in peak memory.  Under an eta cap of 2 or less,
+every truncated run's default, the kernel is rank-one.  Activity j is
+s_j + t_j, s_j its constant and t_j its part of eta degree 2, and a
+nonempty basis monomial times t_j has eta degree 4 or vanishes, so the cap
+drops it: a product v has the children
 s_j v + v_0 t_j, O(n r) work per node for n polymers over r monomials, and
 no matrix product; a linear pair run has s_j and t_j from its mapped
 activities, over the empty monomial and the eta-bar eta pairs they reach.
@@ -102,9 +106,11 @@ MAX_CANDIDATES = 4096
 #: lays out dense for its matrix products; past it, it sums sparse entries.
 DENSE_MAX_ENTRIES = 1 << 20
 #: Most child entries (nodes, times children, times basis size) the descent
-#: computes in one step; larger chunks save little time and raise a run's
-#: peak memory.
-CHUNK_ENTRIES = 1 << 11
+#: computes in one step.  Each chunk pays one kernel call and about ten
+#: numpy calls, so small chunks cost exact runs most of their descent time
+#: (an exact 2x2 node has up to 540 child entries); past 1 << 13 the gain
+#: is small and a run's peak memory grows with the chunk.
+CHUNK_ENTRIES = 1 << 13
 
 
 # ------------------------------------------------------------ graph helpers
@@ -189,6 +195,11 @@ def ursell_factor(supports: Sequence[SiteSet]) -> int:
            for sup in distinct]
     counts = tuple((i, supports.count(sup)) for i, sup in enumerate(distinct))
     return _ursell(counts, adj, {})
+
+
+def _by_size(support: SiteSet) -> tuple:
+    """The candidates' order: by size, then by sorted sites."""
+    return len(support), sorted(support)
 
 
 def _descent_kernel(eta_cap: int | None, r: int, n: int) -> str:
@@ -314,16 +325,25 @@ class ClusterEngine:
     def _candidate_supports(self) -> list[SiteSet]:
         cap = self.options.max_polymer_sites
         seeds = list(self._by_support)
+        if self.source_free:
+            # a one-site support that meets a candidate lies inside it, so
+            # source items add their sites to ``source_free``'s closure and no union
+            inherited = self.source_free.candidates
+            if set(seeds) <= set(inherited):
+                return inherited
+            return sorted({*inherited, *seeds}, key=_by_size)
+        # each support tries only the seeds that share one of its sites
+        by_site: dict[Site, list[SiteSet]] = {}
+        for seed in seeds:
+            for site in seed:
+                by_site.setdefault(site, []).append(seed)
         found: set[SiteSet] = set(seeds)
-        # a one-site support that meets a candidate lies inside it, so source
-        # items add their sites to ``source_free``'s closure and no union
-        frontier = [] if self.source_free else list(found)
-        found.update(self.source_free.candidates if self.source_free else ())
+        frontier = seeds
         while frontier:
             nxt = []
             for cand in frontier:
-                for seed in seeds:
-                    if cand & seed and not cand >= seed:
+                for seed in dict.fromkeys(near for site in cand for near in by_site[site]):
+                    if not cand >= seed:
                         union = cand | seed
                         if cap and len(union) > cap:
                             continue
@@ -334,7 +354,7 @@ class ClusterEngine:
             if len(found) > MAX_CANDIDATES:
                 raise CapacityError(
                     f"polymer support closure exceeded {MAX_CANDIDATES} candidates")
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
+        return sorted(found, key=_by_size)
 
     def _source_response(self, own: list[tuple[int, complex, SiteSet]],
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -640,7 +660,9 @@ class ClusterEngine:
         if kernel == "rank-one":
 
             def products(v, start):
-                return s[start:, None] * v[:, None, :] + v[:, :1, None] * top[start:]
+                out = s[start:, None] * v[:, None, :]
+                out += v[:, :1, None] * top[start:]  # no third array for the sum
+                return out
         elif kernel == "matmul":
             wide = np.zeros((r, n * r), dtype=np.complex128)
             wide[rows, cols] = values
@@ -731,6 +753,8 @@ class ClusterEngine:
                     kids = block[at, child]
                     total += (coeffs[:, None] * kids).sum(axis=0)
                     next_vectors.append(kids[descend])
+                # free this chunk's arrays before the kernel builds the next
+                block = kids = None
             nodes = next_nodes
             vectors = np.concatenate(next_vectors) if next_nodes else None
         report.exact = not capped and report.exact

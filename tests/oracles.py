@@ -4,7 +4,8 @@ Each one computes the same quantity as a production routine by a slow,
 independent route: the Ursell factor from adjacency rows, Gaussian
 integrals by explicit Wick pairing, the log-partition series by literal
 expansion and by mode elimination in index order, kernels spread over
-every slot ordering, Grassmann products by sorting generator lists,
+every slot ordering, Grassmann products by sorting generator lists, the
+capped even exponential as a product of elements,
 Prufer decoding by a smallest-leaf search, and the covariance as the
 inverse of the dense Dirac matrix.
 Exponential or cubic cost; test scale only.  Two small helpers compare
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from fermicluster import berezin
-from fermicluster.algebra import GrassmannElement, canonicalize, log1p_nilpotent
+from fermicluster.algebra import GrassmannElement, canonicalize, log1p_nilpotent, truncated
 from fermicluster.berezin import LogSeries, integrate_element
 from fermicluster.coeffsys import CoefficientSystem
 from fermicluster.errors import NormalizationError, ParityError
@@ -112,6 +113,21 @@ def exp_power_series(f: GrassmannElement) -> GrassmannElement:
             break
         out = out + power.scaled(1.0 / math.factorial(k))
     return out.scaled(cmath.exp(f.constant))
+
+
+def exp_by_products(f: GrassmannElement, cap: int | None = None, bits: int = 0) -> GrassmannElement:
+    """``exp_series`` as a product of elements: e^c times each factor
+    ``GrassmannElement({0: 1.0, m: c})`` in mask order, truncated after
+    every factor.  The library folds the same pairs into one dict, and must
+    match this bit for bit."""
+    if not f.is_even():
+        raise ParityError("exp_by_products needs an even element")
+    scale = cmath.exp(f.constant) if f.constant.imag else math.exp(f.constant.real)
+    out = GrassmannElement.one(1.0)
+    for m in sorted(f.terms):
+        if m:
+            out = truncated(out * GrassmannElement({0: 1.0, m: f.terms[m]}), bits, cap)
+    return out.scaled(scale)
 
 
 def log_expand(universe: GeneratorUniverse, f: GrassmannElement) -> LogSeries:

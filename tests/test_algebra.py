@@ -19,7 +19,7 @@ from fermicluster.algebra import (
 from fermicluster.errors import CapacityError, ParityError
 from fermicluster.generators import Family, GeneratorUniverse, psi
 
-from oracles import allclose, exp_power_series, mask_of, reference_product
+from oracles import allclose, exp_by_products, exp_power_series, mask_of, reference_product
 
 
 def bubble_sign(seq):
@@ -374,6 +374,40 @@ def test_exp_constant_and_even():
     assert set(e.terms) == set(expected)
     for m, v in expected.items():
         assert e.terms[m] == pytest.approx(v)
+
+
+@pytest.mark.parametrize("cap", [None, 2, 4])
+def test_exp_series_folds_like_the_product_of_its_factors(cap):
+    """The folded exponential gives the product form's terms, in its key
+    order, with its signed zeros (compared by ``repr``).  A mask that is the
+    union of two disjoint others collides with their product, small integer
+    parts cancel to exact zeros mid-product, and parts of -0.0 come in."""
+    rng = random.Random(2 + (cap or 0))
+    parts = (0.0, -0.0, 1.0, -1.0, 0.5)
+    collisions = zero_parts = 0
+    for _ in range(100):
+        n_bits = rng.randint(4, 12)
+        masks = [mask_of_positions(rng.sample(range(n_bits), 2 * rng.randint(1, n_bits // 2)))
+                 for _ in range(rng.randint(1, 10))]
+        # an imaginary part of +-0.0 scales by a real exponential, any other
+        # by a complex one
+        terms = {0: complex(rng.uniform(-1, 1), rng.choice((0.0, -0.0, rng.uniform(-1, 1))))}
+        for m in masks:
+            terms[m] = (complex(rng.choice(parts), rng.choice(parts)) if rng.random() < 0.5
+                        else complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        for m1, m2 in itertools.combinations(masks, 2):
+            if not m1 & m2 and m1 | m2 not in terms and rng.random() < 0.5:
+                # plus or minus the pair's product: half of them cancel it
+                terms[m1 | m2] = rng.choice((1, -1)) * terms[m1] * terms[m2]
+                collisions += 1
+        f = GrassmannElement()
+        f.terms = terms  # zero coefficients kept, as the constructor would not
+        bits = mask_of_positions(rng.sample(range(n_bits), n_bits // 2))
+        folded, reference = exp_series(f, cap, bits), exp_by_products(f, cap, bits)
+        assert list(folded.terms) == list(reference.terms)
+        assert repr(list(folded.terms.values())) == repr(list(reference.terms.values()))
+        zero_parts += sum(part == 0.0 for c in folded.terms.values() for part in (c.real, c.imag))
+    assert collisions >= 30 and zero_parts >= 10
 
 
 def test_exp_series_rejects_odd_input():

@@ -545,19 +545,23 @@ def test_linear_response_pair_runs_agree_on_both_kernels(monkeypatch):
         assert _max_abs(dense.element - series.element) < 1e-14
 
 
-@pytest.mark.parametrize("name", ["default", "truncated-L3"])
+@pytest.mark.parametrize("name", ["default", "truncated-L3", "exact-g0.2"])
 def test_a_chunk_of_one_node_walks_like_the_default_chunk(monkeypatch, name):
     """Chunks only group the kernel calls of one depth: taking each node's
-    children alone gives the same counters and series."""
-    spec, model, options = _model(PAIR_RUN_CONFIGS[name])
+    children alone, or a whole depth's at once, gives the same counters and
+    series.  The exact run at g = 0.2 is the deepest exact descent (its pair
+    visits 7,915 clusters to depth 10), and takes the whole-depth chunk alone."""
+    cfg = RunConfig(g=0.2) if name == "exact-g0.2" else PAIR_RUN_CONFIGS[name]
+    spec, model, options = _model(cfg)
     pair = (spec.sites[0], pipeline.representative_targets(spec)[-1])
     engine_args = (*model.sources(pair), options, model.source_free(options))
     series, report = ClusterEngine(*engine_args).assemble()
-    with monkeypatch.context() as patch:
-        patch.setattr(clusters, "CHUNK_ENTRIES", 1)
-        alone, alone_report = ClusterEngine(*engine_args).assemble()
-    assert _max_abs(series.element - alone.element) < 1e-14
-    _assert_reports_agree(report, alone_report)
+    for chunk in [1 << 30] if name == "exact-g0.2" else [1, 1 << 30]:
+        with monkeypatch.context() as patch:
+            patch.setattr(clusters, "CHUNK_ENTRIES", chunk)
+            other, other_report = ClusterEngine(*engine_args).assemble()
+        assert _max_abs(series.element - other.element) < 1e-14, chunk
+        _assert_reports_agree(report, other_report)
 
 
 def test_a_past_budget_pair_assembles_on_the_bincount_kernel_in_little_memory(caplog):
