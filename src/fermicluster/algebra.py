@@ -13,18 +13,21 @@ per left monomial and the sign of each pair is a single popcount.
 
 Products take one of two routes.  A product of at least ``VECTOR_MIN_PAIRS``
 pair visits whose masks all lie below bit 64 runs in numpy, one ``uint64``
-per mask: the collision test and sign run over blocks of ``_BLOCK_PAIRS``
-pairs, and the surviving pairs merge into running (key, sum, first
-position) arrays with ``np.unique`` and ``np.add.at`` once they number a
-sixteenth of a block and as many as the keys so far: a product merges a
-logarithmic number of times, and its temporaries stay within a block and a
-few times its terms.  Every other product runs a Python loop over every pair,
-which takes masks of any width.
+per mask.  When its pairs fit in one block of ``_BLOCK_PAIRS``, as nearly
+all of an exact run's do, it takes a single pass: one collision test, one
+``np.unique`` of the survivors' keys and one ``np.bincount`` sum per part,
+so its cost is a fixed number of numpy calls.  A larger product runs the
+collision test and sign over blocks, and the surviving pairs merge into
+running (key, sum, first position) arrays with ``np.unique`` and
+``np.add.at`` once they number a sixteenth of a block and as many as the
+keys so far: it merges a logarithmic number of times, and its temporaries
+stay within a block and a few times its terms.  Every other product runs a
+Python loop over every pair, which takes masks of any width.
 
 Both routes add each key's pairs in (left, right) order onto a sum that
-starts at 0j and never restarts, list the keys in order of first occurrence
-and drop exact zeros at the end; so they give identical terms, signed zeros
-included, in identical key order.
+starts at +0.0 in each part and never restarts, list the keys in order of
+first occurrence and drop exact zeros at the end; so they give identical
+terms, signed zeros included, in identical key order.
 """
 
 from __future__ import annotations
@@ -81,14 +84,32 @@ def canonicalize(universe: GeneratorUniverse, indices: Iterable[GeneratorIndex])
     return mask, sign
 
 
+def _free_pairs(wa: np.ndarray, wp: np.ndarray, ar: np.ndarray, ai: np.ndarray,
+                wb: np.ndarray, br: np.ndarray, bi: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks and the real and imaginary coefficients of the pairs of
+    ``wa`` x ``wb`` that share no bit, in (left, right) order, each signed
+    by the transpositions that bring it into canonical order."""
+    free = (wa[:, None] & wb[None, :]) == 0
+    # one flat scan; two-dimensional nonzero takes about twice as long
+    ii, jj = np.divmod(np.flatnonzero(free), len(wb))
+    flip = 1.0 - 2.0 * (np.bitwise_count(wb[jj] & wp[ii]) & 1)
+    re = (ar[ii] * br[jj] - ai[ii] * bi[jj]) * flip
+    im = (ar[ii] * bi[jj] + ai[ii] * br[jj]) * flip
+    return wa[ii] | wb[jj], re, im
+
+
 def _vector_product(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
     """Terms of ``a`` x ``b`` summed in numpy, keys in first-occurrence order.
 
     Every mask of both operands must lie below bit 64.  The coefficient
     product is spelled out in real arithmetic, the same operations as
-    Python's complex multiply, and ``np.add.at`` adds unbuffered in pair
-    order onto partial sums carried across merges, so every sum is the same
-    floating-point sequence as the loop route's.
+    Python's complex multiply.  A product of at most ``_BLOCK_PAIRS`` pairs
+    sums its survivors in one pass, each part by ``np.bincount``; a larger
+    one merges block by block, and ``np.add.at`` adds onto partial sums
+    carried across merges.  Both add unbuffered in pair order onto sums
+    that start at +0.0, so every sum is the same floating-point sequence as
+    the loop route's.
     """
     wa = np.array(list(a), dtype=np.uint64)
     wb = np.array(list(b), dtype=np.uint64)
@@ -97,6 +118,16 @@ def _vector_product(a: dict[int, complex], b: dict[int, complex]) -> dict[int, c
     cb = np.array(list(b.values()), dtype=np.complex128)
     ar, ai, br, bi = ca.real, ca.imag, cb.real, cb.imag
     na, nb = len(wa), len(wb)
+    if na * nb <= _BLOCK_PAIRS:
+        new, re, im = _free_pairs(wa, wp, ar, ai, wb, br, bi)
+        keys, first, inverse = np.unique(new, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        sums = np.empty(len(keys), dtype=np.complex128)
+        sums.real = np.bincount(inverse, re, len(keys))[order]
+        sums.imag = np.bincount(inverse, im, len(keys))[order]
+        keys = keys[order]
+        kept = sums != 0
+        return dict(zip(keys[kept].tolist(), sums[kept].tolist()))
     rows = max(1, _BLOCK_PAIRS // nb)
     cols = min(nb, _BLOCK_PAIRS)
     keys = np.empty(0, dtype=np.uint64)
@@ -125,21 +156,17 @@ def _vector_product(a: dict[int, complex], b: dict[int, complex]) -> dict[int, c
 
     for i0 in range(0, na, rows):
         for j0 in range(0, nb, cols):
-            free = (wa[i0:i0 + rows, None] & wb[None, j0:j0 + cols]) == 0
-            # one flat scan; two-dimensional nonzero takes about twice as long
-            ii, jj = np.divmod(np.flatnonzero(free), free.shape[1])
-            if not len(ii):
+            i1, j1 = i0 + rows, j0 + cols
+            new, re, im = _free_pairs(wa[i0:i1], wp[i0:i1], ar[i0:i1], ai[i0:i1],
+                                      wb[j0:j1], br[j0:j1], bi[j0:j1])
+            if not len(new):
                 continue
-            ii += i0
-            jj += j0
-            odd = np.bitwise_count(wb[jj] & wp[ii])
-            flip = 1.0 - 2.0 * (odd & 1)
-            c = np.empty(len(ii), dtype=np.complex128)
-            c.real = (ar[ii] * br[jj] - ai[ii] * bi[jj]) * flip
-            c.imag = (ar[ii] * bi[jj] + ai[ii] * br[jj]) * flip
-            masks.append(wa[ii] | wb[jj])
+            c = np.empty(len(new), dtype=np.complex128)
+            c.real = re
+            c.imag = im
+            masks.append(new)
             coeffs.append(c)
-            pending += len(ii)
+            pending += len(new)
             if pending >= max(1, _BLOCK_PAIRS // 16, len(keys)):
                 merge()
     if pending:
@@ -234,16 +261,19 @@ class GrassmannElement:
             out.terms = _vector_product(a, b)
             return out
         acc: dict[int, complex] = {}
+        get = acc.get
+        right = tuple(b.items())
         for ma, ca in a.items():
             pa = prefix_parity(ma)
-            for mb, cb in b.items():
+            for mb, cb in right:
                 if ma & mb:
                     continue
                 m = ma | mb
-                c = ca * cb
+                # x - y is x + (-y) bit for bit, signed zeros included
                 if (mb & pa).bit_count() & 1:
-                    c = -c
-                acc[m] = acc.get(m, 0j) + c
+                    acc[m] = get(m, 0j) - ca * cb
+                else:
+                    acc[m] = get(m, 0j) + ca * cb
         if 0 in acc.values():
             acc = {m: c for m, c in acc.items() if c != 0}
         out.terms = acc

@@ -118,19 +118,19 @@ def _split_mode(f: GrassmannElement, bar_bit: int, unbar_bit: int):
     u = GrassmannElement()
     v = GrassmannElement()
     w = GrassmannElement()
+    pair = bar_bit | unbar_bit
+    # ``sign * c`` is a complex multiply by (+-1 + 0j), not a negation: it
+    # can change the sign of a zero part
     for m, c in f.terms.items():
-        has_bar = m & bar_bit
-        has_unbar = m & unbar_bit
-        if has_bar and has_unbar:
-            w.terms[m ^ bar_bit ^ unbar_bit] = c
-        elif has_bar:
-            sign = -1 if (m & below).bit_count() & 1 else 1
-            u.terms[m ^ bar_bit] = sign * c
-        elif has_unbar:
-            sign = -1 if (m >> (p + 2)).bit_count() & 1 else 1
-            v.terms[m ^ unbar_bit] = sign * c
-        else:
+        held = m & pair
+        if not held:
             f0.terms[m] = c
+        elif held == pair:
+            w.terms[m ^ pair] = c
+        elif held == bar_bit:
+            u.terms[m ^ bar_bit] = (-1 if (m & below).bit_count() & 1 else 1) * c
+        else:
+            v.terms[m ^ unbar_bit] = (-1 if (m >> (p + 2)).bit_count() & 1 else 1) * c
     return f0, u, v, w
 
 
@@ -224,12 +224,12 @@ def effective_log_integral(universe: GeneratorUniverse, f: GrassmannElement,
     powers of w, which grows with |w|; so each step takes the held mode
     with the smallest ``|u| |v| + |w|``, ties to the lowest index
     (:func:`_cheapest_mode`).  The terms a step adds come from those
-    products, so the choice also keeps the exponent small: on the three
-    pair runs of the default 2x2 config it peaks at 150, 399 and 176
-    terms, against 593, 1,769 and 1,468 in index order.  Modes that no
-    term holds integrate to 1 and are never taken; elimination never adds
-    a mode to a term.  Each step is logged at DEBUG level on the
-    ``fermicluster.berezin`` logger.
+    products, so the choice also keeps the exponent small: on the two
+    pair runs of the default 2x2 config, the origin with its nearest site
+    and with the far corner, it peaks at 424 and 184 terms, against 1,752
+    and 1,454 in index order.  Modes that no term holds integrate to 1 and
+    are never taken; elimination never adds a mode to a term.  Each step is
+    logged at DEBUG level on the ``fermicluster.berezin`` logger.
 
     With ``eta_cap`` set, the result keeps only the terms of eta degree up
     to the cap, and so does the exponent after every step.  That is exact
@@ -241,11 +241,12 @@ def effective_log_integral(universe: GeneratorUniverse, f: GrassmannElement,
         raise ParityError("mode elimination needs an even exponent")
     log = debug_logger(__name__)
     eta_bits = ~universe.psi_block_mask
-    current = truncated(f, eta_bits, eta_cap)
+    current = f if eta_cap is None else truncated(f, eta_bits, eta_cap)
     while (bits := _cheapest_mode(universe, current)) is not None:
         current, u, v, w = _split_mode(current, *bits)
         current += log_bracket(u, v, w)
-        current = truncated(current, eta_bits, eta_cap)
+        if eta_cap is not None:
+            current = truncated(current, eta_bits, eta_cap)
         if log is not None:
             log.debug("eliminated psi mode %d: |u|=%d |v|=%d |w|=%d, %d terms after",
                       (bits[0].bit_length() - 1) // 2, len(u), len(v), len(w), len(current))

@@ -4,7 +4,8 @@ Subcommands: covariance, expand, norms, correlate, trees, verify.  Every
 command reads an optional key-value config file, applies flag overrides,
 and writes a JSON report to --out (never overwriting an existing file) or
 to stdout.  Exit codes: 0 ok, 2 bad configuration, 3 capacity exceeded,
-4 verification failure.
+4 verification failure: a failed ``verify`` criterion, or a ``correlate``
+run whose oracle deviates past ``ORACLE_REL_TOL``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import sys
 import time
 
-from .acceptance import run_checklist
+from .acceptance import ORACLE_REL_TOL, run_checklist
 from .config import RunConfig, load_config, with_overrides
 from .errors import CapacityError, ConfigError
 from .grossneveu import LatticeSpec, covariance, model_norms
@@ -129,10 +130,17 @@ def cmd_norms(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    """The full pipeline's report; exit 4 once it is written when the oracle
+    ran and deviates from the engine past ``ORACLE_REL_TOL`` (or not finitely)."""
     cfg = _load(args)
     payload, timing = run_experiment(cfg)
     csv_text = correlation_csv(payload["correlations"])
     _emit(args, payload, timing, extra_files={".csv": csv_text})
+    oracle = payload["oracle"]
+    if oracle["ran"] and not oracle["worst_rel"] <= ORACLE_REL_TOL:
+        print(f"oracle deviation {oracle['worst_rel']:.3e} exceeds {ORACLE_REL_TOL}",
+              file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 

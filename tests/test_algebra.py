@@ -317,6 +317,42 @@ def test_product_across_bit_64(monkeypatch):
     assert list(vector.terms.items()) == list(loop.terms.items())
 
 
+@pytest.mark.parametrize("na,nb", [(16, 32), (64, 100), (128, 256), (256, 160), (300, 300)])
+def test_single_pass_product_sums_like_the_loop_route(monkeypatch, na, nb):
+    """Products of 512 pairs up to ``_BLOCK_PAIRS`` (128 x 256) sum in one
+    pass, one ``np.unique`` and a ``np.bincount`` per part; larger ones
+    merge block by block.  Even masks of two or four of 16 bits up to bit
+    63 collide in most pairs and share keys, and the parts include +-0.0:
+    both routes give the same keys in the same order, and the same reprs."""
+    rng = random.Random(na * nb)
+    positions = [0, 1, 5, 17, 30, 31, 32, 40, 47, 52, 55, 58, 60, 61, 62, 63]
+    parts = (0.0, -0.0, 1.0, -1.0)
+
+    def operand(n):
+        terms = {}
+        while len(terms) < n:
+            mask = mask_of_positions(rng.sample(positions, rng.choice((2, 4))))
+            c = complex(*(rng.choice(parts) if rng.random() < 0.3
+                          else rng.uniform(-1, 1) for _ in range(2)))
+            if c != 0:
+                terms[mask] = c
+        return GrassmannElement(terms)
+
+    a, b = operand(na), operand(nb)
+    # exact zeros drop from an element, so one zero-part term is set directly
+    a.terms[next(iter(a.terms))] = complex(-0.0, 1.0)
+    assert max(max(a.terms), max(b.terms)).bit_length() == 64
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
+    vector = a * b
+    monkeypatch.setattr(algebra, "VECTOR_MIN_PAIRS", 10 ** 12)
+    loop = a * b
+    assert (len(calls) == 1) == (na * nb <= algebra._BLOCK_PAIRS)
+    assert list(vector.terms.items()) == list(loop.terms.items())
+    assert repr(list(vector.terms.values())) == repr(list(loop.terms.values()))
+
+
 @pytest.mark.parametrize("top_bit", [63, 64, 127])
 def test_numpy_route_takes_only_one_word_masks(monkeypatch, top_bit):
     universe = universe_with_sources(32, 32)

@@ -11,12 +11,19 @@ from pathlib import Path
 import pytest
 
 import fermicluster
-from fermicluster import cli
+from fermicluster import cli, pipeline
 from fermicluster.config import RunConfig, emit_config, parse_config, with_overrides
 from fermicluster.errors import CapacityError, ConfigError
+from fermicluster.grossneveu import correlation_rows
 from fermicluster.pipeline import (
+    expansion_summary,
+    lattice_model,
     lattice_objects,
+    oracle_pair_series,
+    pair_series,
+    probe_coupling,
     representative_targets,
+    run_correlations,
     run_experiment,
 )
 from fermicluster.reports import (
@@ -183,6 +190,55 @@ def test_zero_coupling_run_equals_covariance():
                 assert complex(row["re"], row["im"]) == pytest.approx(want, abs=1e-12)
 
 
+def _row_gap(rows, want) -> float:
+    """Largest distance of ``rows`` from ``want``, over the largest |want|."""
+    assert [(r["distance"], r["alpha"], r["beta"], r["flavor"]) for r in rows] == \
+        [(r["distance"], r["alpha"], r["beta"], r["flavor"]) for r in want]
+    scale = max(r["abs"] for r in want)
+    return max(abs(complex(a["re"] - b["re"], a["im"] - b["im"]))
+               for a, b in zip(rows, want)) / scale
+
+
+@pytest.mark.parametrize("g,m_f", [(0.05, 1.0), (0.2, 1.0), (0.02, 1.0), (0.01, 3.0)])
+def test_exact_run_reads_the_origin_rows_off_the_nearest_pair(g, m_f):
+    """An exact run makes no (origin, origin) run: the origin's rows and
+    sample come from the series of the first other target, which holds
+    every monomial of the origin's own series, and so does the oracle's
+    series of that pair.  Both agree with the origin's own run within
+    1e-10 of its largest row."""
+    cfg = RunConfig(g=g, m_f=m_f)
+    spec, cov = lattice_objects(cfg)
+    model = lattice_model(cfg, spec, cov)
+    targets = representative_targets(spec)
+    origin, nearest = targets[:2]
+    corr = run_correlations(cfg, spec, model, False, targets)
+    assert len(corr.series_list) == len(targets) - 1
+    assert expansion_summary(corr.reports)["runs"] == len(targets) - 1
+    probe = probe_coupling(cfg)
+    want = correlation_rows(pair_series(cfg, spec, model, origin, origin)[0],
+                            probe, spec, origin)
+    got = corr.rows[:len(want)]
+    assert _row_gap(got, want) <= 1e-10
+    assert corr.samples[0] == (origin, max(r["abs"] for r in got))
+    oracle = correlation_rows(oracle_pair_series(model, origin, nearest), probe, spec, origin)
+    assert _row_gap(oracle, want) <= 1e-10
+
+
+def test_truncated_run_keeps_one_pair_run_per_target():
+    """The truncated floor prunes by node norms, which a second source
+    raises, so a truncated run reads each target's rows off its own run."""
+    cfg = RunConfig(L=3, m_f=3.0, mode="truncated")
+    spec, cov = lattice_objects(cfg)
+    model = lattice_model(cfg, spec, cov)
+    origin = spec.sites[0]
+    targets = representative_targets(spec)
+    corr = run_correlations(cfg, spec, model, False, targets)
+    assert len(corr.reports) == len(targets)
+    probe = probe_coupling(cfg)
+    assert corr.rows == [row for target in targets for row in correlation_rows(
+        pair_series(cfg, spec, model, origin, target)[0], probe, spec, target)]
+
+
 @pytest.mark.parametrize("g", [0.05, 0.0])
 def test_run_builds_each_kernel_once(monkeypatch, g):
     # the three pair runs share the model's stencil and its one psi element;
@@ -299,6 +355,26 @@ def test_cli_correlate_writes_csv(tmp_path, capsys):
     assert out.exists()
     csv_text = (tmp_path / "corr.csv").read_text()
     assert csv_text.splitlines()[0] == "distance,alpha,beta,flavor,re,im,abs"
+
+
+def test_cli_correlate_exits_4_once_it_reports_an_oracle_deviation(tmp_path, capsys,
+                                                                     monkeypatch):
+    assert cli.main(["correlate", "--out", str(tmp_path / "clean.json")]) == 0
+    original = pipeline.oracle_pair_series
+
+    def perturbed(model, y1, y2):
+        series = original(model, y1, y2)
+        terms = series.element.terms
+        for mask in terms:
+            terms[mask] *= 1 + 1e-6
+        return series
+
+    monkeypatch.setattr(pipeline, "oracle_pair_series", perturbed)
+    out = tmp_path / "perturbed.json"
+    assert cli.main(["correlate", "--out", str(out)]) == 4
+    assert "oracle deviation" in capsys.readouterr().err
+    assert json.loads(out.read_text())["payload"]["oracle"]["worst_rel"] > 1e-8
+    assert (tmp_path / "perturbed.csv").exists()
 
 
 def test_cli_repeat_run_appends(tmp_path, capsys):
