@@ -4,8 +4,8 @@ Subcommands: covariance, expand, norms, correlate, trees, verify.  Every
 command reads an optional key-value config file, applies flag overrides,
 and writes a JSON report to --out (never overwriting an existing file) or
 to stdout.  Exit codes: 0 ok, 2 bad configuration, 3 capacity exceeded,
-4 verification failure: a failed ``verify`` criterion, or a ``correlate``
-run whose oracle deviates past ``ORACLE_REL_TOL``.
+4 verification failure: a failed ``verify`` criterion, or an ``expand`` or
+``correlate`` run whose oracle deviates past ``ORACLE_REL_TOL``.
 """
 
 from __future__ import annotations
@@ -48,6 +48,16 @@ def _emit(args, payload: dict, timing: dict, extra_files: dict | None = None) ->
             sys.stdout.write(content)
 
 
+def _oracle_status(oracle: dict) -> int:
+    """Exit 4, said on stderr, when the oracle ran and deviates from the
+    engine past ``ORACLE_REL_TOL`` (or not finitely); else exit 0."""
+    if oracle["ran"] and not oracle["worst_rel"] <= ORACLE_REL_TOL:
+        print(f"oracle deviation {oracle['worst_rel']:.3e} exceeds {ORACLE_REL_TOL}",
+              file=sys.stderr)
+        return EXIT_VERIFY
+    return EXIT_OK
+
+
 def _load(args) -> RunConfig:
     """The run's config; its run.out is the report path when --out is absent."""
     cfg = load_config(args.config) if args.config else RunConfig()
@@ -68,7 +78,8 @@ def cmd_covariance(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    """One assembled log series with sources on the origin and the far corner."""
+    """One assembled log series with sources on the origin and the far corner;
+    exit 4 once its report is written when its oracle deviates."""
     cfg = _load(args)
     clock = time.perf_counter
     started = clock()
@@ -111,7 +122,7 @@ def cmd_expand(args) -> int:
         "wall_time_s": round(clock() - started, 3),
         "stages_s": {stage: round(seconds, 3) for stage, seconds in stages.items()},
     })
-    return EXIT_OK
+    return _oracle_status(corr.oracle)
 
 
 def cmd_norms(args) -> int:
@@ -130,18 +141,13 @@ def cmd_norms(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    """The full pipeline's report; exit 4 once it is written when the oracle
-    ran and deviates from the engine past ``ORACLE_REL_TOL`` (or not finitely)."""
+    """The full pipeline's report; exit 4 once it is written when its oracle
+    deviates."""
     cfg = _load(args)
     payload, timing = run_experiment(cfg)
     csv_text = correlation_csv(payload["correlations"])
     _emit(args, payload, timing, extra_files={".csv": csv_text})
-    oracle = payload["oracle"]
-    if oracle["ran"] and not oracle["worst_rel"] <= ORACLE_REL_TOL:
-        print(f"oracle deviation {oracle['worst_rel']:.3e} exceeds {ORACLE_REL_TOL}",
-              file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _oracle_status(payload["oracle"])
 
 
 def cmd_trees(args) -> int:

@@ -8,10 +8,10 @@ is never overwritten, a numbered sibling is written instead.
 
 from __future__ import annotations
 
-import csv
-import hashlib
+import importlib
 import io
 import json
+import sys
 from pathlib import Path
 
 from .config import RunConfig, emit_config
@@ -21,8 +21,18 @@ SCHEMA_VERSION = 1
 CSV_COLUMNS = ("distance", "alpha", "beta", "flavor", "re", "im", "abs")
 
 
+def _sha256():
+    """CPython's built-in SHA-256; ``hashlib`` would load OpenSSL for it."""
+    try:
+        return importlib.import_module(
+            "_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:
+        import hashlib
+        return hashlib.sha256
+
+
 def config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(emit_config(cfg).encode()).hexdigest()[:16]
+    return _sha256()(emit_config(cfg).encode()).hexdigest()[:16]
 
 
 def render_report(payload: dict, timing: dict | None = None) -> str:
@@ -43,6 +53,8 @@ def deterministic_part(text: str) -> str:
 
 
 def correlation_csv(rows: list[dict]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()

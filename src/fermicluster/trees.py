@@ -28,8 +28,17 @@ def cayley_count(n: int) -> int:
     return n ** (n - 2)
 
 
-def prufer_to_tree(seq: tuple[int, ...], n: int) -> TreeEdges:
-    """Decode a Prufer sequence of length n-2 into its labelled tree.
+def _edge_table(n: int) -> list[list[Edge]]:
+    """``table[a][b]`` is the sorted pair of a and b, one tuple per pair."""
+    table = [[(a, b) for b in range(n)] for a in range(n)]
+    for a in range(n):
+        for b in range(a):
+            table[a][b] = table[b][a]
+    return table
+
+
+def _decode(seq: tuple[int, ...], n: int, edge: list[list[Edge]]) -> TreeEdges:
+    """Decode a Prufer sequence of length n-2, taking edges from ``edge``.
 
     Linear time: a pointer walks up to the next unused leaf, and a vertex
     that becomes a leaf below the pointer is joined next, which is the
@@ -42,26 +51,33 @@ def prufer_to_tree(seq: tuple[int, ...], n: int) -> TreeEdges:
     leaf = pointer
     edges = []
     for v in seq:
-        edges.append((leaf, v) if leaf < v else (v, leaf))
+        edges.append(edge[leaf][v])
         degree[v] -= 1
         if degree[v] == 1 and v < pointer:
             leaf = v
         else:
             pointer = degree.index(1, pointer + 1)
             leaf = pointer
-    edges.append((leaf, n - 1))
+    edges.append(edge[leaf][n - 1])
     return frozenset(edges)
 
 
+def prufer_to_tree(seq: tuple[int, ...], n: int) -> TreeEdges:
+    """Decode a Prufer sequence of length n-2 into its labelled tree."""
+    return _decode(seq, n, _edge_table(n))
+
+
 def enumerate_trees(n: int) -> list[TreeEdges]:
-    """All labelled trees on vertices 0..n-1."""
+    """All labelled trees on vertices 0..n-1, in Prufer sequence order.
+
+    Every tree's edges are the n(n-1)/2 tuples of one shared edge table.
+    """
     if n > MAX_ENUMERATION_VERTICES:
         raise CapacityError(f"refusing to enumerate {cayley_count(n)} trees on {n} vertices")
     if n == 1:
         return [frozenset()]
-    if n == 2:
-        return [frozenset({(0, 1)})]
-    return [prufer_to_tree(seq, n) for seq in product(range(n), repeat=n - 2)]
+    edge = _edge_table(n)
+    return [_decode(seq, n, edge) for seq in product(range(n), repeat=n - 2)]
 
 
 def tree_degrees(edges: TreeEdges, n: int) -> tuple[int, ...]:

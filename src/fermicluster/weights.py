@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable
+
+import numpy as np
 
 from .coeffsys import CoefficientSystem
 from .errors import CapacityError
@@ -22,6 +26,8 @@ from .trees import TreeEdges, tree_degrees
 
 MAX_TREESUM_TUPLES = 2_000_000
 BOUND_SLACK = 1e-9  # relative round-off allowed on the bound checks' right side
+
+_site_of = attrgetter("site")
 
 
 @dataclass(frozen=True)
@@ -86,39 +92,69 @@ def coeff_norm(a: CoefficientSystem, w: WeightSystem) -> float:
     Within class (n, m) the pin fixes one psi slot index and one eta slot
     index (whichever exist) and a site; an entry counts once when either
     pinned slot sits at that site.
+
+    Each class reads its slots as small site ids, weighs each distinct site
+    set once, on the frozenset of the first entry that holds it, and sums
+    every pin with one ``np.bincount`` fed in entry order: the order of a
+    running sum per (pin, site) bucket, so the sums are that loop's bit for
+    bit.  Weights must be positive: buckets that no entry reaches hold 0.0
+    and take part in the maximum.
     """
-    by_class: dict[tuple[int, int], list] = {}
-    for (zs, ws), value in a:
-        by_class.setdefault((len(zs), len(ws)), []).append((zs, ws, value))
+    by_class: dict[tuple[int, int], tuple[list, list]] = {}
+    for key, value in a:
+        shape = (len(key[0]), len(key[1]))
+        if shape not in by_class:
+            by_class[shape] = ([], [])
+        keys, values = by_class[shape]
+        keys.append(key)
+        values.append(value)
     total = 0.0
-    for (n, m), items in sorted(by_class.items()):
-        if (n, m) == (0, 0):
+    for (n, m), (keys, values) in sorted(by_class.items()):
+        if not n + m:
             continue
+        sites = list(map(_site_of, chain.from_iterable(chain.from_iterable(keys))))
+        site_id = {s: i for i, s in enumerate(set(sites))}
+        ids = np.fromiter(map(site_id.__getitem__, sites), np.intp,
+                          len(sites)).reshape(len(keys), n + m)
+        first, inverse = _first_of_each_set(ids)
+        weight = np.array([w.weight(n, m, frozenset(g.site for g in zs + ws))
+                           for zs, ws in map(keys.__getitem__, first)])
+        # Python's abs: numpy's complex abs can differ in the last bit
+        mass = weight[inverse] * np.fromiter(map(abs, values), float, len(values))
         if n and m:
-            pairs = [(i, j) for i in range(n) for j in range(m)]
-        elif n:
-            pairs = [(i, None) for i in range(n)]
+            # pin (i, j) is column i * m + j; where its eta slot shares the
+            # psi slot's site it adds 0.0, which leaves the bucket as it is
+            psi_site = np.repeat(ids[:, :n], m, axis=1)
+            eta_site = np.tile(ids[:, n:], n)
+            pinned = np.stack([psi_site, eta_site], axis=2)
+            spread = np.stack([np.repeat(mass[:, None], n * m, axis=1),
+                               np.where(eta_site != psi_site, mass[:, None], 0.0)], axis=2)
         else:
-            pairs = [(None, j) for j in range(m)]
-        buckets: dict[tuple, float] = {}
-        # the weight depends only on the class and the site set
-        weight_of: dict[frozenset[Site], float] = {}
-        for zs, ws, value in items:
-            sites = frozenset(g.site for g in zs + ws)
-            if sites not in weight_of:
-                weight_of[sites] = w.weight(n, m, sites)
-            mass = weight_of[sites] * abs(value)
-            for i, j in pairs:
-                pin_sites = set()
-                if i is not None:
-                    pin_sites.add(zs[i].site)
-                if j is not None:
-                    pin_sites.add(ws[j].site)
-                for p in pin_sites:
-                    key = (i, j, p)
-                    buckets[key] = buckets.get(key, 0.0) + mass
-        total += max(buckets.values(), default=0.0)
+            pinned = ids[:, :, None]
+            spread = np.repeat(mass, n + m)
+        # bucket pin * sites + site; raveling keeps entry order in each bucket
+        buckets = pinned + (np.arange(pinned.shape[1]) * len(site_id))[:, None]
+        total += float(np.bincount(buckets.ravel(), spread.ravel()).max())
     return total
+
+
+def _first_of_each_set(ids: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Group the rows of ``ids`` by the set of values they hold.
+
+    Returns the first row of each group, in group order, and each row's
+    group.  A stable sort of the rows as sets puts a group's rows in row
+    order, so its first sorted row is its first row.
+    """
+    canon = np.sort(ids, axis=1)
+    canon[:, 1:][canon[:, 1:] == canon[:, :-1]] = -1  # repeated sites
+    canon.sort(axis=1)
+    order = np.lexsort(canon.T[::-1])
+    ranked = canon[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts].tolist(), inverse
 
 
 def logseries_norm(coefficients: CoefficientSystem, h: float, kappa: float,

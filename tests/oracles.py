@@ -6,8 +6,8 @@ integrals by explicit Wick pairing, the log-partition series by literal
 expansion and by mode elimination in index order, kernels spread over
 every slot ordering, Grassmann products by sorting generator lists, the
 capped even exponential as a product of elements,
-Prufer decoding by a smallest-leaf search, and the covariance as the
-inverse of the dense Dirac matrix.
+Prufer decoding by a smallest-leaf search, pinned kernel norms entry by
+entry, and the covariance as the inverse of the dense Dirac matrix.
 Exponential or cubic cost; test scale only.  Two small helpers compare
 elements and spell masks by generator.
 """
@@ -26,6 +26,7 @@ from fermicluster.coeffsys import CoefficientSystem
 from fermicluster.errors import NormalizationError, ParityError
 from fermicluster.generators import GeneratorIndex, GeneratorUniverse
 from fermicluster.grossneveu import LatticeSpec, gamma_matrices
+from fermicluster.weights import WeightSystem
 
 
 def ursell_adjacency(adj: tuple[int, ...]) -> int:
@@ -230,6 +231,48 @@ def prufer_to_tree_by_min_leaf(seq: tuple[int, ...], n: int) -> frozenset[tuple[
     last = [v for v in range(n) if degree[v] == 1]
     edges.append((last[0], last[1]))
     return frozenset(edges)
+
+
+def coeff_norm_by_entry(a: CoefficientSystem, w: WeightSystem) -> float:
+    """``weights.coeff_norm`` with a running sum per (pin, site) bucket.
+
+    Walks the entries of each class in stored order, weighs each new site
+    set on the frozenset of the entry that first holds it, and adds the
+    entry's mass to the bucket of every site its pinned slots hold.  The
+    production kernel sums the same buckets in the same order, so the two
+    must agree bit for bit.
+    """
+    by_class: dict[tuple[int, int], list] = {}
+    for (zs, ws), value in a:
+        by_class.setdefault((len(zs), len(ws)), []).append((zs, ws, value))
+    total = 0.0
+    for (n, m), items in sorted(by_class.items()):
+        if (n, m) == (0, 0):
+            continue
+        if n and m:
+            pairs = [(i, j) for i in range(n) for j in range(m)]
+        elif n:
+            pairs = [(i, None) for i in range(n)]
+        else:
+            pairs = [(None, j) for j in range(m)]
+        buckets: dict[tuple, float] = {}
+        weight_of: dict[frozenset, float] = {}
+        for zs, ws, value in items:
+            sites = frozenset(g.site for g in zs + ws)
+            if sites not in weight_of:
+                weight_of[sites] = w.weight(n, m, sites)
+            mass = weight_of[sites] * abs(value)
+            for i, j in pairs:
+                pin_sites = set()
+                if i is not None:
+                    pin_sites.add(zs[i].site)
+                if j is not None:
+                    pin_sites.add(ws[j].site)
+                for p in pin_sites:
+                    key = (i, j, p)
+                    buckets[key] = buckets.get(key, 0.0) + mass
+        total += max(buckets.values(), default=0.0)
+    return total
 
 
 def dirac_matrix(spec: LatticeSpec, m_f: float) -> np.ndarray:

@@ -27,6 +27,7 @@ from fermicluster.pipeline import (
     run_experiment,
 )
 from fermicluster.reports import (
+    config_hash,
     correlation_csv,
     deterministic_part,
     fresh_path,
@@ -297,6 +298,29 @@ def test_cli_expand_writes_report(tmp_path, capsys):
     assert doc["payload"]["coefficients"]
 
 
+def _perturb_the_oracle(monkeypatch):
+    """Scale every oracle series coefficient by 1 + 1e-6."""
+    original = pipeline.oracle_pair_series
+
+    def perturbed(model, y1, y2):
+        series = original(model, y1, y2)
+        terms = series.element.terms
+        for mask in terms:
+            terms[mask] *= 1 + 1e-6
+        return series
+
+    monkeypatch.setattr(pipeline, "oracle_pair_series", perturbed)
+
+
+def test_cli_expand_exits_4_once_it_reports_an_oracle_deviation(tmp_path, capsys,
+                                                                  monkeypatch):
+    _perturb_the_oracle(monkeypatch)
+    out = tmp_path / "perturbed.json"
+    assert cli.main(["expand", "--out", str(out)]) == 4
+    assert "oracle deviation" in capsys.readouterr().err
+    assert json.loads(out.read_text())["payload"]["oracle"]["worst_rel"] > 1e-8
+
+
 def test_cli_expand_times_each_stage_outside_the_payload(tmp_path, capsys):
     out = tmp_path / "series.json"
     assert cli.main(["expand", "--out", str(out)]) == 0
@@ -360,16 +384,7 @@ def test_cli_correlate_writes_csv(tmp_path, capsys):
 def test_cli_correlate_exits_4_once_it_reports_an_oracle_deviation(tmp_path, capsys,
                                                                      monkeypatch):
     assert cli.main(["correlate", "--out", str(tmp_path / "clean.json")]) == 0
-    original = pipeline.oracle_pair_series
-
-    def perturbed(model, y1, y2):
-        series = original(model, y1, y2)
-        terms = series.element.terms
-        for mask in terms:
-            terms[mask] *= 1 + 1e-6
-        return series
-
-    monkeypatch.setattr(pipeline, "oracle_pair_series", perturbed)
+    _perturb_the_oracle(monkeypatch)
     out = tmp_path / "perturbed.json"
     assert cli.main(["correlate", "--out", str(out)]) == 4
     assert "oracle deviation" in capsys.readouterr().err
@@ -559,6 +574,22 @@ def test_cli_exit_code_verification_failure(monkeypatch, capsys):
     assert cli.main(["verify", "--level", "quick"]) == 4
     out = capsys.readouterr().out
     assert "FAIL criterion 1" in out and "1 of 1 criteria failed" in out
+
+
+def test_config_hash_is_the_sha256_prefix_of_the_emitted_config():
+    assert config_hash(RunConfig()) == "963983deece549a5"
+
+
+def test_a_run_loads_neither_openssl_nor_csv():
+    code = ("import sys\n"
+            "from fermicluster.config import RunConfig\n"
+            "from fermicluster.pipeline import run_experiment\n"
+            "run_experiment(RunConfig(mode='truncated'))\n"
+            "print(sorted({'_hashlib', 'csv'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point_runs():

@@ -76,6 +76,11 @@ def test_enumeration_order_matches_min_leaf_reference(n):
     assert enumerate_trees(n) == expected
 
 
+def test_enumerated_trees_share_one_tuple_per_edge():
+    trees = enumerate_trees(7)
+    assert len({id(edge) for tree in trees for edge in tree}) <= math.comb(7, 2)
+
+
 def test_enumeration_capacity_guard():
     with pytest.raises(CapacityError):
         enumerate_trees(9)

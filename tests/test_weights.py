@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermicluster import grossneveu, pipeline
 from fermicluster.coeffsys import (
     CoefficientSystem,
     onsite_density_quartic,
     source_coupling_bilinear,
 )
+from fermicluster.config import RunConfig
 from fermicluster.generators import eta, psi
 from fermicluster.trees import enumerate_trees
 from fermicluster.weights import (
@@ -23,6 +25,7 @@ from fermicluster.weights import (
     tree_length,
     treesum_coeff,
 )
+from oracles import coeff_norm_by_entry
 
 METRIC = TorusMetric((8, 8))
 
@@ -157,6 +160,88 @@ def test_norm_monotone_in_weights():
     assert coeff_norm(sys, WeightSystem(0.5, 2.0, 1.0, METRIC)) >= base
     assert coeff_norm(sys, WeightSystem(0.4, 2.5, 1.0, METRIC)) >= base
     assert coeff_norm(sys, WeightSystem(0.4, 2.0, 1.3, METRIC)) >= base
+
+
+def random_mixed_system(rng, n_entries, box=3):
+    """Entries of every class up to (3, 3) on a small box of sites, with
+    repeated generators and psi and eta slots sharing sites."""
+
+    def site():
+        return (int(rng.integers(0, box)), int(rng.integers(0, box)))
+
+    def gen(make):
+        return make(site(), int(rng.integers(0, 2)), int(rng.integers(0, 2)),
+                    bar=bool(rng.integers(0, 2)))
+
+    sys = CoefficientSystem()
+    for _ in range(n_entries):
+        n, m = (int(k) for k in rng.integers(0, 4, size=2))
+        zs = [gen(psi) for _ in range(n)]
+        ws = [gen(eta) for _ in range(m)]
+        if n > 1 and rng.random() < 0.3:
+            zs[1] = zs[0]
+        if n and m and rng.random() < 0.5:
+            ws[0] = eta(zs[0].site, ws[0].spinor, ws[0].flavor, bar=ws[0].bar)
+        sys.add(zs, ws, complex(rng.normal(), rng.normal()))
+    return sys
+
+
+def _criterion_3_systems():
+    sites = [(x, 0) for x in range(4)]
+    metric = TorusMetric((4, 4))
+    for d, n_flavor in ((2, 1), (2, 3), (3, 2)):
+        for build in (onsite_density_quartic, source_coupling_bilinear):
+            system = build(sites, spinor_count=d, flavor_count=n_flavor, coupling=1.0)
+            yield (f"{build.__name__}-d{d}-N{n_flavor}", system,
+                   WeightSystem(0.5, 4.0, 1.0, metric))
+
+
+def _pipeline_series(cfg):
+    """The merged log series whose norm a run reports as ``h_norm_probed``."""
+    spec, cov = pipeline.lattice_objects(cfg)
+    model = pipeline.lattice_model(cfg, spec, cov)
+    corr = pipeline.run_correlations(cfg, spec, model, False,
+                                     pipeline.representative_targets(spec))
+    return (pipeline.merged_coefficients(corr.series_list),
+            WeightSystem(cfg.kappa, 1.0, cfg.h2, spec.metric))
+
+
+def _reference_systems():
+    yield from _criterion_3_systems()
+    cfg = RunConfig(L=3, m_f=3.0, g=0.05, mode="truncated")
+    spec, cov = pipeline.lattice_objects(cfg)
+    yield ("quartic-L3-m3", grossneveu.quartic_kernel(spec, cov, cfg.g),
+           WeightSystem(cfg.kappa, cfg.h1, cfg.h2, spec.metric))
+    # 81 sites: more than a 64-bit mask holds
+    wide = [(x, y) for x in range(9) for y in range(9)]
+    yield ("bilinear-81-sites",
+           source_coupling_bilinear(wide, spinor_count=2, flavor_count=2, coupling=0.3 - 0.2j),
+           WeightSystem(0.5, 4.0, 1.5, TorusMetric((9, 9))))
+    yield ("series-exact-2x2", *_pipeline_series(RunConfig()))
+    yield ("series-truncated-3x3", *_pipeline_series(cfg))
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        weights = WeightSystem(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.5, 4.0)),
+                               float(rng.uniform(0.5, 2.0)), METRIC)
+        yield (f"random-{seed}", random_mixed_system(rng, int(rng.integers(1, 200))), weights)
+
+
+def test_coeff_norm_equals_the_per_entry_reference_bit_for_bit():
+    names = []
+    for name, system, weights in _reference_systems():
+        assert coeff_norm(system, weights) == coeff_norm_by_entry(system, weights), name
+        names.append(name)
+    assert len(names) == 16
+
+
+def test_random_systems_hold_mixed_classes_and_shared_sites():
+    rng = np.random.default_rng(0)
+    system = random_mixed_system(rng, 150)
+    shapes = system.degrees()
+    assert {(0, 0), (3, 0), (0, 3), (2, 2), (3, 3)} <= shapes
+    keys = [key for key, _ in system]
+    assert any(len(set(zs)) < len(zs) for zs, _ in keys)
+    assert any(zs and ws and zs[0].site == ws[0].site for zs, ws in keys)
 
 
 def test_logseries_norm_single_pair_entry():
