@@ -53,32 +53,32 @@ has eta degree 4.  s is the source-free Z or K0 and T° depends only on X's
 translation class, so the source-free engine computes T° once per region
 class, and a pair engine under a cap of 2 or less takes each activity as
 s(X) + K T°(X) Λ^T: no elimination, Grassmann product or eta-sector
-matrix.  Exact runs and higher caps integrate each source region per pair
-run: their probe sector would hold far more eta monomials than the pair's.
+matrix.  Every other pair engine, in the pipeline an exact run's,
+integrates each source region itself: its probe sector would hold far more
+eta monomials than the pair's.
 
 Every activity has its psi fields integrated out, so the polymer sum is
 linear algebra over the few eta monomials that products of activities
-reach.  The descent holds each product as a complex vector over that basis
-and each activity as one sparse matrix, built once per run; an eta degree
-cap simply leaves the higher monomials out of the basis.  The descent
-goes one depth at a time and takes the children of a chunk of nodes, at
+reach.  The descent holds each product as a complex vector over that basis.
+It goes one depth at a time and takes the children of a chunk of nodes, at
 most ``CHUNK_ENTRIES`` child entries, in one kernel call; numpy drops the
 zero and below-floor children, and Python visits only the rest.  A chunk
 only groups the kernel calls of a depth and moves nothing but rounding.
 Each chunk costs a fixed dozen numpy calls, so it holds as many nodes as
 fit, 15 of the widest nodes of an exact 2x2 run, at the price of a
-chunk-sized buffer or two in peak memory.  Under an eta cap of 2 or less,
-every truncated run's default, the kernel is rank-one.  Activity j is
-s_j + t_j, s_j its constant and t_j its part of eta degree 2, and a
-nonempty basis monomial times t_j has eta degree 4 or vanishes, so the cap
-drops it: a product v has the children
+chunk-sized buffer or two in peak memory.  The engine's kind picks the
+kernel.  A linear pair run, every truncated run's, takes the rank-one
+kernel: activity j is s_j + t_j, s_j its constant and t_j its mapped part
+of eta degree 2, over the empty monomial and the eta-bar eta pairs they
+reach, and a nonempty basis monomial times t_j has eta degree 4 or
+vanishes, so the cap drops it: a product v has the children
 s_j v + v_0 t_j, O(n r) work per node for n polymers over r monomials, and
-no matrix product; a linear pair run has s_j and t_j from its mapped
-activities, over the empty monomial and the eta-bar eta pairs they reach.
-Exact runs and higher caps take a chunk's children from one matrix product
-with the matrices laid out dense while they hold at most
-``DENSE_MAX_ENTRIES`` entries, and from one bincount over their entries
-past that.
+no matrix product.  Every other engine, in the pipeline an exact run's,
+takes a chunk's children from one matrix product with the activities'
+matrices laid out dense side by side, built once per run; an eta degree
+cap simply leaves the higher monomials out of the basis.  Exact mode's
+size limit keeps that array small: r = 36 monomials over 15 polymers on
+2x2.
 """
 
 from __future__ import annotations
@@ -102,9 +102,6 @@ SiteSet = frozenset[Site]
 
 #: Largest polymer support closure the engine builds before giving up.
 MAX_CANDIDATES = 4096
-#: Most matrix entries (basis size squared times live polymers) the descent
-#: lays out dense for its matrix products; past it, it sums sparse entries.
-DENSE_MAX_ENTRIES = 1 << 20
 #: Most child entries (nodes, times children, times basis size) the descent
 #: computes in one step.  Each chunk pays one kernel call and about ten
 #: numpy calls, so small chunks cost exact runs most of their descent time
@@ -200,14 +197,6 @@ def ursell_factor(supports: Sequence[SiteSet]) -> int:
 def _by_size(support: SiteSet) -> tuple:
     """The candidates' order: by size, then by sorted sites."""
     return len(support), sorted(support)
-
-
-def _descent_kernel(eta_cap: int | None, r: int, n: int) -> str:
-    """The kernel that takes the descent's children over r monomials and n
-    polymers (module docstring)."""
-    if eta_cap is not None and eta_cap <= 2:
-        return "rank-one"
-    return "matmul" if r * r * n <= DENSE_MAX_ENTRIES else "bincount"
 
 
 # ---------------------------------------------------------------- options
@@ -556,8 +545,8 @@ class ClusterEngine:
     # -- assembly ------------------------------------------------------------
 
     def eta_sector(self, activities: Sequence[GrassmannElement]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The activities as sparse matrices over the eta monomials they reach.
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The activities as matrices over the eta monomials they reach.
 
         The basis is the closure of {0} under ``m | k`` for every activity
         mask k disjoint from m, without the masks of eta degree above the
@@ -565,10 +554,10 @@ class ClusterEngine:
         Row m of matrix j holds ``e_m * activities[j]`` restricted to the
         basis: cell (m, m | k) gets c_k with the product's sign, and no cell
         gets more than one term since k = column & ~row.  Returns the basis
-        and the entries (rows, j * r + columns, values) of every matrix j, r
-        the basis size, from starts[j] to starts[j + 1]: the matrices side by
-        side in one basis-by-(len(activities) x basis) array, so a row vector
-        times a slice of it is every product of a descent node.
+        and the matrices side by side in one dense r-by-(len(activities) x r)
+        array, r the basis size, matrix j in columns j * r to (j + 1) * r,
+        so a row vector times a slice of it is every product of a descent
+        node.
         """
         shift = self.universe.n_psi_bits
         cap = self.options.eta_degree_cap
@@ -580,9 +569,7 @@ class ClusterEngine:
                       if not m & k and (cap is None or (m | k).bit_count() <= cap)}
         basis = np.array(sorted(found), dtype=np.uint64)
         r = len(basis)
-        # every activity's terms side by side, broadcast against the basis
-        # at once; a stable sort by activity keeps each matrix's entries in
-        # (row, term) order
+        # every activity's terms side by side, broadcast against the basis at once
         ks = np.array([m >> shift for k0 in activities for m in k0.terms], dtype=np.uint64)
         cs = np.array([c for k0 in activities for c in k0.terms.values()], dtype=np.complex128)
         owner = np.repeat(np.arange(len(activities)), [len(k0.terms) for k0 in activities])
@@ -591,11 +578,10 @@ class ClusterEngine:
         cols = np.searchsorted(basis, target).clip(max=r - 1)
         hit = basis[cols] == target
         rows, t, cols = rows[hit], t[hit], cols[hit]
-        order = np.argsort(owner[t], kind="stable")
-        rows, t, cols = rows[order], t[order], cols[order]
         odd = np.bitwise_count(ks[t] & prefix_parity(basis)[rows]) & 1
-        starts = np.concatenate(([0], np.cumsum(np.bincount(owner[t], minlength=len(activities)))))
-        return basis, rows, owner[t] * r + cols, np.where(odd, -cs[t], cs[t]), starts
+        wide = np.zeros((r, len(activities) * r), dtype=np.complex128)
+        wide[rows, owner[t] * r + cols] = np.where(odd, -cs[t], cs[t])
+        return basis, wide
 
     def _mapped_polymers(self) -> tuple[list[SiteSet], np.ndarray, np.ndarray, np.ndarray]:
         """A linear pair run's polymers (module docstring): their supports,
@@ -636,6 +622,11 @@ class ClusterEngine:
             supports, s, top, basis = self._mapped_polymers()
             norms = np.abs(s) + np.abs(top).sum(axis=1)
             kernel, entries = "rank-one", np.count_nonzero(s) + np.count_nonzero(top)
+
+            def products(v, start):
+                out = s[start:, None] * v[:, None, :]
+                out += v[:, :1, None] * top[start:]  # no third array for the sum
+                return out
         else:
             supports, activities, norms = [], [], []
             for support in self.candidates:
@@ -645,39 +636,14 @@ class ClusterEngine:
                     supports.append(support)
                     activities.append(k0)
                     norms.append(norm)
-            basis, rows, cols, values, starts = self.eta_sector(activities)
-            kernel = _descent_kernel(opts.eta_degree_cap, len(basis), len(supports))
-            entries = len(values)
-            if kernel == "rank-one":
-                # activity j acts as s_j 1 + t_j, and t_j only raises the empty
-                # monomial: ``top`` holds row 0 of each matrix without its diagonal
-                top = np.zeros((len(supports), len(basis)), dtype=np.complex128)
-                top[np.divmod(cols[rows == 0], len(basis))] = values[rows == 0]
-                s, top[:, 0] = top[:, 0].copy(), 0.0
-        r, n = len(basis), len(supports)
-        report.polymer_count = n
-        shrinking = bool(np.all(np.less_equal(norms, 1.0)))
-        if kernel == "rank-one":
-
-            def products(v, start):
-                out = s[start:, None] * v[:, None, :]
-                out += v[:, :1, None] * top[start:]  # no third array for the sum
-                return out
-        elif kernel == "matmul":
-            wide = np.zeros((r, n * r), dtype=np.complex128)
-            wide[rows, cols] = values
+            basis, wide = self.eta_sector(activities)
+            kernel, entries = "matmul", np.count_nonzero(wide)
 
             def products(v, start):
                 return (v @ wide[:, start * r:]).reshape(len(v), n - start, r)
-        else:
-            slots = (2 * cols[:, None] + [0, 1]).ravel()  # real, then imaginary part
-
-            def products(v, start):
-                begin, width = starts[start], 2 * (n - start) * r
-                weights = np.ascontiguousarray(v[:, rows[begin:]] * values[begin:])
-                slot = slots[2 * begin:] - 2 * start * r + width * np.arange(len(v))[:, None]
-                sums = np.bincount(slot.ravel(), weights.view(np.float64).ravel(), len(v) * width)
-                return sums.view(np.complex128).reshape(len(v), n - start, r)
+        r, n = len(basis), len(supports)
+        report.polymer_count = n
+        shrinking = bool(np.all(np.less_equal(norms, 1.0)))
 
         # polymer j's sites as a bitmask, the polymers it overlaps (itself
         # included), through the polymers on each site, and the sites that

@@ -20,6 +20,9 @@ _MODES = ("exact", "truncated")
 # Torus distances are Euclidean throughout (norms, tree lengths, fits); the
 # key stays in the schema so that canonical configs and their hashes keep it.
 _METRICS = ("euclidean",)
+# The two-point function is the eta-bar eta part of the log series, and eta
+# degrees only add, so a cap of 2 keeps all of it; that key stays as well.
+_ETA_CAPS = (2,)
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,11 @@ class RunConfig:
             raise ConfigError("weights.h1 and weights.h2 must be positive")
         if self.metric not in _METRICS:
             raise ConfigError(f"weights.metric must be one of {_METRICS}")
-        for name in ("n_max", "max_diameter", "eta_cap"):
+        for name in ("n_max", "max_diameter"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"expansion.{name} must be >= 1")
+        if self.eta_cap not in _ETA_CAPS:
+            raise ConfigError(f"expansion.eta_cap must be one of {_ETA_CAPS}")
         if not 0 < self.floor < 1:
             raise ConfigError("expansion.floor must lie in (0, 1)")
         if self.mode not in _MODES:

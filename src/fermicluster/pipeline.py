@@ -84,19 +84,18 @@ def engine_options(cfg: RunConfig) -> ClusterOptions:
 
 def check_capacity(cfg: RunConfig, spec: LatticeSpec) -> None:
     """Refuse a lattice whose pair of source sites has more eta modes than
-    the eta family's bit capacity, or, under an eta cap of 2 or less, whose
-    regions of ``max_diameter`` sites do: the source-free engine integrates
-    them with an eta mode per psi mode (``clusters`` module docstring).
+    the eta family's bit capacity, or, in truncated mode, whose regions of
+    ``max_diameter`` sites do: the source-free engine integrates them with
+    an eta mode per psi mode (``clusters`` module docstring).
     Refuse as well exact mode where the exact engine and the oracle cannot
     finish, and a truncation key that exact mode would ignore; all before
     any kernel is built."""
     universe_for(spec, spec.sites[:2])
     if cfg.mode != "exact":
-        if cfg.eta_cap <= 2:
-            universe_for(spec, spec.sites[:cfg.max_diameter])
+        universe_for(spec, spec.sites[:cfg.max_diameter])
         return
     for field in fields(RunConfig):
-        if (field.name in ("max_diameter", "eta_cap", "floor")
+        if (field.name in ("max_diameter", "floor")
                 and getattr(cfg, field.name) != field.default):
             raise ConfigError(
                 f"expansion.{field.name} applies only to run.mode = truncated; "

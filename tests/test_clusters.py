@@ -8,7 +8,6 @@ import math
 import random
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -326,7 +325,7 @@ def test_single_quadratic_activity_is_plain_coefficient():
 def test_truncated_mode_never_reports_exact(three_site_universe):
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(2), sites, eta_sites)
-    for options in (ClusterOptions(max_polymer_sites=3), ClusterOptions(eta_degree_cap=4)):
+    for options in (ClusterOptions(max_polymer_sites=3), ClusterOptions(eta_degree_cap=2)):
         _, report = ClusterEngine(u, system.to_element(u), options).assemble()
         assert report.mode == "truncated"
         assert not report.exact
@@ -410,20 +409,14 @@ def test_sector_matrices_are_products_with_each_activity(three_site_universe, se
     system = _random_even_system(random.Random(seed), sites, eta_sites, n_source=8)
     engine = ClusterEngine(u, system.to_element(u), ClusterOptions(eta_degree_cap=eta_cap))
     activities = [k0 for k0 in map(engine.polymer_activity, engine.candidates) if k0.terms]
-    basis, rows, cols, values, starts = engine.eta_sector(activities)
+    basis, wide = engine.eta_sector(activities)
     shift = u.n_psi_bits
     masks = [int(m) << shift for m in basis]
     r = len(masks)
     assert masks[0] == 0 and r > 1
-    assert starts[0] == 0 and starts[-1] == len(values) == len(rows) == len(cols)
-    assert len(starts) == len(activities) + 1
+    assert wide.shape == (r, len(activities) * r)
     for j, k0 in enumerate(activities):
-        part = slice(starts[j], starts[j + 1])
-        cells = list(zip(rows[part].tolist(), (cols[part] - j * r).tolist()))
-        assert all(0 <= column < r for _, column in cells)
-        assert len(set(cells)) == len(cells)  # no (row, column) pair repeats
-        matrix = np.zeros((r, r), dtype=np.complex128)
-        matrix[rows[part], cols[part] - j * r] = values[part]
+        matrix = wide[:, j * r:(j + 1) * r]
         for row, m in enumerate(masks):
             product = reference_product(u, GrassmannElement({m: 1.0}), k0)
             assert all(mask in masks for mask, c in product.items()
@@ -431,42 +424,11 @@ def test_sector_matrices_are_products_with_each_activity(three_site_universe, se
             assert matrix[row].tolist() == [product.get(n, 0j) for n in masks]
 
 
-def _assemble_by_route(monkeypatch, route, *engine_args):
-    """``assemble`` of ``ClusterEngine(*engine_args)`` with every descent
-    node's children from one kernel: ``matmul`` on the dense eta-sector
-    array, ``bincount`` on the sector's entries, or ``rank-one`` on each
-    activity's constant and first row."""
-    with monkeypatch.context() as patch:
-        patch.setattr(clusters, "_descent_kernel", lambda eta_cap, r, n: route)
-        return ClusterEngine(*engine_args).assemble()
-
-
 def _assert_reports_agree(report, other):
     for field in ("polymer_count", "cluster_count", "clusters_visited", "n_reached",
                   "exact"):
         assert getattr(report, field) == getattr(other, field), field
     assert abs(report.tail - other.tail) < 1e-15
-
-
-def _assert_routes_agree(monkeypatch, *engine_args):
-    """The bincount kernel, and under an eta cap of 2 or less the rank-one
-    kernel, give the matmul kernel's series within 1e-14 and its counters."""
-    cap = ClusterEngine(*engine_args).options.eta_degree_cap
-    routes = ["bincount"] + (["rank-one"] if cap is not None and cap <= 2 else [])
-    dense, dense_report = _assemble_by_route(monkeypatch, "matmul", *engine_args)
-    for route in routes:
-        series, report = _assemble_by_route(monkeypatch, route, *engine_args)
-        assert _max_abs(dense.element - series.element) < 1e-14, route
-        _assert_reports_agree(dense_report, report)
-
-
-@pytest.mark.parametrize("eta_cap", [None, 2], ids=["exact", "truncated"])
-@pytest.mark.parametrize("seed", [7, 21, 99])
-def test_dense_and_sparse_descents_agree(three_site_universe, monkeypatch, seed, eta_cap):
-    sites, eta_sites, u = three_site_universe
-    system = _random_even_system(random.Random(seed), sites, eta_sites, n_source=8)
-    options = ClusterOptions(n_max=40, floor=1e-16, eta_degree_cap=eta_cap)
-    _assert_routes_agree(monkeypatch, u, system.to_element(u), options)
 
 
 @pytest.mark.parametrize("eta_cap", [None, 2], ids=["exact", "truncated"])
@@ -482,7 +444,8 @@ def test_an_engine_without_polymers_walks_no_descent(three_site_universe, eta_ca
     assert (report.polymer_count, report.clusters_visited, report.tail) == (0, 0, 0.0)
 
 
-def test_default_pair_runs_take_the_dense_route_and_match_sparse(monkeypatch, caplog):
+def test_default_pair_runs_take_the_dense_route_and_match_sparse(caplog):
+    """Exact pair runs take the matmul kernel."""
     cfg = RunConfig()
     spec, cov = pipeline.lattice_objects(cfg)
     model = pipeline.lattice_model(cfg, spec, cov)
@@ -491,7 +454,6 @@ def test_default_pair_runs_take_the_dense_route_and_match_sparse(monkeypatch, ca
     assert len(targets) == 3
     for target in targets:
         universe, f = model.interaction((origin, target))
-        _assert_routes_agree(monkeypatch, universe, f, pipeline.engine_options(cfg))
         with caplog.at_level(logging.DEBUG, logger="fermicluster.clusters"):
             ClusterEngine(universe, f, pipeline.engine_options(cfg)).assemble()
         assert caplog.records[-1].getMessage().endswith(" entries, matmul")
@@ -529,18 +491,16 @@ def _pair_engines(cfg, shared=True, pairs=None):
     return source_free, engines
 
 
-def test_linear_response_pair_runs_agree_on_both_kernels(monkeypatch):
+def test_linear_response_pair_runs_agree_on_both_kernels():
     """The truncated L = 3 pair runs map their activities by linear response
     and always take the rank-one kernel.  Their engines without the
-    source-free engine build every activity, so every descent kernel runs
-    there and agrees, and the linear-response series agrees with the
-    matmul kernel's within 1e-14."""
+    source-free engine build every activity and take the matmul kernel, and
+    the linear-response series agrees with theirs within 1e-14."""
     spec, model, options = _model(PAIR_RUN_CONFIGS["truncated-L3"])
     source_free = model.source_free(options)
     for target in pipeline.representative_targets(spec):
         pair = (spec.sites[0], target)
-        _assert_routes_agree(monkeypatch, *model.interaction(pair), options)
-        dense, _ = _assemble_by_route(monkeypatch, "matmul", *model.interaction(pair), options)
+        dense, _ = ClusterEngine(*model.interaction(pair), options).assemble()
         series, _ = ClusterEngine(*model.sources(pair), options, source_free).assemble()
         assert _max_abs(dense.element - series.element) < 1e-14
 
@@ -562,27 +522,6 @@ def test_a_chunk_of_one_node_walks_like_the_default_chunk(monkeypatch, name):
             other, other_report = ClusterEngine(*engine_args).assemble()
         assert _max_abs(series.element - other.element) < 1e-14, chunk
         _assert_reports_agree(report, other_report)
-
-
-def test_a_past_budget_pair_assembles_on_the_bincount_kernel_in_little_memory(caplog):
-    """Two flavors under an eta cap of 8: the dense array of the pair's eta
-    sector would take 122 MB, and the descent over its entries far less."""
-    cfg = RunConfig(L=2, N=2, m_f=3.0, eta_cap=8, mode="truncated")
-    spec, model, options = _model(cfg)
-    pair = (spec.sites[0], pipeline.representative_targets(spec)[1])
-    engine = ClusterEngine(*model.sources(pair), options, model.source_free(options))
-    for support in engine.candidates:  # the eliminations stay out of the trace
-        engine.polymer_activity(support)
-    tracemalloc.start()
-    try:
-        with caplog.at_level(logging.DEBUG, logger="fermicluster.clusters"):
-            engine.assemble()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert caplog.records[-1].getMessage().endswith(
-        "eta sector: r = 875, 38484 entries, bincount")
-    assert peak < 32 * 2**20
 
 
 def _source_sites(engine):
@@ -782,7 +721,7 @@ def test_a_pair_engine_runs_under_its_source_free_engines_options():
     assert ClusterEngine(universe, sources, source_free=source_free).options == options
     assert ClusterEngine(universe, sources, options, source_free).options == options
     for other in (dataclasses.replace(options, max_polymer_sites=3),
-                  dataclasses.replace(options, eta_degree_cap=4),
+                  dataclasses.replace(options, eta_degree_cap=None),
                   dataclasses.replace(options, floor=options.floor / 2), ClusterOptions()):
         with pytest.raises(ValueError, match="options"):
             ClusterEngine(universe, sources, other, source_free)
@@ -901,12 +840,11 @@ def test_the_pair_runs_of_an_experiment_share_one_ursell_memo(name):
 
 
 def test_higher_caps_and_exact_runs_integrate_source_regions_per_pair():
-    """Past a cap of 2 the probe sector outgrows the pair's, so those runs,
-    like exact ones, eliminate each source region in the pair engine."""
-    for cfg in (RunConfig(), RunConfig(L=3, m_f=3.0, mode="truncated", eta_cap=4)):
-        source_free, engines = _pair_engines(cfg)
-        assert not source_free._probe_cache
-        assert all(not engine._linear and engine.integrals_computed for engine in engines)
+    """Without a cap the probe sector outgrows the pair's, so exact runs
+    eliminate each source region in the pair engine."""
+    source_free, engines = _pair_engines(RunConfig())
+    assert not source_free._probe_cache
+    assert all(not engine._linear and engine.integrals_computed for engine in engines)
 
 
 def test_a_truncated_experiment_builds_the_quartic_part_and_its_closure_once(monkeypatch):

@@ -69,6 +69,9 @@ def test_config_comments_and_assignments():
     ("run.mode = sideways", "run.mode"),
     ("model.g = -0.1", "g >= 0"),
     ("weights.metric = l1", "weights.metric"),
+    ("expansion.eta_cap = 1", "expansion.eta_cap"),
+    ("expansion.eta_cap = 3", "expansion.eta_cap"),
+    ("expansion.eta_cap = 4", "expansion.eta_cap"),
     ("expansion.k_max = 8", "unknown key"),
     ("model.g = nan", "model.g must be finite"),
     ("weights.h1 = inf", "weights.h1 must be finite"),
@@ -507,8 +510,30 @@ def test_a_probe_universe_past_the_eta_capacity_fails_before_the_covariance(
         assert "34 eta modes need 68 bits, capacity is 64" in capsys.readouterr().err
     spec = grossneveu.LatticeSpec(L=5)
     pipeline.check_capacity(RunConfig(L=5, mode="truncated", max_diameter=16), spec)
-    # past a cap of 2 each pair run integrates its own source regions
-    pipeline.check_capacity(RunConfig(L=5, mode="truncated", max_diameter=17, eta_cap=3), spec)
+    # a truncated run takes no cap but 2, so its pair runs map their source regions
+    with pytest.raises(ConfigError, match="expansion.eta_cap"):
+        RunConfig(L=5, mode="truncated", max_diameter=17, eta_cap=3)
+
+
+@pytest.mark.parametrize("cap", [1, 4])
+def test_an_eta_cap_other_than_2_fails_before_the_covariance(cap, tmp_path, monkeypatch,
+                                                             capsys):
+    """A cap of 1 drops every eta-bar eta term, so the run would write every
+    correlation as 0.0; a cap of 4 gives the correlations of a cap of 2,
+    only slower."""
+    from fermicluster import grossneveu
+
+    def no_covariance(*args):
+        raise AssertionError("covariance computed before the config check")
+
+    for module in (grossneveu, pipeline):
+        monkeypatch.setattr(module, "covariance", no_covariance)
+    path = tmp_path / f"cap{cap}.cfg"
+    path.write_text("lattice.L = 3\nmodel.m_f = 3.0\nrun.mode = truncated\n"
+                    f"expansion.eta_cap = {cap}\n")
+    for command in ("correlate", "expand"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert "expansion.eta_cap must be one of" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["correlate", "expand"])
@@ -545,10 +570,13 @@ def test_exact_mode_refuses_more_than_eight_psi_modes(tmp_path, capsys):
 @pytest.mark.parametrize("text", ["expansion.max_diameter = 3", "expansion.eta_cap = 1",
                                   "expansion.floor = 1e-12"])
 def test_exact_mode_refuses_truncation_keys(text, tmp_path, capsys):
+    """An eta cap other than 2 is refused in any mode, before the mode check."""
     path = tmp_path / "capped.cfg"
     path.write_text(text + "\n")
     assert cli.main(["expand", "--config", str(path)]) == 2
-    assert "applies only to run.mode = truncated" in capsys.readouterr().err
+    message = ("expansion.eta_cap must be one of" if "eta_cap" in text
+               else "applies only to run.mode = truncated")
+    assert message in capsys.readouterr().err
 
 
 def test_truncation_keys_run_under_truncated_override(tmp_path, capsys):
