@@ -17,10 +17,8 @@ commute and no interchange signs arise at the polymer level.
 
 Activities come from one route: an anchor recursion peels K0 off the
 restricted integrals.  A run is truncated when it caps the polymer size or
-the eta degree, and exact when it caps neither.  Under an eta degree cap,
-each restricted integral drops the terms past the cap after every
-elimination step and every factor of its exponential: eta degrees only add
-under products and integration removes no eta bit, so that is exact.
+reads a pair's sources by linear response (below), which keeps the terms
+of eta degree 2 or less, and exact otherwise.
 
 In a pair run of the lattice model, every item is charge-neutral (psi-bar
 and eta-bar count +1, psi and eta -1) and integration keeps only terms of
@@ -30,32 +28,32 @@ So a region that holds no source site has a scalar restricted integral,
 which the eta-free items alone give, and a support that holds none a
 scalar activity, read off the integrals of regions inside it.  With a
 translation-invariant eta-free part, both depend only on the translation
-class.  One source-free :class:`ClusterEngine` per experiment owns that
-part, its items, candidates, and each such Z and K0, once per class; a
-pair run's engine holds only its source items, and reads the other items
-and its options from the source-free engine.
+class, and the source-free :class:`ClusterEngine` of that part (``side``
+set) computes each such Z and K0 once per class.
 
 A region X that holds source sites is linear in the sources once the eta
 degree is capped at 2: each surviving term is a constant or one eta-bar
-times one eta.  Replace the source items by unit probes psi_y eta-bar_y and
-psi-bar_y eta_y at every psi mode y of X, with eta modes on its sites.  The
-algebra map phi that sends eta-bar_y to the sum over a of K(a, y) eta-bar_a
-and eta_y to the sum over c of Λ(c, y) eta_c, K and Λ the coefficients of
-the psi_y eta-bar_a and psi-bar_y eta_c items, turns the probe exponent
-into the pair's; Λ vanishes off the source sites, so the probes there map
-to zero.  phi acts on eta generators alone and keeps eta degrees, so it
-commutes with psi integration, the exponential, the cap and the anchor
-recursion: K0(X) = phi(K0°(X)), K0° the probe activity and Z° the probe
-integral.  Under the cap each Z° and K0° is a pair (s, T) of a constant
-and a matrix over X's psi modes, T[i, j] the coefficient of eta-bar_i
-eta_j, and (s1, T1)(s2, T2) = (s1 s2, s1 T2 + s2 T1) exactly, since T1 T2
-has eta degree 4.  s is the source-free Z or K0 and T° depends only on X's
-translation class, so the source-free engine computes T° once per region
-class, and a pair engine under a cap of 2 or less takes each activity as
-s(X) + K T°(X) Λ^T: no elimination, Grassmann product or eta-sector
-matrix.  Every other pair engine, in the pipeline an exact run's,
-integrates each source region itself: its probe sector would hold far more
-eta monomials than the pair's.
+times one eta, and the eta-bar eta coefficients of log Z need no term of
+higher degree, since degrees only add.  Replace the source items by unit
+probes psi_y eta-bar_y and psi-bar_y eta_y at every psi mode y of X, with
+eta modes on its sites.  The algebra map phi that sends eta-bar_y to the
+sum over a of K(a, y) eta-bar_a and eta_y to the sum over c of Λ(c, y)
+eta_c, K and Λ the coefficients of the psi_y eta-bar_a and psi-bar_y eta_c
+items, turns the probe exponent into the pair's; Λ vanishes off the source
+sites, so the probes there map to zero.  phi acts on eta generators alone
+and keeps eta degrees, so it commutes with psi integration, the
+exponential, the cap and the anchor recursion: K0(X) = phi(K0°(X)), K0°
+the probe activity and Z° the probe integral.  Under the cap each Z° and
+K0° is a pair (s, T) of a constant and a matrix over X's psi modes,
+T[i, j] the coefficient of eta-bar_i eta_j, and (s1, T1)(s2, T2) =
+(s1 s2, s1 T2 + s2 T1) exactly, since T1 T2 has eta degree 4.  s is the
+source-free Z or K0 and T° depends only on X's translation class, so the
+source-free engine computes T° once per region class, and its
+``assemble(pair)`` takes each activity of the pair as s(X) + K T°(X) Λ^T:
+no elimination, Grassmann product or eta-sector matrix.  An exact pair
+run instead hands the whole interaction to an engine of its own, which
+integrates every region itself: its probe sector would hold far more eta
+monomials than the pair's.
 
 Every activity has its psi fields integrated out, so the polymer sum is
 linear algebra over the few eta monomials that products of activities
@@ -66,19 +64,17 @@ zero and below-floor children, and Python visits only the rest.  A chunk
 only groups the kernel calls of a depth and moves nothing but rounding.
 Each chunk costs a fixed dozen numpy calls, so it holds as many nodes as
 fit, 15 of the widest nodes of an exact 2x2 run, at the price of a
-chunk-sized buffer or two in peak memory.  The engine's kind picks the
-kernel.  A linear pair run, every truncated run's, takes the rank-one
-kernel: activity j is s_j + t_j, s_j its constant and t_j its mapped part
-of eta degree 2, over the empty monomial and the eta-bar eta pairs they
-reach, and a nonempty basis monomial times t_j has eta degree 4 or
-vanishes, so the cap drops it: a product v has the children
-s_j v + v_0 t_j, O(n r) work per node for n polymers over r monomials, and
-no matrix product.  Every other engine, in the pipeline an exact run's,
-takes a chunk's children from one matrix product with the activities'
-matrices laid out dense side by side, built once per run; an eta degree
-cap simply leaves the higher monomials out of the basis.  Exact mode's
-size limit keeps that array small: r = 36 monomials over 15 polymers on
-2x2.
+chunk-sized buffer or two in peak memory.  The route picks the kernel.
+``assemble(pair)`` takes the rank-one kernel: activity j is s_j + t_j, s_j
+its constant and t_j its mapped part of eta degree 2, over the empty
+monomial and the eta-bar eta pairs they reach, and a nonempty basis
+monomial times t_j has eta degree 4 or vanishes, so the cap drops it: a
+product v has the children s_j v + v_0 t_j, O(n r) work per node for n
+polymers over r monomials, and no matrix product.  ``assemble()``, in the
+pipeline an exact run's, takes a chunk's children from one matrix product
+with the activities' matrices laid out dense side by side, built once per
+run.  Exact mode's size limit keeps that array small: r = 36 monomials
+over 15 polymers on 2x2.
 """
 
 from __future__ import annotations
@@ -91,7 +87,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import GrassmannElement, exp_series, prefix_parity, truncated
+from .algebra import GrassmannElement, exp_series, prefix_parity
 from .berezin import LogSeries, debug_logger, effective_log_integral
 # not called here; bench/tracing.py's EXPECTED_COPIES lists this binding
 from .berezin import integrate_element  # noqa: F401
@@ -199,6 +195,38 @@ def _by_size(support: SiteSet) -> tuple:
     return len(support), sorted(support)
 
 
+def _source_sites(universe: GeneratorUniverse) -> SiteSet:
+    """The sites of ``universe``'s eta modes."""
+    return frozenset(site for site, _, _ in universe.eta_modes)
+
+
+def _source_response(universe: GeneratorUniverse, sources: GrassmannElement,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A pair's source items as (K, Λ, masks, signs): K[a, y] is the
+    coefficient of psi_y eta-bar_a and Λ[c, b] that of psi-bar_b eta_c, over
+    eta and psi mode indices; masks[a, c] is the eta mask of eta-bar_a eta_c,
+    shifted down by ``n_psi_bits``, and signs[a, c] its sign as a product in
+    that order.  Raises ValueError on any other item, or on a psi-bar eta
+    item off the source sites."""
+    n_psi, n_eta = universe.n_psi_bits, len(universe.eta_modes)
+    source_sites = _source_sites(universe)
+    bar = np.zeros((n_eta, len(universe.psi_modes)), dtype=np.complex128)
+    unbar = np.zeros_like(bar)
+    for mask, coeff in sources.terms.items():
+        psi_part, eta_part = mask & universe.psi_block_mask, mask >> n_psi
+        k, a = psi_part.bit_length() - 1, eta_part.bit_length() - 1
+        # bar bits are even, so a source item has one of each parity
+        if (psi_part.bit_count() != 1 or eta_part.bit_count() != 1 or k % 2 == a % 2
+                or k % 2 == 0 and universe.psi_modes[k // 2][0] not in source_sites):
+            raise ValueError("a pair holds only source items: psi eta-bar, "
+                             "or psi-bar eta on a source site")
+        (bar if k % 2 else unbar)[a // 2, k // 2] = coeff
+    masks = np.array([[1 << 2 * a | 2 << 2 * c for c in range(n_eta)]
+                      for a in range(n_eta)], dtype=np.uint64)
+    order = np.arange(n_eta)
+    return bar, unbar, masks, np.where(order[:, None] <= order, 1.0, -1.0)
+
+
 # ---------------------------------------------------------------- options
 
 
@@ -206,16 +234,15 @@ def _by_size(support: SiteSet) -> tuple:
 class ClusterOptions:
     """Caps and floors for the expansion.
 
-    max_polymer_sites drops every support of more sites and eta_degree_cap
-    every term of higher eta degree; a run that sets either is truncated,
-    one that sets neither is exact.  floor is the 1-norm below which a
-    product branch is dropped (its size is reported as the tail).
+    max_polymer_sites drops every support of more sites; a run that sets it
+    is truncated, as is every linear-response pair run (module docstring).
+    floor is the 1-norm below which a product branch is dropped (its size
+    is reported as the tail).
     """
 
     n_max: int = 24
     floor: float = 1e-15
     max_polymer_sites: int | None = None
-    eta_degree_cap: int | None = None
 
 
 @dataclass
@@ -242,64 +269,44 @@ def _element_1norm(el: GrassmannElement) -> float:
 class ClusterEngine:
     """Polymer activities and their resummed logarithm for one even exponent f.
 
-    ``source_free``, an engine of the eta-free part on the same psi modes,
-    owns those items, their candidate closure, and Z and K0 of every region
-    without a source site; f then holds only source items, each one psi
-    generator times one eta generator of the other kind (psi eta-bar, or
-    psi-bar eta on a source site), the exponent is f plus that engine's
-    items, and the options are that engine's (others raise ValueError).
-    Under an eta degree cap of 2 or less, ``source_free`` gives K0 of a
-    support with source sites too, by linear response (module docstring).
     ``side`` declares f translation invariant on a periodic lattice of that
-    side, so Z and K0 are computed once per translation class.
+    side, so Z and K0 are computed once per translation class; the
+    source-free engine of a lattice model sets it, and its
+    ``assemble(pair)`` gives each pair run by linear response (module
+    docstring).  ``ursell_memos``, a dict that other engines may share,
+    holds the rho^T memos by adjacency: rho^T depends on the multiset and
+    the adjacency alone.
     """
 
     def __init__(self, universe: GeneratorUniverse, f: GrassmannElement,
-                 options: ClusterOptions | None = None,
-                 source_free: ClusterEngine | None = None, side: int | None = None):
+                 options: ClusterOptions | None = None, side: int | None = None,
+                 ursell_memos: dict | None = None):
         if not f.is_even():
             raise ParityError("cluster expansion requires an even interaction")
-        if source_free is not None:
-            if options not in (None, source_free.options):
-                raise ValueError("with source_free, the options are source_free's")
-            options = source_free.options
         self.universe = universe
         self.options = options or ClusterOptions()
-        self.source_free = source_free
         self.side = side
-        self._source_sites = frozenset(site for site, _, _ in universe.eta_modes)
         self._mode_index = {mode: k for k, mode in enumerate(universe.psi_modes)}
-        # eliminations this engine ran, and those ``source_free`` had run
-        # before it; its probe integrals and activities (matrices of Z° and
-        # T° by region class), the activity classes ``source_free`` held
-        # before it and those it read; its Ursell memos by adjacency
+        # eliminations this engine ran; its probe integrals and activities
+        # (matrices of Z° and T° by region class); its Ursell memos
         self.integrals_computed = 0
-        self._shared_before = source_free.integrals_computed if source_free else 0
         self._probe_cache: dict = {}
         self._probe_activities: dict = {}
-        self._probe_before = len(source_free._probe_activities) if source_free else 0
-        self._probe_read: set = set()
-        self._ursell_memos: dict = {}
+        self._ursell_memos = {} if ursell_memos is None else ursell_memos
         self._classes: dict = {}  # _class by region
-        element = self._capped(f)
 
         psi_block = universe.psi_block_mask
         cap = self.options.max_polymer_sites
         self.pure_eta = GrassmannElement(
-            {mask: coeff for mask, coeff in element.terms.items() if not mask & psi_block})
-        own = [(mask, coeff, frozenset(g.site for g in universe.indices_of(mask & psi_block)))
-               for mask, coeff in element.terms.items() if mask & psi_block]
-        # the source items' coefficients, and whether they and ``source_free``
-        # give K0 of a support with source sites (module docstring)
-        self._response = self._source_response(own) if source_free else None
-        eta_cap = self.options.eta_degree_cap
-        self._linear = self._response is not None and eta_cap is not None and eta_cap <= 2
-        # this engine's own psi-supported items by support; no candidate and
-        # no restricted region holds one on more than ``cap`` sites
+            {mask: coeff for mask, coeff in f.terms.items() if not mask & psi_block})
+        # the psi-supported items by support; no candidate and no restricted
+        # region holds one on more than ``cap`` sites
         self._by_support: dict[SiteSet, list[tuple[int, complex]]] = {}
-        for mask, coeff, sup in own:
-            if not cap or len(sup) <= cap:
-                self._by_support.setdefault(sup, []).append((mask, coeff))
+        for mask, coeff in f.terms.items():
+            if mask & psi_block:
+                sup = frozenset(g.site for g in universe.indices_of(mask & psi_block))
+                if not cap or len(sup) <= cap:
+                    self._by_support.setdefault(sup, []).append((mask, coeff))
 
         self.candidates = self._candidate_supports()
         self._activity_cache: dict[SiteSet, GrassmannElement] = {}
@@ -314,13 +321,6 @@ class ClusterEngine:
     def _candidate_supports(self) -> list[SiteSet]:
         cap = self.options.max_polymer_sites
         seeds = list(self._by_support)
-        if self.source_free:
-            # a one-site support that meets a candidate lies inside it, so
-            # source items add their sites to ``source_free``'s closure and no union
-            inherited = self.source_free.candidates
-            if set(seeds) <= set(inherited):
-                return inherited
-            return sorted({*inherited, *seeds}, key=_by_size)
         # each support tries only the seeds that share one of its sites
         by_site: dict[Site, list[SiteSet]] = {}
         for seed in seeds:
@@ -344,37 +344,6 @@ class ClusterEngine:
                 raise CapacityError(
                     f"polymer support closure exceeded {MAX_CANDIDATES} candidates")
         return sorted(found, key=_by_size)
-
-    def _source_response(self, own: list[tuple[int, complex, SiteSet]],
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The source items as (K, Λ, masks, signs): K[a, y] is the coefficient
-        of psi_y eta-bar_a and Λ[c, b] that of psi-bar_b eta_c, over eta and
-        psi mode indices; masks[a, c] is the eta mask of eta-bar_a eta_c,
-        shifted down by ``n_psi_bits``, and signs[a, c] its sign as a product
-        in that order.  Raises ValueError on any other item, or on a psi-bar
-        eta item off the source sites."""
-        u = self.universe
-        n_psi, n_eta = u.n_psi_bits, len(u.eta_modes)
-        bar = np.zeros((n_eta, len(u.psi_modes)), dtype=np.complex128)
-        unbar = np.zeros_like(bar)
-        for mask, coeff, sup in own:
-            psi_part, eta_part = mask & u.psi_block_mask, mask >> n_psi
-            k, a = psi_part.bit_length() - 1, eta_part.bit_length() - 1
-            # bar bits are even, so a source item has one of each parity
-            if (psi_part.bit_count() != 1 or eta_part.bit_count() != 1 or k % 2 == a % 2
-                    or k % 2 == 0 and not sup <= self._source_sites):
-                raise ValueError("with source_free, f holds only source items: psi eta-bar, "
-                                 "or psi-bar eta on a source site")
-            (bar if k % 2 else unbar)[a // 2, k // 2] = coeff
-        masks = np.array([[1 << 2 * a | 2 << 2 * c for c in range(n_eta)]
-                          for a in range(n_eta)], dtype=np.uint64)
-        order = np.arange(n_eta)
-        return bar, unbar, masks, np.where(order[:, None] <= order, 1.0, -1.0)
-
-    def _capped(self, el: GrassmannElement) -> GrassmannElement:
-        """``el`` without the terms of eta degree above the cap, if one is
-        set; exact on the kept terms (module docstring)."""
-        return truncated(el, ~self.universe.psi_block_mask, self.options.eta_degree_cap)
 
     # -- activities --------------------------------------------------------
 
@@ -435,7 +404,7 @@ class ClusterEngine:
             terms.append((moved, coeff))
         for j in range(len(modes)):
             terms += [(2 << 2 * j | 1 << n + 2 * j, 1.0), (1 << 2 * j | 2 << n + 2 * j, 1.0)]
-        z = self._eliminated(probe, terms)
+        z = self._eliminated(probe, terms, cap=2)
         # each term is the constant or, by charge, one eta-bar and one eta
         matrix = np.zeros((len(modes), len(modes)), dtype=np.complex128)
         for mask, coeff in z.without_constant().terms.items():
@@ -478,40 +447,27 @@ class ClusterEngine:
                       * placed(self._probe_activities, self._probe_activity, sub))
         return t, modes
 
-    def _from_source_free(self, region: SiteSet) -> bool:
-        """Whether ``source_free`` gives Z and K0 of ``region``: it holds no source site."""
-        return self.source_free is not None and not region & self._source_sites
-
     def _items_within(self, region: SiteSet) -> list[tuple[int, complex]]:
-        """The items within ``region``, ``source_free``'s included."""
-        own = [item for sup, items in self._by_support.items() if sup <= region
-               for item in items]
-        return own + self.source_free._items_within(region) if self.source_free else own
+        """The items on supports within ``region``."""
+        return [item for sup, items in self._by_support.items() if sup <= region
+                for item in items]
 
-    def _eliminated(self, universe: GeneratorUniverse,
-                    terms: list[tuple[int, complex]]) -> GrassmannElement:
-        """The integral of exp of ``terms``, in mask order, capped after each
-        step and factor."""
+    def _eliminated(self, universe: GeneratorUniverse, terms: list[tuple[int, complex]],
+                    cap: int | None = None) -> GrassmannElement:
+        """The integral of exp of ``terms``, in mask order, without the terms
+        of eta degree above ``cap`` after each step and factor, if it is set."""
         if not terms:
             return GrassmannElement.one(1.0)
         self.integrals_computed += 1
-        cap = self.options.eta_degree_cap
         f = GrassmannElement(dict(sorted(terms, key=operator.itemgetter(0))))
         return exp_series(effective_log_integral(universe, f, cap), cap,
                           ~universe.psi_block_mask)
 
     def _restricted_exp(self, region: SiteSet) -> GrassmannElement:
-        """Z(region): integral of exp(f restricted to supports within the region).
-
-        ``source_free`` gives it for a region without a source site; an
-        eta degree cap prunes inside elimination (module docstring).
-        """
+        """Z(region): integral of exp(f restricted to supports within the region)."""
         key = self._key(region)
         if key not in self._exp_cache:
-            if self._from_source_free(key):
-                self._exp_cache[key] = self.source_free._restricted_exp(key)
-            else:
-                self._exp_cache[key] = self._eliminated(self.universe, self._items_within(key))
+            self._exp_cache[key] = self._eliminated(self.universe, self._items_within(key))
         return self._exp_cache[key]
 
     def polymer_activity(self, support: SiteSet) -> GrassmannElement:
@@ -530,15 +486,11 @@ class ClusterEngine:
         key = self._key(support)
         if key in self._activity_cache:
             return self._activity_cache[key]
-        if self._from_source_free(key):
-            k0 = self.source_free.polymer_activity(key)
-        else:
-            anchor = min(key)
-            value = self._restricted_exp(key) - self._restricted_exp(key - {anchor})
-            for sub in self.candidates:
-                if anchor in sub and sub < key:
-                    value = value - self.polymer_activity(sub) * self._restricted_exp(key - sub)
-            k0 = self._capped(value)
+        anchor = min(key)
+        k0 = self._restricted_exp(key) - self._restricted_exp(key - {anchor})
+        for sub in self.candidates:
+            if anchor in sub and sub < key:
+                k0 = k0 - self.polymer_activity(sub) * self._restricted_exp(key - sub)
         self._activity_cache[key] = k0
         return k0
 
@@ -549,8 +501,8 @@ class ClusterEngine:
         """The activities as matrices over the eta monomials they reach.
 
         The basis is the closure of {0} under ``m | k`` for every activity
-        mask k disjoint from m, without the masks of eta degree above the
-        cap, shifted down by ``n_psi_bits``; basis[0] is the empty mask.
+        mask k disjoint from m, shifted down by ``n_psi_bits``; basis[0] is
+        the empty mask.
         Row m of matrix j holds ``e_m * activities[j]`` restricted to the
         basis: cell (m, m | k) gets c_k with the product's sign, and no cell
         gets more than one term since k = column & ~row.  Returns the basis
@@ -560,13 +512,11 @@ class ClusterEngine:
         node.
         """
         shift = self.universe.n_psi_bits
-        cap = self.options.eta_degree_cap
         keys = sorted({m >> shift for k0 in activities for m in k0.terms} - {0})
         # after key i, ``found`` holds the unions of disjoint keys up to i
         found = {0}
         for k in keys:
-            found |= {m | k for m in found
-                      if not m & k and (cap is None or (m | k).bit_count() <= cap)}
+            found |= {m | k for m in found if not m & k}
         basis = np.array(sorted(found), dtype=np.uint64)
         r = len(basis)
         # every activity's terms side by side, broadcast against the basis at once
@@ -583,21 +533,23 @@ class ClusterEngine:
         wide[rows, owner[t] * r + cols] = np.where(odd, -cs[t], cs[t])
         return basis, wide
 
-    def _mapped_polymers(self) -> tuple[list[SiteSet], np.ndarray, np.ndarray, np.ndarray]:
-        """A linear pair run's polymers (module docstring): their supports,
-        constants s (``source_free``'s K0), parts of eta degree 2 over the
-        basis, and the basis, shifted down by ``n_psi_bits``: the empty mask
-        and every eta-bar eta pair some part reaches, in mask order."""
-        free = self.source_free
-        bar, unbar, masks, signs = self._response
-        s = np.array([free.polymer_activity(support).constant for support in self.candidates],
+    def _mapped_polymers(self, candidates: list[SiteSet], universe: GeneratorUniverse,
+                         sources: GrassmannElement,
+                         ) -> tuple[list[SiteSet], np.ndarray, np.ndarray, np.ndarray]:
+        """A pair's polymers by linear response (module docstring): the live
+        ``candidates``, their constants s (this engine's K0), their parts of
+        eta degree 2 over the basis, and the basis, shifted down by
+        ``n_psi_bits``: the empty mask and every eta-bar eta pair some part
+        reaches, in mask order."""
+        bar, unbar, masks, signs = _source_response(universe, sources)
+        source_sites = _source_sites(universe)
+        s = np.array([self.polymer_activity(support).constant for support in candidates],
                      dtype=np.complex128)
         t = np.zeros((len(s), *masks.shape), dtype=np.complex128)
-        for j, support in enumerate(self.candidates):
-            if support & self._source_sites:
-                key, matrix, cols = free._probe(free._probe_activities, free._probe_activity,
-                                                support)
-                self._probe_read.add(key)
+        for j, support in enumerate(candidates):
+            if support & source_sites:
+                _, matrix, cols = self._probe(self._probe_activities, self._probe_activity,
+                                              support)
                 t[j] = signs * (bar[:, cols] @ matrix @ unbar[:, cols].T)
         live = np.abs(s) + np.abs(t).sum(axis=(1, 2)) > 0.0
         t = t[live]
@@ -606,20 +558,33 @@ class ClusterEngine:
         top = np.zeros((len(t), 1 + len(order)), dtype=np.complex128)
         top[:, 1:] = t[:, reached][:, order]
         basis = np.insert(masks[reached][order], 0, 0)
-        return [sup for sup, keep in zip(self.candidates, live) if keep], s[live], top, basis
+        return [sup for sup, keep in zip(candidates, live) if keep], s[live], top, basis
 
-    def assemble(self) -> tuple[LogSeries, ExpansionReport]:
+    def assemble(self, pair: tuple[GeneratorUniverse, GrassmannElement] | None = None,
+                 ) -> tuple[LogSeries, ExpansionReport]:
         """The resummed cluster logarithm of the normalized exp(f) integral.
 
-        Each product is a complex vector over the eta sector basis, and a
-        node's children are that vector times the matrices of its last
-        polymer and those after it, taken a chunk of nodes at a time.
+        Given ``pair``, a universe on this engine's psi modes and the source
+        items of a pair run there, it is that of exp(f + sources) on the
+        pair's universe, up to eta degree 2, by linear response (module
+        docstring); its candidates are this engine's and the one-site
+        supports of the source sites.  Each product is a complex vector
+        over the eta sector basis, and a node's children are that vector
+        times the matrices of its last polymer and those after it, taken a
+        chunk of nodes at a time.
         """
         opts = self.options
-        capped = opts.max_polymer_sites is not None or opts.eta_degree_cap is not None
+        capped = pair is not None or opts.max_polymer_sites is not None
         report = ExpansionReport(mode="truncated" if capped else "exact")
-        if self._linear:
-            supports, s, top, basis = self._mapped_polymers()
+        universe = self.universe if pair is None else pair[0]
+        source_sites = _source_sites(universe)
+        integrals, probes = self.integrals_computed, len(self._probe_activities)
+        candidates = self.candidates
+        if pair is not None:
+            # the source sites join the closure, which is empty at g = 0
+            candidates = sorted({*candidates, *(frozenset([site]) for site in source_sites)},
+                                key=_by_size)
+            supports, s, top, basis = self._mapped_polymers(candidates, *pair)
             norms = np.abs(s) + np.abs(top).sum(axis=1)
             kernel, entries = "rank-one", np.count_nonzero(s) + np.count_nonzero(top)
 
@@ -629,7 +594,7 @@ class ClusterEngine:
                 return out
         else:
             supports, activities, norms = [], [], []
-            for support in self.candidates:
+            for support in candidates:
                 k0 = self.polymer_activity(support)
                 norm = _element_1norm(k0)
                 if norm > 0.0:
@@ -657,9 +622,7 @@ class ClusterEngine:
                 on_site[site] |= 1 << j
         adj = [functools.reduce(operator.or_, map(on_site.get, support)) for support in supports]
         reach = list(itertools.accumulate(reversed(sites), operator.or_))[::-1]
-        # rho^T depends on the multiset and adj alone, so the pair runs of an
-        # experiment share one memo per adjacency
-        memo = (self.source_free or self)._ursell_memos.setdefault(tuple(adj), {})
+        memo = self._ursell_memos.setdefault(tuple(adj), {})
 
         total = np.zeros(r, dtype=np.complex128)
         # one depth at a time: a level holds its nodes' products and, per
@@ -726,17 +689,13 @@ class ClusterEngine:
         report.exact = not capped and report.exact
         log = debug_logger(__name__)
         if log is not None:
-            shared = probed = 0
-            if self.source_free:
-                shared = self.source_free.integrals_computed - self._shared_before
-                probed = len(self.source_free._probe_activities) - self._probe_before
-            log.debug("%d candidates, %d restricted integrals computed, %d by the "
-                      "source-free engine; probe classes: %d computed, %d read; "
-                      "%d of %d polymers meet the sources; eta sector: r = %d, "
-                      "%d entries, %s", len(self.candidates), self.integrals_computed,
-                      shared, probed, len(self._probe_read),
-                      sum(1 for support in supports if support & self._source_sites), n,
+            log.debug("%d candidates, %d restricted integrals computed; probe classes: "
+                      "%d computed; %d of %d polymers meet the sources; eta sector: "
+                      "r = %d, %d entries, %s", len(candidates),
+                      self.integrals_computed - integrals,
+                      len(self._probe_activities) - probes,
+                      sum(1 for support in supports if support & source_sites), n,
                       r, entries, kernel)
-        shift = self.universe.n_psi_bits
+        shift = universe.n_psi_bits
         result = GrassmannElement({int(m) << shift: c for m, c in zip(basis, total.tolist())})
-        return LogSeries(self.universe, self.pure_eta + result), report
+        return LogSeries(universe, result if pair is not None else self.pure_eta + result), report

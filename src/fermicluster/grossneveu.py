@@ -383,10 +383,11 @@ class Model:
     (:func:`model_norms`) are numpy arrays over it, and translation gives
     the quartic density of the other sites.  The quartic density carries
     coupling g and the source couplings carry ``source_g``, which is g
-    itself except for a free theory probed with unit sources.  The quartic
-    items belong to :meth:`source_free`, one engine per options; a pair
-    run's engine takes only :meth:`sources` and reads the rest from it.
-    The oracle takes :meth:`interaction`, the whole exponent.
+    itself except for a free theory probed with unit sources.  A truncated
+    pair run hands :meth:`sources` to :meth:`source_free`'s ``assemble``;
+    an exact pair run's engine and the oracle take :meth:`interaction`, the
+    whole exponent.  ``ursell_memos`` is the one table of rho^T memos that
+    every engine of the model's experiment fills.
     """
 
     spec: LatticeSpec
@@ -397,6 +398,7 @@ class Model:
     stencil: tuple[np.ndarray, np.ndarray]
     _psi_elements: dict = field(default_factory=dict, init=False, repr=False)
     _source_free: dict = field(default_factory=dict, init=False, repr=False)
+    ursell_memos: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, spec: LatticeSpec, cov: Covariance, g: float,
@@ -420,12 +422,14 @@ class Model:
         return self._psi_elements[max_sites]
 
     def source_free(self, options: ClusterOptions) -> ClusterEngine:
-        """The engine of ``psi_element`` on the whole lattice under
-        ``options``, built on first use; it keys Z and K0 by translation."""
+        """The engine of ``psi_element`` on the universe without sources
+        under ``options``, built on first use; it keys Z and K0 by
+        translation, and its ``assemble(pair)`` gives a pair run by linear
+        response (``clusters`` module docstring)."""
         if options not in self._source_free:
             self._source_free[options] = ClusterEngine(
                 universe_for(self.spec, ()), self.psi_element(options.max_polymer_sites),
-                options, side=self.spec.L)
+                options, side=self.spec.L, ursell_memos=self.ursell_memos)
         return self._source_free[options]
 
     def sources(self, source_sites: tuple[Site, ...] | None,

@@ -5,11 +5,11 @@ row, and from it in numpy the quartic stencil, the element of the entries
 of one psi-bar site, which translation carries to every other site.  The
 model's norms and the sources of any sites are numpy arrays over the same
 row.  A correlation run restricts the sources to the probed pair of sites.
-Its engine takes only their source terms and reads the quartic part from
-the model's source-free engine, built by the first pair run; the oracle
-takes the whole interaction.  Dropping the source terms with an eta
-elsewhere is exactly setting those sources to zero, and it keeps the eta
-sector small enough for exact work.  Retained
+An exact run's engine and the oracle take the whole interaction; a
+truncated run hands the pair's source terms to the model's source-free
+engine, built by the first pair run.  Dropping the source terms with an
+eta elsewhere is exactly setting those sources to zero, and it keeps the
+eta sector small enough for exact work.  Retained
 coefficients move only by rounding and the engine's branch floor: a third
 source site moves those of (origin, far corner) by 2.2e-19 absolute in the
 oracle and 6.5e-16 in the engine on exact 2x2 (2.5e-15 for the constant),
@@ -74,12 +74,7 @@ def lattice_objects(cfg: RunConfig, engine: bool = True,
 def engine_options(cfg: RunConfig) -> ClusterOptions:
     if cfg.mode == "exact":
         return ClusterOptions(n_max=cfg.n_max)
-    return ClusterOptions(
-        n_max=cfg.n_max,
-        floor=cfg.floor,
-        max_polymer_sites=cfg.max_diameter,
-        eta_degree_cap=cfg.eta_cap,
-    )
+    return ClusterOptions(n_max=cfg.n_max, floor=cfg.floor, max_polymer_sites=cfg.max_diameter)
 
 
 def check_capacity(cfg: RunConfig, spec: LatticeSpec) -> None:
@@ -124,10 +119,16 @@ def lattice_model(cfg: RunConfig, spec: LatticeSpec, cov: Covariance) -> Model:
 
 def pair_series(cfg: RunConfig, spec: LatticeSpec, model: Model,
                 y1: Site, y2: Site) -> tuple[LogSeries, ExpansionReport]:
-    """Assembled log series with sources restricted to two sites."""
-    engine = ClusterEngine(*model.sources((y1, y2)),
-                           source_free=model.source_free(engine_options(cfg)))
-    series, report = engine.assemble()
+    """Assembled log series with sources restricted to two sites: an exact
+    run's engine takes the whole interaction, and a truncated run is the
+    source-free engine's linear response to the pair's sources."""
+    options = engine_options(cfg)
+    if cfg.mode == "exact":
+        engine = ClusterEngine(*model.interaction((y1, y2)), options,
+                               ursell_memos=model.ursell_memos)
+        series, report = engine.assemble()
+    else:
+        series, report = model.source_free(options).assemble(model.sources((y1, y2)))
     return _finite(series, cfg.m_f, cfg.g), report
 
 

@@ -62,11 +62,6 @@ def _decode(seq: tuple[int, ...], n: int, edge: list[list[Edge]]) -> TreeEdges:
     return frozenset(edges)
 
 
-def prufer_to_tree(seq: tuple[int, ...], n: int) -> TreeEdges:
-    """Decode a Prufer sequence of length n-2 into its labelled tree."""
-    return _decode(seq, n, _edge_table(n))
-
-
 def enumerate_trees(n: int) -> list[TreeEdges]:
     """All labelled trees on vertices 0..n-1, in Prufer sequence order.
 

@@ -26,6 +26,7 @@ from fermicluster.coeffsys import CoefficientSystem
 from fermicluster.errors import NormalizationError, ParityError
 from fermicluster.generators import GeneratorIndex, GeneratorUniverse
 from fermicluster.grossneveu import LatticeSpec, gamma_matrices
+from fermicluster.trees import _decode, _edge_table
 from fermicluster.weights import WeightSystem
 
 
@@ -213,10 +214,16 @@ def reference_product(universe: GeneratorUniverse, a: GrassmannElement,
     return {m: c for m, c in acc.items() if c != 0}
 
 
+def prufer_to_tree(seq: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
+    """Decode a Prufer sequence of length n-2 into its labelled tree, by the
+    pointer decode that ``trees.enumerate_trees`` runs."""
+    return _decode(seq, n, _edge_table(n))
+
+
 def prufer_to_tree_by_min_leaf(seq: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
     """Prufer decode that searches for the smallest leaf at every step.
 
-    Quadratic per tree: the reference that ``trees.prufer_to_tree``'s
+    Quadratic per tree: the reference that :func:`prufer_to_tree`'s
     pointer decode is checked against.
     """
     degree = [1] * n

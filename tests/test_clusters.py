@@ -26,7 +26,7 @@ from fermicluster.coeffsys import CoefficientSystem
 from fermicluster.config import RunConfig
 from fermicluster.errors import ParityError
 from fermicluster.generators import GeneratorUniverse, eta, psi
-from fermicluster.grossneveu import LatticeSpec, Model, universe_for
+from fermicluster.grossneveu import LatticeSpec, Model, truncated_two_point, universe_for
 from oracles import exp_power_series, reference_product, ursell_adjacency
 
 f = frozenset
@@ -227,40 +227,88 @@ def test_assembly_matches_direct_log(three_site_universe, seed):
     assert series.element.is_even()
 
 
+def _neutral_items(rng, sites, scale=0.2):
+    """Random charge-neutral psi items, psi-bar psi and psi-bar psi psi-bar
+    psi, as the eta-free part of a lattice model."""
+    system = CoefficientSystem()
+    bars, plains = ([psi(s, bar=b) for s in sites] for b in (True, False))
+    for _ in range(6):
+        system.add((rng.choice(bars), rng.choice(plains)), (), scale * (rng.random() - 0.5))
+    for _ in range(4):
+        a, c = rng.sample(bars, 2)
+        b, d = rng.sample(plains, 2)
+        system.add((a, b, c, d), (), scale * (rng.random() - 0.5))
+    return system
+
+
+def _random_sources(rng, sites, eta_sites, scale=0.2):
+    """Random source items: psi eta-bar at every psi site, and psi-bar eta
+    on the eta sites, which are the source sites."""
+    system = CoefficientSystem()
+    for e in eta_sites:
+        for s in sites:
+            system.add((psi(s),), (eta(e, bar=True),), scale * (rng.random() - 0.5))
+        for s in eta_sites:
+            system.add((psi(s, bar=True),), (eta(e),), scale * (rng.random() - 0.5))
+    return system
+
+
+def _probe_terms(n_psi_bits, matrix, cols):
+    """T° over the psi modes at ``cols`` as terms eta-bar_i eta_j, in the
+    universe with an eta mode per psi mode."""
+    terms = {}
+    for (p, i), (q, j) in itertools.product(enumerate(cols), repeat=2):
+        if matrix[p, q]:
+            mask = 1 << n_psi_bits + 2 * i | 2 << n_psi_bits + 2 * j
+            terms[mask] = matrix[p, q] if i <= j else -matrix[p, q]
+    return terms
+
+
 @pytest.mark.parametrize("seed", [0, 9, 27])
 def test_capped_activity_is_restricted_activity(three_site_universe, seed):
-    """An eta degree cap keeps exactly the low-degree terms of every K0."""
-    sites, eta_sites, u = three_site_universe
-    # twice the default psi-eta terms: these seeds reach eta degree 4
-    element = _random_even_system(random.Random(seed), sites, eta_sites,
-                                  n_source=8).to_element(u)
-    full = ClusterEngine(u, element)
-    capped = ClusterEngine(u, element, ClusterOptions(eta_degree_cap=2))
-    assert capped.candidates == full.candidates
-    assert len(full.candidates) >= 3
+    """The probe activity (s, T°) of every support is exactly the part of eta
+    degree 2 or less of K0 of the probed exponent: the eta-free items plus
+    psi_y eta-bar_y and psi-bar_y eta_y at every psi mode y, all of
+    coefficient 1, which an uncapped engine integrates."""
+    sites, _, _ = three_site_universe
+    modes = [(s, 0, 0) for s in sites]
+    items = _neutral_items(random.Random(seed), sites)
+    bare = GeneratorUniverse(modes)
+    engine = ClusterEngine(bare, items.to_element(bare))
+    probed = GeneratorUniverse(modes, modes)
+    probes = CoefficientSystem()
+    for s in sites:
+        probes.add((psi(s),), (eta(s, bar=True),), 1.0)
+        probes.add((psi(s, bar=True),), (eta(s),), 1.0)
+    full = ClusterEngine(probed, (items + probes).to_element(probed))
+    assert len(engine.candidates) >= 3
     dropped = 0
-    for support in full.candidates:
+    for support in engine.candidates:
         k0 = full.polymer_activity(support)
-        kept = _eta_capped(u, k0, 2)
+        kept = _eta_capped(probed, k0, 2)
         dropped += len(k0) - len(kept)
-        assert _max_abs(capped.polymer_activity(support) - kept) < 1e-12
+        _, matrix, cols = engine._probe(engine._probe_activities, engine._probe_activity,
+                                        support)
+        mapped = GrassmannElement({0: engine.polymer_activity(support).constant,
+                                   **_probe_terms(probed.n_psi_bits, matrix, cols)})
+        assert _max_abs(mapped - kept) < 1e-12
     assert dropped  # the cap bites
 
 
-@pytest.mark.parametrize("eta_cap", [None, 2], ids=["exact", "truncated"])
+@pytest.mark.parametrize("cap", [None, 2], ids=["exact", "truncated"])
 @pytest.mark.parametrize("seed", [7, 21])
-def test_polymer_identity_on_every_region(three_site_universe, seed, eta_cap):
+def test_polymer_identity_on_every_region(three_site_universe, seed, cap):
     """Z(X), the integral of exp(f|X) by the literal route, equals the sum
     over families of disjoint candidates in X of their activities' product;
-    under an eta degree cap, both sides agree on the kept terms."""
+    under a site cap, on every region within the cap."""
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(seed), sites, eta_sites)
     element = system.to_element(u)
-    engine = ClusterEngine(u, element, ClusterOptions(eta_degree_cap=eta_cap))
+    engine = ClusterEngine(u, element, ClusterOptions(max_polymer_sites=cap))
     psi_block = u.psi_block_mask
     supports = {mask: f(g.site for g in u.indices_of(mask & psi_block))
                 for mask in element.terms if mask & psi_block}
-    for size in range(len(sites) + 1):
+    for size in range(len(sites) + 1 if cap is None else cap + 1):
         for region in map(f, itertools.combinations(sites, size)):
             restricted = GrassmannElement(
                 {mask: element.terms[mask] for mask, sup in supports.items()
@@ -276,8 +324,7 @@ def test_polymer_identity_on_every_region(three_site_universe, seed, eta_cap):
                     for s in family:
                         product = product * engine.polymer_activity(s)
                     families = families + product
-            diff = _eta_capped(u, families - literal, eta_cap)
-            assert _max_abs(diff) < 1e-12, (region, eta_cap)
+            assert _max_abs(families - literal) < 1e-12, (region, cap)
 
 
 def test_disjoint_systems_factorize():
@@ -322,25 +369,39 @@ def test_single_quadratic_activity_is_plain_coefficient():
     assert len(k0) == 1
 
 
+def _linear_response_runs(three_site_universe, seed, options=None):
+    """A source-free engine of random neutral items on the three sites, the
+    universe with sources on the eta sites and random source items there,
+    and an engine of the items and the sources together."""
+    sites, eta_sites, u = three_site_universe
+    rng = random.Random(seed)
+    items, sources = _neutral_items(rng, sites), _random_sources(rng, sites, eta_sites)
+    bare = GeneratorUniverse(u.psi_modes)
+    free = ClusterEngine(bare, items.to_element(bare), options)
+    both = ClusterEngine(u, (items + sources).to_element(u), options)
+    return free, (u, sources.to_element(u)), both
+
+
 def test_truncated_mode_never_reports_exact(three_site_universe):
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(2), sites, eta_sites)
-    for options in (ClusterOptions(max_polymer_sites=3), ClusterOptions(eta_degree_cap=2)):
-        _, report = ClusterEngine(u, system.to_element(u), options).assemble()
+    _, report = ClusterEngine(u, system.to_element(u), ClusterOptions(max_polymer_sites=3)
+                              ).assemble()
+    free, pair, _ = _linear_response_runs(three_site_universe, 2)
+    _, pair_report = free.assemble(pair)
+    for report in (report, pair_report):
         assert report.mode == "truncated"
         assert not report.exact
 
 
 def test_eta_cap_exact_on_retained_sector(three_site_universe):
-    sites, eta_sites, u = three_site_universe
-    system = _random_even_system(random.Random(31), sites, eta_sites, n_source=8)
-    full, _ = ClusterEngine(u, system.to_element(u),
-                            ClusterOptions(n_max=40, floor=1e-16)).assemble()
-    capped, _ = ClusterEngine(
-        u,
-        system.to_element(u),
-        ClusterOptions(n_max=40, floor=1e-16, eta_degree_cap=2),
-    ).assemble()
+    """``assemble(pair)`` gives the terms of eta degree 2 or less of the
+    series of the items and the sources together, and no other term."""
+    options = ClusterOptions(n_max=40, floor=1e-16)
+    free, pair, engine = _linear_response_runs(three_site_universe, 31, options)
+    full, _ = engine.assemble()
+    capped, _ = free.assemble(pair)
+    u = pair[0]
     psi_block = u.psi_block_mask
     assert max((m & ~psi_block).bit_count() for m in full.element.terms) > 2
     for mask, coeff in full.element.terms.items():
@@ -378,7 +439,7 @@ def test_report_dict_round_trip(three_site_universe):
 def test_truncated_engine_drops_entries_past_the_site_cap(three_site_universe):
     sites, eta_sites, u = three_site_universe
     element = _random_even_system(random.Random(3), sites, eta_sites).to_element(u)
-    options = ClusterOptions(max_polymer_sites=2, eta_degree_cap=2)
+    options = ClusterOptions(max_polymer_sites=2)
     filtered = ClusterEngine(u, element, options)
     assert all(len(sup) <= 2 for sup in filtered._by_support)
     psi_block = u.psi_block_mask
@@ -400,14 +461,13 @@ def test_truncated_engine_drops_entries_past_the_site_cap(three_site_universe):
 # ------------------------------------------------------------- eta sector
 
 
-@pytest.mark.parametrize("eta_cap", [None, 2], ids=["exact", "truncated"])
+@pytest.mark.parametrize("cap", [None, 2], ids=["exact", "truncated"])
 @pytest.mark.parametrize("seed", [7, 21])
-def test_sector_matrices_are_products_with_each_activity(three_site_universe, seed,
-                                                         eta_cap):
+def test_sector_matrices_are_products_with_each_activity(three_site_universe, seed, cap):
     """Row m of matrix j is the monomial m times activity j, on the basis."""
     sites, eta_sites, u = three_site_universe
     system = _random_even_system(random.Random(seed), sites, eta_sites, n_source=8)
-    engine = ClusterEngine(u, system.to_element(u), ClusterOptions(eta_degree_cap=eta_cap))
+    engine = ClusterEngine(u, system.to_element(u), ClusterOptions(max_polymer_sites=cap))
     activities = [k0 for k0 in map(engine.polymer_activity, engine.candidates) if k0.terms]
     basis, wide = engine.eta_sector(activities)
     shift = u.n_psi_bits
@@ -419,8 +479,7 @@ def test_sector_matrices_are_products_with_each_activity(three_site_universe, se
         matrix = wide[:, j * r:(j + 1) * r]
         for row, m in enumerate(masks):
             product = reference_product(u, GrassmannElement({m: 1.0}), k0)
-            assert all(mask in masks for mask, c in product.items()
-                       if eta_cap is None or mask.bit_count() <= eta_cap)
+            assert all(mask in masks for mask in product)
             assert matrix[row].tolist() == [product.get(n, 0j) for n in masks]
 
 
@@ -431,15 +490,15 @@ def _assert_reports_agree(report, other):
     assert abs(report.tail - other.tail) < 1e-15
 
 
-@pytest.mark.parametrize("eta_cap", [None, 2], ids=["exact", "truncated"])
-def test_an_engine_without_polymers_walks_no_descent(three_site_universe, eta_cap):
+@pytest.mark.parametrize("cap", [None, 2], ids=["exact", "truncated"])
+def test_an_engine_without_polymers_walks_no_descent(three_site_universe, cap):
     """Pure eta items make no polymer: the series is those items, and the
     descent visits nothing."""
     _, _, u = three_site_universe
     f_eta = GrassmannElement({u.bit(eta((0,), bar=True)) | u.bit(eta((2,))): 0.5})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        series, report = ClusterEngine(u, f_eta, ClusterOptions(eta_degree_cap=eta_cap)).assemble()
+        series, report = ClusterEngine(u, f_eta, ClusterOptions(max_polymer_sites=cap)).assemble()
     assert series.element.terms == f_eta.terms
     assert (report.polymer_count, report.clusters_visited, report.tail) == (0, 0, 0.0)
 
@@ -473,36 +532,60 @@ def _model(cfg):
     return spec, pipeline.lattice_model(cfg, spec, cov), pipeline.engine_options(cfg)
 
 
-def _pair_engines(cfg, shared=True, pairs=None):
-    """The source-free engine of ``cfg``'s model and the assembled engine of
-    every pair run (default: the origin with each representative target),
-    taking the pair's source items and reading that engine, or, unless
-    ``shared``, taking the whole interaction and computing everything itself."""
+def _pairs(spec, pairs=None):
+    """``pairs``, or the origin with each representative target."""
+    return pairs or [(spec.sites[0], t) for t in pipeline.representative_targets(spec)]
+
+
+class _CappedEngine(ClusterEngine):
+    """Z and K0 without the terms of eta degree above 2, each restricted
+    integral capped inside elimination: the reference that the linear
+    response of a truncated pair run must reproduce."""
+
+    def _restricted_exp(self, region):
+        if region not in self._exp_cache:
+            self._exp_cache[region] = self._eliminated(
+                self.universe, self._items_within(region), cap=2)
+        return self._exp_cache[region]
+
+    def polymer_activity(self, support):
+        return _eta_capped(self.universe, super().polymer_activity(support), 2)
+
+
+def _full_engines(cfg, pairs=None):
+    """An engine of each pair run's whole interaction with every candidate's
+    activity built: the exact run's own engine, or, in truncated mode, one
+    capped at eta degree 2."""
     spec, model, options = _model(cfg)
-    source_free = model.source_free(options)
     engines = []
-    for pair in pairs or [(spec.sites[0], t) for t in pipeline.representative_targets(spec)]:
-        if shared:
-            engine = ClusterEngine(*model.sources(pair), options, source_free)
-        else:
-            engine = ClusterEngine(*model.interaction(pair), options)
-        engine.assemble()
+    for pair in _pairs(spec, pairs):
+        kind = ClusterEngine if cfg.mode == "exact" else _CappedEngine
+        engine = kind(*model.interaction(pair), options)
+        for support in engine.candidates:
+            engine.polymer_activity(support)
         engines.append(engine)
-    return source_free, engines
+    return engines
 
 
 def test_linear_response_pair_runs_agree_on_both_kernels():
-    """The truncated L = 3 pair runs map their activities by linear response
-    and always take the rank-one kernel.  Their engines without the
-    source-free engine build every activity and take the matmul kernel, and
-    the linear-response series agrees with theirs within 1e-14."""
-    spec, model, options = _model(PAIR_RUN_CONFIGS["truncated-L3"])
+    """The truncated L = 3 pair runs, as the source-free engine's linear
+    response on the rank-one kernel, give the terms of eta degree 2 or less
+    of an engine of the whole interaction, which takes the matmul kernel
+    over every eta degree: within 1e-11 of the largest eta-bar eta
+    coefficient, both at floor 1e-15, for every representative target.
+    Measured: 2.0e-12."""
+    cfg = PAIR_RUN_CONFIGS["truncated-L3"]
+    spec, model, options = _model(cfg)
+    options = dataclasses.replace(options, floor=1e-15)
     source_free = model.source_free(options)
-    for target in pipeline.representative_targets(spec):
-        pair = (spec.sites[0], target)
-        dense, _ = ClusterEngine(*model.interaction(pair), options).assemble()
-        series, _ = ClusterEngine(*model.sources(pair), options, source_free).assemble()
-        assert _max_abs(dense.element - series.element) < 1e-14
+    for pair in _pairs(spec):
+        universe, f = model.interaction(pair)
+        dense, _ = ClusterEngine(universe, f, options).assemble()
+        series, _ = source_free.assemble(model.sources(pair))
+        low = _eta_capped(universe, dense.element, 2)
+        assert max(len(dense.element), 1) > len(low)
+        scale = max(abs(c) for m, c in low.terms.items() if m)
+        assert _max_abs(low - series.element) <= 1e-11 * scale
 
 
 @pytest.mark.parametrize("name", ["default", "truncated-L3", "exact-g0.2"])
@@ -512,14 +595,13 @@ def test_a_chunk_of_one_node_walks_like_the_default_chunk(monkeypatch, name):
     series.  The exact run at g = 0.2 is the deepest exact descent (its pair
     visits 7,915 clusters to depth 10), and takes the whole-depth chunk alone."""
     cfg = RunConfig(g=0.2) if name == "exact-g0.2" else PAIR_RUN_CONFIGS[name]
-    spec, model, options = _model(cfg)
+    spec, model, _ = _model(cfg)
     pair = (spec.sites[0], pipeline.representative_targets(spec)[-1])
-    engine_args = (*model.sources(pair), options, model.source_free(options))
-    series, report = ClusterEngine(*engine_args).assemble()
+    series, report = pipeline.pair_series(cfg, spec, model, *pair)
     for chunk in [1 << 30] if name == "exact-g0.2" else [1, 1 << 30]:
         with monkeypatch.context() as patch:
             patch.setattr(clusters, "CHUNK_ENTRIES", chunk)
-            other, other_report = ClusterEngine(*engine_args).assemble()
+            other, other_report = pipeline.pair_series(cfg, spec, model, *pair)
         assert _max_abs(series.element - other.element) < 1e-14, chunk
         _assert_reports_agree(report, other_report)
 
@@ -536,12 +618,14 @@ def _region_element(engine, region):
 @pytest.mark.parametrize("name", PAIR_RUN_CONFIGS)
 def test_shared_source_free_integral_is_the_full_restricted_integral(name):
     """The charge argument, checked: on every region without a source site
-    that the pair runs read when they share nothing, the source-free engine
-    gives the same Z as all of the region's own items, the smeared sources
-    away from the source sites included."""
-    source_free, engines = _pair_engines(PAIR_RUN_CONFIGS[name], shared=False)
+    that an engine of a pair's whole interaction integrates, the source-free
+    engine gives the same Z as all of the region's own items, the smeared
+    sources away from the source sites included."""
+    cfg = PAIR_RUN_CONFIGS[name]
+    _, model, options = _model(cfg)
+    source_free = model.source_free(options)
     checked = with_sources = 0
-    for engine in engines:
+    for engine in _full_engines(cfg):
         for region in engine._exp_cache:
             if not region or region & _source_sites(engine):
                 continue
@@ -557,16 +641,17 @@ def test_shared_source_free_integral_is_the_full_restricted_integral(name):
 
 @pytest.mark.parametrize("name", PAIR_RUN_CONFIGS)
 def test_source_free_activity_is_the_full_activity(name):
-    """The charge argument for activities: K0 of every source-free candidate
-    of the pair runs is a scalar from the source-free engine, equal to the
-    K0 an engine builds from all of that run's items.  Measured worst
-    relative difference: 5.6e-11 on the exact 2x2 runs, 0 on the truncated."""
-    source_free, engines = _pair_engines(PAIR_RUN_CONFIGS[name])
-    _, full_engines = _pair_engines(PAIR_RUN_CONFIGS[name], shared=False)
+    """The charge argument for activities: K0 of every candidate without a
+    source site is a scalar from the source-free engine, equal to the K0
+    an engine builds from all of a pair's items.  Measured worst relative
+    difference: 5.6e-11 on exact 2x2, 0 on the truncated runs."""
+    cfg = PAIR_RUN_CONFIGS[name]
+    _, model, options = _model(cfg)
+    source_free = model.source_free(options)
     checked = 0
-    for engine, full in zip(engines, full_engines):
-        for support in engine.candidates:
-            if support & _source_sites(engine):
+    for full in _full_engines(cfg):
+        for support in full.candidates:
+            if support & _source_sites(full):
                 continue
             shared = source_free.polymer_activity(support)
             expected = full.polymer_activity(support)
@@ -578,35 +663,35 @@ def test_source_free_activity_is_the_full_activity(name):
 
 def test_capping_inside_elimination_matches_capping_at_the_end():
     """Every region of the truncated L = 3 pair runs, sources included, as
-    the runs read them when they share nothing."""
-    _, engines = _pair_engines(PAIR_RUN_CONFIGS["truncated-L3"], shared=False)
+    engines of their whole interaction read them: probe integrals eliminate
+    under a cap of 2, and that keeps exactly the kept terms."""
     checked = 0
-    for engine in engines:
+    for engine in _full_engines(PAIR_RUN_CONFIGS["truncated-L3"]):
         u = engine.universe
-        cap = engine.options.eta_degree_cap
         for region in engine._exp_cache:
             element = _region_element(engine, region)
             if not element.terms:
                 continue
             full = clusters.effective_log_integral(u, element)
-            in_loop = clusters.effective_log_integral(u, element, cap)
-            assert in_loop.terms == pytest.approx(_eta_capped(u, full, cap).terms,
+            in_loop = clusters.effective_log_integral(u, element, 2)
+            assert in_loop.terms == pytest.approx(_eta_capped(u, full, 2).terms,
                                                   rel=1e-15, abs=0)
-            assert engine._eliminated(u, engine._items_within(region)).terms == pytest.approx(
-                _eta_capped(u, exp_series(full), cap).terms, rel=1e-15, abs=0)
+            assert exp_series(in_loop, 2, ~u.psi_block_mask).terms == pytest.approx(
+                _eta_capped(u, exp_series(full), 2).terms, rel=1e-15, abs=0)
             checked += 1
     assert checked == 135
 
 
 @pytest.mark.parametrize("name, eliminations, classes", [
-    ("default", 37, 5), ("truncated-L3", 10, 5), ("truncated-L4", 20, 10)])
+    ("default", 45, 0), ("truncated-L3", 10, 5), ("truncated-L4", 20, 10)])
 def test_each_source_free_class_is_eliminated_once_per_experiment(
         monkeypatch, name, eliminations, classes):
-    """Without the source-free engine the same runs eliminate 45, 135 and 816
-    times, without its probes 37, 48 and 181, and with one probe per class of
-    (region, source sites) 37, 16 and 31.  Under a cap of 2 the source-free
-    engine runs every elimination: one per class without probes and one per
-    region class with them."""
+    """The pair runs of the origin with each representative target.
+    Truncated runs are the source-free engine's linear response: it runs
+    every elimination, one per class without probes and one per region
+    class with them; without probes they ran 48 and 181, and engines of
+    each pair's interaction 135 and 816.  Exact runs build no source-free
+    engine: each pair's engine eliminates every region of 2x2 itself."""
     calls = []
     original = clusters.effective_log_integral
 
@@ -615,40 +700,40 @@ def test_each_source_free_class_is_eliminated_once_per_experiment(
         return original(*args)
 
     monkeypatch.setattr(clusters, "effective_log_integral", counted)
-    source_free, engines = _pair_engines(PAIR_RUN_CONFIGS[name])
+    cfg = PAIR_RUN_CONFIGS[name]
+    spec, model, options = _model(cfg)
+    for pair in _pairs(spec):
+        pipeline.pair_series(cfg, spec, model, *pair)
     assert len(calls) == eliminations
+    if cfg.mode == "exact":
+        assert not model._source_free
+        return
+    source_free = model.source_free(options)
     assert len([key for key in source_free._exp_cache if key]) == classes
-    probed = len(source_free._probe_cache)
-    assert source_free.integrals_computed == classes + probed
-    assert (source_free.integrals_computed
-            + sum(engine.integrals_computed for engine in engines)) == eliminations
-    if PAIR_RUN_CONFIGS[name].mode == "truncated":
-        assert all(engine.integrals_computed == 0 for engine in engines)
-    else:
-        assert probed == 0
-    # the first run computes every class and later runs read them all
-    assert all(engine._shared_before == source_free.integrals_computed
-               for engine in engines[1:])
+    assert source_free.integrals_computed == classes + len(source_free._probe_cache)
+    assert source_free.integrals_computed == eliminations
 
 
 @pytest.mark.parametrize("name, classes", [
-    ("default", 5), ("truncated-L3", 5), ("truncated-L4", 10)])
+    ("default", 6), ("truncated-L3", 5), ("truncated-L4", 10)])
 def test_each_source_free_activity_is_computed_once_per_class(monkeypatch, name, classes):
-    capped = []
-    original = ClusterEngine._capped
+    """The source-free engine's linear response to every pair asks for K0
+    of every candidate, and computes each activity once per class."""
+    computed = []
+    original = ClusterEngine.polymer_activity
 
-    def counted(self, value):
-        if self.side is not None:
-            capped.append(value)
-        return original(self, value)
+    def counted(self, support):
+        if self._key(support) not in self._activity_cache:
+            computed.append(support)
+        return original(self, support)
 
-    # the source-free engine caps f once when it is built, and each activity
-    # it computes once, as the activity's last step
-    monkeypatch.setattr(ClusterEngine, "_capped", counted)
-    source_free, engines = _pair_engines(PAIR_RUN_CONFIGS[name])
-    asked = {source_free._key(support) for engine in engines for support in engine.candidates
-             if not support & _source_sites(engine)}
-    assert len(capped) - 1 == len(source_free._activity_cache) == len(asked) == classes
+    monkeypatch.setattr(ClusterEngine, "polymer_activity", counted)
+    spec, model, options = _model(PAIR_RUN_CONFIGS[name])
+    source_free = model.source_free(options)
+    for pair in _pairs(spec):
+        source_free.assemble(model.sources(pair))
+    asked = {source_free._key(support) for support in source_free.candidates}
+    assert len(computed) == len(source_free._activity_cache) == len(asked) == classes
     assert all(source_free._key(key) == key for key in source_free._activity_cache)
 
 
@@ -668,13 +753,13 @@ def test_source_free_engine_gives_the_series_constant(g):
 
 
 def test_an_engine_with_a_source_free_engine_takes_only_source_items():
-    """The source-free engine owns the eta-free items: handed the whole
-    interaction, a pair engine would count every quartic item twice."""
-    spec, model, options = _model(RunConfig())
+    """The source-free engine owns the eta-free items: its linear response
+    takes a pair's source items alone and refuses any other item."""
+    spec, model, options = _model(PAIR_RUN_CONFIGS["truncated-L3"])
     source_free = model.source_free(options)
     pair = (spec.sites[0], spec.sites[-1])
     with pytest.raises(ValueError, match="only source items"):
-        ClusterEngine(*model.interaction(pair), options, source_free)
+        source_free.assemble(model.interaction(pair))
     universe, sources = model.sources(pair)
     psi_block = universe.psi_block_mask
 
@@ -687,44 +772,10 @@ def test_an_engine_with_a_source_free_engine_takes_only_source_items():
     # one depend on the sources; a psi-bar eta-bar item is not charge-neutral
     off_site = universe.bit(psi(spec.sites[1], bar=True)) | universe.bit(eta(pair[0]))
     not_neutral = universe.bit(psi(pair[0], bar=True)) | universe.bit(eta(pair[0], bar=True))
-    for item in (two_sites, off_site, not_neutral):
+    quartic = next(iter(model.psi_element().terms))
+    for item in (two_sites, off_site, not_neutral, quartic):
         with pytest.raises(ValueError, match="only source items"):
-            ClusterEngine(universe, GrassmannElement({item: 1.0}), options, source_free)
-
-
-@pytest.mark.parametrize("name", PAIR_RUN_CONFIGS)
-def test_a_pair_engine_indexes_only_its_own_source_items(name):
-    """A pair engine keeps no copy of the quartic items: its support index
-    holds exactly its source items, each on one site and with one psi bit,
-    and it reads every other item from the source-free engine."""
-    spec, model, options = _model(PAIR_RUN_CONFIGS[name])
-    source_free = model.source_free(options)
-    for target in pipeline.representative_targets(spec):
-        universe, sources = model.sources((spec.sites[0], target))
-        engine = ClusterEngine(universe, sources, source_free=source_free)
-        held = [item for items in engine._by_support.values() for item in items]
-        assert dict(held) == sources.terms and len(held) == len(sources.terms)
-        assert all(len(sup) == 1 for sup in engine._by_support)
-        assert all((mask & universe.psi_block_mask).bit_count() == 1 for mask, _ in held)
-        everywhere = frozenset(site for site, _, _ in universe.psi_modes)
-        assert (len(engine._items_within(everywhere))
-                == len(held) + len(source_free._items_within(everywhere)))
-
-
-def test_a_pair_engine_runs_under_its_source_free_engines_options():
-    """Options that differ from the source-free engine's would mix two caps
-    in one expansion (3-site polymers over a 2-site closure, say), so they
-    raise; without options a pair engine takes the source-free engine's."""
-    spec, model, options = _model(PAIR_RUN_CONFIGS["truncated-L3"])
-    source_free = model.source_free(options)
-    universe, sources = model.sources((spec.sites[0], spec.sites[1]))
-    assert ClusterEngine(universe, sources, source_free=source_free).options == options
-    assert ClusterEngine(universe, sources, options, source_free).options == options
-    for other in (dataclasses.replace(options, max_polymer_sites=3),
-                  dataclasses.replace(options, eta_degree_cap=None),
-                  dataclasses.replace(options, floor=options.floor / 2), ClusterOptions()):
-        with pytest.raises(ValueError, match="options"):
-            ClusterEngine(universe, sources, other, source_free)
+            source_free.assemble((universe, GrassmannElement({item: 1.0})))
 
 
 SHORTCUT_RUNS = {
@@ -738,28 +789,46 @@ SHORTCUT_RUNS = {
 
 @pytest.mark.parametrize("name", SHORTCUT_RUNS)
 def test_source_items_add_only_their_sites_to_the_source_free_closure(name):
-    """A pair engine's candidates are the source-free engine's plus its
-    one-site source supports: the closure an engine of the whole
-    interaction runs gives the same list, and the same items and series.
-    Capped runs map their source-meeting activities by linear response, so
-    their series agree within 1e-12 of the largest coefficient past the
-    constant; measured: 8.5e-16 on truncated L = 3, 1.1e-15 on L = 4,
-    8.5e-16 off the origin, 0 at g = 0."""
+    """The closure of a pair's whole interaction is the source-free
+    engine's plus the one-site supports of the source items, and its items
+    are the source-free engine's and the sources.  Those supports off the
+    source sites and outside the source-free closure have K0 = 0, so
+    ``assemble(pair)`` adds only the source sites to the closure; at g = 0
+    the source-free closure is empty."""
     cfg, pairs = SHORTCUT_RUNS[name]
-    _, engines = _pair_engines(cfg, pairs=pairs)
-    _, full_engines = _pair_engines(cfg, shared=False, pairs=pairs)
-    for engine, full in zip(engines, full_engines):
-        assert engine.candidates == full.candidates
-        everywhere = frozenset(site for site, _, _ in engine.universe.psi_modes)
-        assert sorted(engine._items_within(everywhere)) == sorted(full._items_within(everywhere))
-        element, full_element = engine.assemble()[0].element, full.assemble()[0].element
-        if cfg.mode == "exact":
-            assert element.terms == full_element.terms
-            continue
-        scale = max(abs(c) for m, c in full_element.terms.items() if m)
-        for mask in set(element.terms) | set(full_element.terms):
-            difference = element.terms.get(mask, 0j) - full_element.terms.get(mask, 0j)
-            assert abs(difference) <= 1e-12 * scale
+    spec, model, options = _model(cfg)
+    source_free = model.source_free(options)
+    for pair in _pairs(spec, pairs):
+        universe, sources = model.sources(pair)
+        full = ClusterEngine(*model.interaction(pair), options)
+        psi_block = universe.psi_block_mask
+        singles = {f(g.site for g in universe.indices_of(mask & psi_block))
+                   for mask in sources.terms}
+        assert full.candidates == sorted({*source_free.candidates, *singles},
+                                         key=clusters._by_size)
+        everywhere = f(site for site, _, _ in universe.psi_modes)
+        assert sorted(full._items_within(everywhere)) == sorted(
+            [*source_free._items_within(everywhere), *sources.terms.items()])
+        taken = {*source_free.candidates, *(f([site]) for site in _source_sites(full))}
+        for support in singles - taken:
+            assert not _max_abs(full.polymer_activity(support))
+
+
+def test_a_free_truncated_pair_run_is_the_covariance():
+    """At g = 0 the source-free closure is empty, so ``assemble(pair)``
+    takes the one-site supports of the source sites as its only polymers,
+    and the two-point function of each pair is S, probed with unit sources."""
+    cfg = SHORTCUT_RUNS["truncated-L3-free"][0]
+    spec, model, options = _model(cfg)
+    assert not model.source_free(options).candidates
+    origin = spec.sites[0]
+    for target in pipeline.representative_targets(spec):
+        series, _ = pipeline.pair_series(cfg, spec, model, origin, target)
+        for alpha, beta in itertools.product(range(spec.spinor_dim), repeat=2):
+            got = truncated_two_point(series, pipeline.probe_coupling(cfg), origin, target,
+                                      alpha, beta)
+            want = model.cov.entry(origin, target, alpha, beta)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 LINEAR_RESPONSE_RUNS = {
@@ -771,12 +840,11 @@ LINEAR_RESPONSE_RUNS = {
 }
 
 
-def _mapped_terms(engine, constant, matrix, cols):
-    """constant + K matrix Λ^T as the pair engine's Grassmann terms, the
-    matrix over the psi modes at ``cols``."""
-    bar, unbar, masks, signs = engine._response
+def _mapped_terms(response, shift, constant, matrix, cols):
+    """constant + K matrix Λ^T as a pair's Grassmann terms, the matrix over
+    the psi modes at ``cols``."""
+    bar, unbar, masks, signs = response
     products = signs * (bar[:, cols] @ matrix @ unbar[:, cols].T)
-    shift = engine.universe.n_psi_bits
     return {0: constant, **{int(m) << shift: c for m, c in
                             zip(masks.ravel().tolist(), products.ravel().tolist()) if c}}
 
@@ -788,78 +856,99 @@ def _assert_terms_close(terms, expected, scale):
 
 @pytest.mark.parametrize("name", LINEAR_RESPONSE_RUNS)
 def test_linear_response_gives_every_source_region_its_integral(name):
-    """Under a cap of 2, a pair run eliminates nothing and maps each activity
-    that meets the sources from the source-free engine's probe activity of
-    its region class.  Against the same pair's engine without the
-    source-free engine: every source region that engine integrates equals
-    its probe integral mapped, every source-meeting activity equals the
-    mapped one, both within 1e-12 of the largest coefficient of the
-    region's integral (K0 is a difference of products of those), and the
-    series agree within 1e-12 of their largest coefficient past the
-    constant, with the same counters.  Measured: 1.1e-16, 1.1e-16 and
-    9.5e-14 at worst, all on L2-N2."""
+    """A truncated pair run maps each activity that meets the sources from
+    the source-free engine's probe activity of its region class, and the
+    source-free engine eliminates once per class.  Against an engine of the
+    pair's whole interaction capped at eta degree 2: every source region
+    that engine integrates equals its probe integral mapped, and every
+    source-meeting activity equals the mapped one, both within 1e-12 of the
+    largest coefficient of the region's integral (K0 is a difference of
+    products of those), and the mapped polymers are that engine's
+    candidates.  Measured: 1.1e-16 and 1.1e-16 at worst, on L2-N2."""
     cfg, pairs = LINEAR_RESPONSE_RUNS[name]
-    source_free, engines = _pair_engines(cfg, pairs=pairs)
-    _, full_engines = _pair_engines(cfg, shared=False, pairs=pairs)
+    spec, model, options = _model(cfg)
+    source_free = model.source_free(options)
     regions = activities = 0
-    for engine, full in zip(engines, full_engines):
-        assert engine._linear and engine.integrals_computed == 0 and not engine._exp_cache
-        sources = _source_sites(engine)
+    for pair, full in zip(_pairs(spec, pairs), _full_engines(cfg, pairs)):
+        universe, pair_sources = model.sources(pair)
+        response = clusters._source_response(universe, pair_sources)
+        shift = universe.n_psi_bits
+        sources = _source_sites(full)
         for region, z in full._exp_cache.items():
             if region & sources:
                 regions += 1
                 _, matrix, cols = source_free._probe(
                     source_free._probe_cache, source_free._probe_integral, region)
                 constant = source_free._restricted_exp(region).constant
-                _assert_terms_close(_mapped_terms(engine, constant, matrix, cols), z.terms,
-                                    max(map(abs, z.terms.values())))
-        supports, s, top, basis = engine._mapped_polymers()
+                _assert_terms_close(_mapped_terms(response, shift, constant, matrix, cols),
+                                    z.terms, max(map(abs, z.terms.values())))
+        supports, s, top, basis = source_free._mapped_polymers(
+            full.candidates, universe, pair_sources)
         assert supports == full.candidates
-        shift = engine.universe.n_psi_bits
         for support, constant, row in zip(supports, s.tolist(), top.tolist()):
             if support & sources:
                 activities += 1
                 mapped = {0: constant, **{int(m) << shift: c for m, c in zip(basis, row) if c}}
                 scale = max(map(abs, full._restricted_exp(support).terms.values()))
                 _assert_terms_close(mapped, full.polymer_activity(support).terms, scale)
-        (series, report), (expected, expected_report) = engine.assemble(), full.assemble()
-        _assert_reports_agree(report, expected_report)
-        _assert_terms_close(series.element.terms, expected.element.terms,
-                            max(abs(c) for m, c in expected.element.terms.items() if m))
     assert regions and activities
+    assert source_free.integrals_computed == (
+        len([key for key in source_free._exp_cache if key]) + len(source_free._probe_cache))
 
 
-@pytest.mark.parametrize("name", PAIR_RUN_CONFIGS)
-def test_the_pair_runs_of_an_experiment_share_one_ursell_memo(name):
+@pytest.mark.parametrize("name", [*PAIR_RUN_CONFIGS, "exact-g0.2"])
+def test_the_pair_runs_of_an_experiment_share_one_ursell_memo(monkeypatch, name):
     """rho^T depends on the multiset and the adjacency alone, and every pair
-    run here keeps the same supports, so they all fill one memo, which the
-    source-free engine holds."""
-    source_free, engines = _pair_engines(PAIR_RUN_CONFIGS[name])
-    assert len(source_free._ursell_memos) == 1
-    assert not any(engine._ursell_memos for engine in engines)
+    run here keeps the same supports, so every engine of an experiment fills
+    the model's one table, with one adjacency entry."""
+    engines = []
+    original = ClusterEngine.__init__
+
+    def recorded(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        engines.append(self)
+
+    monkeypatch.setattr(ClusterEngine, "__init__", recorded)
+    cfg = RunConfig(g=0.2) if name == "exact-g0.2" else PAIR_RUN_CONFIGS[name]
+    spec, model, _ = _model(cfg)
+    pipeline.run_correlations(cfg, spec, model, False, pipeline.representative_targets(spec))
+    assert engines and all(engine._ursell_memos is model.ursell_memos for engine in engines)
+    assert len(model.ursell_memos) == 1
 
 
-def test_higher_caps_and_exact_runs_integrate_source_regions_per_pair():
-    """Without a cap the probe sector outgrows the pair's, so exact runs
-    eliminate each source region in the pair engine."""
-    source_free, engines = _pair_engines(RunConfig())
-    assert not source_free._probe_cache
-    assert all(not engine._linear and engine.integrals_computed for engine in engines)
+def _count_builds(monkeypatch, cfg):
+    """The calls of ``Model.psi_element``, ``ClusterEngine._candidate_supports``
+    and ``ClusterEngine.__init__`` in a run of ``cfg``, and its model."""
+    calls = collections.Counter()
+    for owner, name in ((Model, "psi_element"), (ClusterEngine, "_candidate_supports"),
+                        (ClusterEngine, "__init__")):
+        def counted(self, *args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    spec, model, _ = _model(cfg)
+    pipeline.run_correlations(cfg, spec, model, False, pipeline.representative_targets(spec))
+    return calls, model
 
 
 def test_a_truncated_experiment_builds_the_quartic_part_and_its_closure_once(monkeypatch):
-    """Only the source-free engine builds the quartic element and runs the
-    support closure; the pair engines take its candidates."""
-    calls = collections.Counter()
-    for owner, name in ((Model, "psi_element"), (ClusterEngine, "_candidate_supports")):
-        def counted(self, *args, _name=name, _original=getattr(owner, name)):
-            if isinstance(self, Model) or self.source_free is None:
-                calls[_name] += 1
-            return _original(self, *args)
+    """A truncated experiment builds one engine, the source-free engine, so
+    the quartic element and the support closure once; every pair run is
+    that engine's ``assemble(pair)``."""
+    calls, model = _count_builds(monkeypatch, PAIR_RUN_CONFIGS["truncated-L4"])
+    assert calls == {"psi_element": 1, "_candidate_supports": 1, "__init__": 1}
+    assert len(model._source_free) == 1
 
-        monkeypatch.setattr(owner, name, counted)
-    pipeline.run_experiment(PAIR_RUN_CONFIGS["truncated-L4"])
-    assert calls == {"psi_element": 1, "_candidate_supports": 1}
+
+def test_an_exact_experiment_builds_one_engine_per_pair_run(monkeypatch):
+    """An exact 2x2 experiment makes two pair runs (it reads the origin's
+    rows off the nearest pair's), each an engine of the whole interaction
+    that integrates its source regions itself, and builds no source-free
+    engine."""
+    calls, model = _count_builds(monkeypatch, RunConfig())
+    assert calls == {"psi_element": 2, "_candidate_supports": 2, "__init__": 2}
+    assert not model._source_free
 
 
 def test_a_third_source_site_keeps_the_retained_coefficients():
@@ -868,7 +957,6 @@ def test_a_third_source_site_keeps_the_retained_coefficients():
     corner) pair, constant included.  Measured: 2.2e-19 absolute for the
     oracle, 2.5e-15 for the engine (6.5e-16 without the constant)."""
     spec, model, options = _model(RunConfig())
-    source_free = model.source_free(options)
     pair = (spec.sites[0], spec.sites[-1])
     triple = (spec.sites[0], spec.sites[1], spec.sites[-1])
 
@@ -877,8 +965,7 @@ def test_a_third_source_site_keeps_the_retained_coefficients():
                 if all(g.site in pair for g in key[1])}
 
     for run in (lambda sites: log_direct(*model.interaction(sites)),
-                lambda sites: ClusterEngine(*model.sources(sites), source_free=source_free)
-                .assemble()[0]):
+                lambda sites: ClusterEngine(*model.interaction(sites), options).assemble()[0]):
         two, three = retained(run(pair)), retained(run(triple))
         assert len(two) > 1 and set(two) == set(three)
         assert max(abs(two[key] - three[key]) for key in two) <= 1e-14
@@ -928,15 +1015,12 @@ def test_each_pair_run_logs_its_integral_counts(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "fermicluster.clusters"]
     assert lines == [
         "source-free engine: 369 items, 45 candidates",
-        "45 candidates, 0 restricted integrals computed, 10 by the source-free engine; "
-        "probe classes: 5 computed, 5 read; 9 of 45 polymers meet the sources; "
-        "eta sector: r = 5, 78 entries, rank-one",
-        "45 candidates, 0 restricted integrals computed, 0 by the source-free engine; "
-        "probe classes: 0 computed, 5 read; 17 of 45 polymers meet the sources; "
-        "eta sector: r = 17, 183 entries, rank-one",
-        "45 candidates, 0 restricted integrals computed, 0 by the source-free engine; "
-        "probe classes: 0 computed, 5 read; 17 of 45 polymers meet the sources; "
-        "eta sector: r = 17, 183 entries, rank-one",
+        "45 candidates, 10 restricted integrals computed; probe classes: 5 computed; "
+        "9 of 45 polymers meet the sources; eta sector: r = 5, 78 entries, rank-one",
+        "45 candidates, 0 restricted integrals computed; probe classes: 0 computed; "
+        "17 of 45 polymers meet the sources; eta sector: r = 17, 183 entries, rank-one",
+        "45 candidates, 0 restricted integrals computed; probe classes: 0 computed; "
+        "17 of 45 polymers meet the sources; eta sector: r = 17, 183 entries, rank-one",
     ]
 
 

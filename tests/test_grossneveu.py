@@ -585,7 +585,7 @@ def test_flavor_channels_diagonal_and_equal():
     f = build_v1(spec, cov, g, source_sites=sources).scaled(-1).to_element(u)
     # two flavors double the mode count; a site-local truncation keeps the
     # run cheap while preserving the channel structure under test
-    options = ClusterOptions(n_max=20, max_polymer_sites=1, eta_degree_cap=2)
+    options = ClusterOptions(n_max=20, max_polymer_sites=1)
     series, _ = ClusterEngine(u, f, options).assemble()
     y1, y2 = sources
     same0 = truncated_two_point(series, g, y1, y2, 0, 0, 0, 0)

@@ -301,6 +301,28 @@ def test_cli_expand_writes_report(tmp_path, capsys):
     assert doc["payload"]["coefficients"]
 
 
+def test_cli_expand_runs_truncated(tmp_path, capsys):
+    """``expand --mode truncated`` writes the (origin, far corner) pair run
+    of the source-free engine's linear response, coefficient for coefficient."""
+    cfg_file, out = tmp_path / "run.cfg", tmp_path / "series.json"
+    cfg_file.write_text("lattice.L = 3\nmodel.m_f = 3.0\n")
+    assert cli.main(["expand", "--config", str(cfg_file), "--mode", "truncated",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["expansion"]["mode"] == "truncated"
+    assert payload["expansion"]["exact"] is False
+    cfg = RunConfig(L=3, m_f=3.0, mode="truncated")
+    spec, cov = pipeline.lattice_objects(cfg)
+    model = pipeline.lattice_model(cfg, spec, cov)
+    series, _ = pipeline.pair_series(cfg, spec, model, spec.sites[0], spec.sites[-1])
+    expected = sorted((" ".join(f"eta{'bar' if g.bar else ''}{g.site}s{g.spinor}f{g.flavor}"
+                                for g in ws), value)
+                      for (zs, ws), value in series.coefficients() if (zs, ws) != ((), ()))
+    got = [(c["key"], complex(c["re"], c["im"])) for c in payload["coefficients"]]
+    assert got == expected and got
+
+
 def _perturb_the_oracle(monkeypatch):
     """Scale every oracle series coefficient by 1 + 1e-6."""
     original = pipeline.oracle_pair_series

@@ -10,10 +10,9 @@ from fermicluster.trees import (
     majorant_limit,
     majorant_partial_sum,
     majorant_term,
-    prufer_to_tree,
     tree_degrees,
 )
-from oracles import prufer_to_tree_by_min_leaf
+from oracles import prufer_to_tree, prufer_to_tree_by_min_leaf
 
 
 def is_connected(n, edges):
